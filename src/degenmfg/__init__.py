@@ -27,9 +27,7 @@ from degenmfg.domain import (
     SpaceTimeField,
     SpaceTimeGrid,
     build_grid,
-    eval_coefficient,
     spatial_derivatives,
-    static_field,
     time_derivative,
     weighted_norm,
 )
@@ -107,7 +105,6 @@ __all__ = [
     "convergence_study",
     "default_backward_spec",
     "difference_residuals",
-    "eval_coefficient",
     "evaluate_fp_carleman",
     "evaluate_hjb_carleman",
     "evaluate_mfg_carleman",
@@ -125,7 +122,6 @@ __all__ = [
     "solve_linearized_mfg",
     "solve_nonlinear_mfg",
     "spatial_derivatives",
-    "static_field",
     "sweep_parameters",
     "theoretical_theta",
     "time_derivative",

@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -319,9 +320,9 @@ def _validate_stability(cfg, command):
     _validate_grid(cfg, errors)
     if command == "stability-holder":
         t0 = _num_field(cfg, "", "t0", errors, lo=0.0, lo_open=True)
-        # default experiment horizon is T = 1
-        if t0 is not None and t0 >= 1.0:
-            errors.append("t0: must be strictly less than the horizon T=1")
+        T = default_backward_spec().problem.T
+        if t0 is not None and t0 >= T:
+            errors.append(f"t0: must be strictly less than the horizon T={T:g}")
     else:
         a = _num_field(cfg, "", "alpha", errors, lo=0.0, lo_open=True)
         if a is not None and a >= 1.0:
@@ -409,60 +410,49 @@ def _build_grid(cfg: dict, T: float) -> SpaceTimeGrid:
 
 
 def _build_iter(cfg: dict) -> IterConfig:
+    base = IterConfig()
     it = cfg.get("iter") or {}
-    return IterConfig(
-        max_sweeps=int(it.get("max_sweeps", 200)),
-        damping=float(it.get("damping", 0.5)),
-        tolerance=float(it.get("tolerance", 1e-9)),
-        divergence_factor=float(it.get("divergence_factor", 10.0)),
-    )
+    return replace(base, **{k: type(getattr(base, k))(v) for k, v in it.items()})
 
 
 def _profile_values(spec: dict, coeff: DegenerateCoefficient, x: np.ndarray):
-    """Resolve a profile spec to (values, derivative) arrays on the nodes."""
+    """Resolve a profile spec to its values on the nodes."""
     kind = spec["kind"]
     if kind == "zero":
-        z = np.zeros_like(x)
-        return z, z
+        return np.zeros_like(x)
     if kind == "const":
-        c = float(spec["value"])
-        return np.full_like(x, c), np.zeros_like(x)
+        return np.full_like(x, float(spec["value"]))
     s = float(spec.get("scale", 1.0))
     if kind == "bubble":
-        return s * x * (1.0 - x), s * (1.0 - 2.0 * x)
+        return s * x * (1.0 - x)
     if kind == "a":
-        return s * coeff.a(x), s * coeff.a_x(x)
+        return s * coeff.a(x)
     if kind == "sqrt_a":
-        sq = coeff.sqrt_a(x)
-        return s * sq, s * 0.5 * sq * coeff.log_derivative(x)
+        return s * coeff.sqrt_a(x)
     w = float(spec["k"]) * math.pi
     if kind == "sin":
-        return s * np.sin(w * x), s * w * np.cos(w * x)
+        return s * np.sin(w * x)
     # a_sin
-    av, ax = coeff.a(x), coeff.a_x(x)
-    return (
-        s * av * np.sin(w * x),
-        s * (ax * np.sin(w * x) + av * w * np.cos(w * x)),
-    )
+    return s * coeff.a(x) * np.sin(w * x)
 
 
 def _resolve_profiles(block, keys, coeff, x):
     block = block or {}
-    out = {}
-    for k in keys:
-        if k in block:
-            out[k] = _profile_values(block[k], coeff, x)
-        else:
-            z = np.zeros_like(x)
-            out[k] = (z, z)
-    return out
+    return {
+        k: _profile_values(block[k], coeff, x) if k in block else np.zeros_like(x)
+        for k in keys
+    }
+
+
+def _build_coeffs(
+    cfg: dict, coeff: DegenerateCoefficient, grid: SpaceTimeGrid
+) -> MfgCoefficients:
+    keys = _LINEAR_COEFF_KEYS if cfg["system"] == "linear" else _NONLINEAR_COEFF_KEYS
+    profs = _resolve_profiles(cfg.get("coefficients"), keys, coeff, grid.x)
+    return MfgCoefficients(coeff, grid, **profs)
 
 
 # --------------------------------------------------------------- result pieces
-
-def _fnum(v) -> float:
-    return float(v)
-
 
 def _jnum(v):
     """JSON-safe numeric value; non-finite floats become tagged strings."""
@@ -505,27 +495,14 @@ def _run_solve(cfg):
     icfg = _build_iter(cfg)
     x = grid.x
     data = _resolve_profiles(cfg.get("data"), _DATA_KEYS, coeff, x)
-    m0, h = data["m0"][0], data["h"][0]
-    F, G = data["F"][0], data["G"][0]
-    if cfg["system"] == "linear":
-        profs = _resolve_profiles(
-            cfg.get("coefficients"), _LINEAR_COEFF_KEYS, coeff, x
-        )
-        coeffs = MfgCoefficients(
-            coeff, grid, **{k: profs[k][0] for k in _LINEAR_COEFF_KEYS}
-        )
-        sol = solve_linearized_mfg(coeffs, F=F, G=G, m0=m0, h=h, cfg=icfg)
-    else:
-        profs = _resolve_profiles(
-            cfg.get("coefficients"), _NONLINEAR_COEFF_KEYS, coeff, x
-        )
-        coeffs = MfgCoefficients(coeff, grid, p=profs["p"][0], d=profs["d"][0])
-        sol = solve_nonlinear_mfg(coeffs, F=F, G=G, m0=m0, h=h, cfg=icfg)
+    coeffs = _build_coeffs(cfg, coeff, grid)
+    solver = solve_linearized_mfg if cfg["system"] == "linear" else solve_nonlinear_mfg
+    sol = solver(coeffs, **data, cfg=icfg)
     if not sol.converged:
         raise _RunFailure(
             3,
-            f"coupled sweep did not converge within {icfg.max_sweeps} sweeps "
-            f"(best residual {min(sol.residual_log):.3e})",
+            f"coupled sweep did not converge after {sol.sweeps} sweeps "
+            f"(budget {icfg.max_sweeps}, best residual {min(sol.residual_log):.3e})",
         )
     bounds = check_coefficient_bounds(coeffs)
     uv, mv = sol.u.values, sol.m.values
@@ -708,19 +685,7 @@ def _run_convergence(cfg):
 def _run_coeff_check(cfg):
     coeff = _build_coeff(cfg["problem"])
     grid = _build_grid(cfg, cfg["problem"]["T"])
-    x = grid.x
-    if cfg["system"] == "linear":
-        profs = _resolve_profiles(
-            cfg.get("coefficients"), _LINEAR_COEFF_KEYS, coeff, x
-        )
-        coeffs = MfgCoefficients(
-            coeff, grid, **{k: profs[k][0] for k in _LINEAR_COEFF_KEYS}
-        )
-    else:
-        profs = _resolve_profiles(
-            cfg.get("coefficients"), _NONLINEAR_COEFF_KEYS, coeff, x
-        )
-        coeffs = MfgCoefficients(coeff, grid, p=profs["p"][0], d=profs["d"][0])
+    coeffs = _build_coeffs(cfg, coeff, grid)
     report = check_coefficient_bounds(coeffs)
     iso = isomorphism_residual(coeff, grid)
     seed = int(cfg.get("seed", 0))

@@ -21,11 +21,9 @@ __all__ = [
     "SpaceTimeField",
     "NormKind",
     "build_grid",
-    "eval_coefficient",
     "spatial_derivatives",
     "time_derivative",
     "weighted_norm",
-    "static_field",
 ]
 
 
@@ -166,14 +164,6 @@ class DegenerateCoefficient:
         return 2.0 / x
 
 
-def eval_coefficient(coeff: DegenerateCoefficient, x) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (a, a_x) at points x in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("coefficient evaluation points must lie in [0, 1]")
-    return coeff.a(x), coeff.a_x(x)
-
-
 @dataclass
 class SpaceTimeField:
     """Scalar samples on the tensor grid, shape (n_x, n_t + 1).
@@ -208,14 +198,6 @@ class SpaceTimeField:
 
     def at_time(self, k: int) -> np.ndarray:
         return self.values[:, k]
-
-
-def static_field(grid: SpaceTimeGrid, profile) -> SpaceTimeField:
-    """Replicate a spatial profile across all time levels."""
-    p = np.asarray(profile, dtype=float)
-    if p.shape != (grid.n_x,):
-        raise ValueError(f"profile shape {p.shape} does not match n_x={grid.n_x}")
-    return SpaceTimeField(np.repeat(p[:, None], grid.n_t + 1, axis=1), grid)
 
 
 # ---------------------------------------------------------------------------

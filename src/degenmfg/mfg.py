@@ -1,10 +1,16 @@
 """Coupled solvers for the linearized and quadratic-Hamiltonian systems.
 
 The coupled systems pair a backward value equation with a forward density
-equation.  Both solvers run damped Picard sweeps: freeze the density, solve
-the value equation; freeze the value, solve the density equation; blend.  The
-first sweep applies the full step so that a fully decoupled system finishes in
-one sweep, bit-identical to the two scalar solves.
+equation.  Both solvers share one Picard driver: freeze the density, solve
+the value equation; freeze the value, solve the density equation; blend each
+candidate into the iterate with the current damping.  The damping starts at
+IterConfig.damping (default 1.0, a full step) and the first sweep always
+takes the full step, so a fully decoupled system finishes in one sweep,
+bit-identical to the two scalar solves.  A sweep whose residual exceeds
+divergence_factor times the best one so far is rejected: the damping halves
+and the iteration restarts from the best pair.  Once the damping would fall
+below DAMPING_FLOOR (1/64), the solve gives up and returns the best pair with
+converged=False.
 
 Convergence is declared on the scheme residuals (the defect of the implicit
 step equations), which a fixed point can actually drive to rounding level;
@@ -63,12 +69,20 @@ __all__ = [
 ]
 
 
+# backtracking gives up once the damping would fall below this step
+DAMPING_FLOOR = 1.0 / 64.0
+
+
 @dataclass(frozen=True)
 class IterConfig:
-    """Picard sweep controls shared by both coupled solvers."""
+    """Picard sweep controls shared by both coupled solvers.
+
+    ``damping`` is the starting step; ``divergence_factor`` is the residual
+    growth over the best sweep that rejects a sweep and halves the step.
+    """
 
     max_sweeps: int = 200
-    damping: float = 0.5
+    damping: float = 1.0
     tolerance: float = 1e-9
     divergence_factor: float = 10.0
 
@@ -121,15 +135,51 @@ class MfgSolution:
         return len(self.residual_log)
 
 
-def _blend(old: np.ndarray, cand: np.ndarray, sweep: int, damping: float) -> np.ndarray:
-    if sweep == 1:
+def _blend(old: np.ndarray, cand: np.ndarray, step: float) -> np.ndarray:
+    if step == 1.0:
         return cand
-    return old + damping * (cand - old)
+    return old + step * (cand - old)
 
 
-def _finish(g, u, m, log, converged, best_pair):
-    if not converged:
-        u, m = best_pair
+def _picard(g: SpaceTimeGrid, cfg: IterConfig, value_problem, density_problem):
+    """Picard sweeps with backtracking, shared by both coupled solvers.
+
+    ``value_problem(u, m)`` builds the value equation linearized at the pair
+    (u, m); ``density_problem(u)`` builds the density equation at the value u.
+    The residual of a sweep is the larger scheme residual at the new pair,
+    with the value equation rebuilt there: at a fixed point that is the
+    discrete system itself, and it is also the next sweep's value equation.
+    """
+    u = np.zeros(g.shape)
+    m = np.zeros(g.shape)
+    hjb = value_problem(u, m)
+    best = (np.inf, u, m, hjb)
+    damping = cfg.damping
+    log: list = []
+    for sweep in range(1, cfg.max_sweeps + 1):
+        step = 1.0 if sweep == 1 else damping
+        u_new = _blend(u, solve_hjb_linear(hjb).values, step)
+        fp = density_problem(u_new)
+        m_new = _blend(m, solve_fp_linear(fp).values, step)
+        hjb_new = value_problem(u_new, m_new)
+        res = max(hjb_scheme_residual(u_new, hjb_new), fp_scheme_residual(m_new, fp))
+        log.append(res)
+        if res <= cfg.tolerance:
+            return _solution(g, u_new, m_new, log, True)
+        if res > cfg.divergence_factor * best[0]:
+            damping /= 2.0
+            if damping < DAMPING_FLOOR:
+                break
+            _, u, m, hjb = best
+            continue
+        u, m, hjb = u_new, m_new, hjb_new
+        if res < best[0]:
+            best = (res, u, m, hjb)
+    _, u, m, _ = best
+    return _solution(g, u, m, log, False)
+
+
+def _solution(g, u, m, log, converged):
     return MfgSolution(
         u=SpaceTimeField(u, g),
         m=SpaceTimeField(m, g),
@@ -147,33 +197,30 @@ def solve_linearized_mfg(
     grid: Optional[SpaceTimeGrid] = None,
     cfg: IterConfig = IterConfig(),
 ) -> MfgSolution:
-    """Damped Picard iteration for the linearized coupled system.
+    """Picard iteration for the linearized coupled system.
 
     Value equation: u_t + a u_xx + d1 u_x = d2 m + F (backward, u(.,T) = h).
     Density equation: m_t - (am)_xx + c1 m_x = b m + c2 u_x + rho u_xx + G
     (forward, m(.,0) = m0; b is handled implicitly inside the step matrix).
     Stops when the larger of the two scheme residuals falls below tolerance;
-    on divergence or sweep exhaustion the best iterate is returned with
-    converged=False.
+    when the damping floor or the sweep budget is reached, the best iterate
+    is returned with converged=False.
     """
     g = coeffs.grid
     if grid is not None and grid.shape != g.shape:
         raise ValueError("grid does not match the coefficient grid")
     Ft = _traj(F, g, "F")
     Gt = _traj(G, g, "G")
-    hjb = HjbLinearProblem(g, coeffs.diffusion, drift=coeffs.d1, source=Ft, terminal=h)
-    u = np.zeros(g.shape)
-    m = np.zeros(g.shape)
-    log: list = []
-    best_res = np.inf
-    best_pair = (u, m)
-    converged = False
-    for sweep in range(1, cfg.max_sweeps + 1):
-        u_cand = solve_hjb_linear(hjb, rhs_extra=coeffs.d2 * m).values
-        u = _blend(u, u_cand, sweep, cfg.damping)
+
+    def value_problem(u, m):
+        return HjbLinearProblem(
+            g, coeffs.diffusion, drift=coeffs.d1, source=Ft + coeffs.d2 * m, terminal=h
+        )
+
+    def density_problem(u):
         ux = _dx_array(u, g.h, "dirichlet")
         uxx = _dxx_array(u, g.h, "dirichlet")
-        fp = FpLinearProblem(
+        return FpLinearProblem(
             g,
             coeffs.diffusion,
             convection=coeffs.c1,
@@ -181,20 +228,8 @@ def solve_linearized_mfg(
             source=coeffs.c2 * ux + coeffs.rho * uxx + Gt,
             initial=m0,
         )
-        m = _blend(m, solve_fp_linear(fp).values, sweep, cfg.damping)
-        res = max(
-            hjb_scheme_residual(u, hjb, rhs_extra=coeffs.d2 * m),
-            fp_scheme_residual(m, fp),
-        )
-        log.append(res)
-        if res < best_res:
-            best_res, best_pair = res, (u, m)
-        if res <= cfg.tolerance:
-            converged = True
-            break
-        if res > cfg.divergence_factor * best_res:
-            break
-    return _finish(g, u, m, log, converged, best_pair)
+
+    return _picard(g, cfg, value_problem, density_problem)
 
 
 def solve_nonlinear_mfg(
@@ -206,7 +241,7 @@ def solve_nonlinear_mfg(
     grid: Optional[SpaceTimeGrid] = None,
     cfg: IterConfig = IterConfig(),
 ) -> MfgSolution:
-    """Damped Picard iteration for the quadratic-Hamiltonian system.
+    """Picard iteration for the quadratic-Hamiltonian system.
 
     Value equation: u_t + a u_xx - (p/2)|u_x|^2 + d m = F (backward).
     Density equation: m_t - (am)_xx - (p m u_x)_x = G (forward); the
@@ -221,26 +256,20 @@ def solve_nonlinear_mfg(
     Ft = _traj(F, g, "F")
     Gt = _traj(G, g, "G")
     p = coeffs.p
-    dcpl = coeffs.d
-    u = np.zeros(g.shape)
-    m = np.zeros(g.shape)
-    log: list = []
-    best_res = np.inf
-    best_pair = (u, m)
-    converged = False
-    for sweep in range(1, cfg.max_sweeps + 1):
-        ux_old = _dx_array(u, g.h, "dirichlet")
-        hjb = HjbLinearProblem(
+
+    def value_problem(u, m):
+        ux = _dx_array(u, g.h, "dirichlet")
+        return HjbLinearProblem(
             g,
             coeffs.diffusion,
-            drift=-p * ux_old,
-            source=Ft - 0.5 * p * ux_old * ux_old - dcpl * m,
+            drift=-p * ux,
+            source=Ft - 0.5 * p * ux * ux - coeffs.d * m,
             terminal=h,
         )
-        u = _blend(u, solve_hjb_linear(hjb).values, sweep, cfg.damping)
-        ux = _dx_array(u, g.h, "dirichlet")
-        pux = p * ux
-        fp = FpLinearProblem(
+
+    def density_problem(u):
+        pux = p * _dx_array(u, g.h, "dirichlet")
+        return FpLinearProblem(
             g,
             coeffs.diffusion,
             convection=-pux,
@@ -248,26 +277,8 @@ def solve_nonlinear_mfg(
             source=Gt,
             initial=m0,
         )
-        m = _blend(m, solve_fp_linear(fp).values, sweep, cfg.damping)
-        # residual of the discrete nonlinear system at the current pair:
-        # rebuild the linearization at the current u, where it is exact
-        hjb_now = HjbLinearProblem(
-            g,
-            coeffs.diffusion,
-            drift=-pux,
-            source=Ft - 0.5 * p * ux * ux - dcpl * m,
-            terminal=h,
-        )
-        res = max(hjb_scheme_residual(u, hjb_now), fp_scheme_residual(m, fp))
-        log.append(res)
-        if res < best_res:
-            best_res, best_pair = res, (u, m)
-        if res <= cfg.tolerance:
-            converged = True
-            break
-        if res > cfg.divergence_factor * best_res:
-            break
-    return _finish(g, u, m, log, converged, best_pair)
+
+    return _picard(g, cfg, value_problem, density_problem)
 
 
 def form_difference_coefficients(

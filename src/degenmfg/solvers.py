@@ -1,10 +1,12 @@
 """Implicit finite-difference solvers for the two linear half-problems.
 
 Both equations advance by backward Euler steps with one tridiagonal solve per
-time level.  The spatial operator L = a d_xx + d d_x + q uses central stencils
-at interior cells and a ghost-cell closure at the two boundary cells: the
-unknown is extended by a quadratic that vanishes at the endpoint, the discrete
-form of the homogeneous Dirichlet condition carried by u and by a*m.
+time level: each sweep turns the operator bands into the step bands once, in
+place, and each level is one LAPACK gtsv call on its band columns.  The
+spatial operator L = a d_xx + d d_x + q uses central stencils at interior
+cells and a ghost-cell closure at the two boundary cells: the unknown is
+extended by a quadratic that vanishes at the endpoint, the discrete form of
+the homogeneous Dirichlet condition carried by u and by a*m.
 
 The density equation is not discretized in m directly.  Its divergence-form
 principal part (a m)_xx makes v = a m the natural unknown: in v the equation
@@ -25,11 +27,10 @@ Two residual notions coexist on purpose:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg import LinAlgError
+from scipy.linalg import lapack
 
 from degenmfg.domain import (
     DegenerateCoefficient,
@@ -170,17 +171,20 @@ def _apply_bands(sub, diag, sup, f):
     return out
 
 
-def _implicit_step(sub_k, diag_k, sup_k, rhs, dt, k):
-    """Solve (I - dt L) f = rhs for one time level."""
-    n = rhs.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -dt * sup_k[:-1]
-    ab[1, :] = 1.0 - dt * diag_k
-    ab[2, :-1] = -dt * sub_k[1:]
-    try:
-        return solve_banded((1, 1), ab, rhs, check_finite=False)
-    except LinAlgError as exc:
-        raise SolverError(f"singular tridiagonal system at time index {k}") from exc
+def _to_step_bands(sub, diag, sup, dt):
+    """Turn the bands of L into the bands of I - dt L, in place."""
+    sub *= -dt
+    sup *= -dt
+    diag *= -dt
+    diag += 1.0
+
+
+def _implicit_step(sub_k, diag_k, sup_k, rhs, k):
+    """Solve (I - dt L) f = rhs for one time level, from the step bands."""
+    _, _, _, f, info = lapack.dgtsv(sub_k[1:], diag_k, sup_k[:-1], rhs)
+    if info != 0:
+        raise SolverError(f"singular tridiagonal system at time index {k}")
+    return f
 
 
 def _fp_bands(prob: FpLinearProblem):
@@ -192,28 +196,24 @@ def _fp_bands(prob: FpLinearProblem):
     return a, _band_fields(a[:, None], -prob.convection, q, g.h)
 
 
-def solve_hjb_linear(
-    prob: HjbLinearProblem, rhs_extra: Optional[FieldLike] = None
-) -> SpaceTimeField:
+def solve_hjb_linear(prob: HjbLinearProblem) -> SpaceTimeField:
     """March the value equation from t = T down to t = 0.
 
     At each level (I - dt L_k) u^k = u^{k+1} - dt src^k with L_k frozen at
     t_k: the unconditionally stable implicit Euler step for the backward
-    orientation.  ``rhs_extra`` is added to the source (coupling terms in the
-    fixed-point sweeps are injected here without rebuilding the problem).
+    orientation.
     """
     g = prob.grid
     a = prob.coeff.a(g.x)
     src = prob.source
-    if rhs_extra is not None:
-        src = src + _traj(rhs_extra, g, "rhs_extra")
     sub, diag, sup = _band_fields(a[:, None], prob.drift, np.zeros(g.shape), g.h)
     dt = g.dt
+    _to_step_bands(sub, diag, sup, dt)
     u = np.empty(g.shape)
     u[:, -1] = prob.terminal
     for k in range(g.n_t - 1, -1, -1):
         rhs = u[:, k + 1] - dt * src[:, k]
-        u[:, k] = _implicit_step(sub[:, k], diag[:, k], sup[:, k], rhs, dt, k)
+        u[:, k] = _implicit_step(sub[:, k], diag[:, k], sup[:, k], rhs, k)
     if not np.all(np.isfinite(u)):
         raise SolverError("value sweep produced non-finite entries")
     return SpaceTimeField(u, g)
@@ -230,14 +230,13 @@ def solve_fp_linear(prob: FpLinearProblem) -> SpaceTimeField:
     g = prob.grid
     a, (sub, diag, sup) = _fp_bands(prob)
     dt = g.dt
+    _to_step_bands(sub, diag, sup, dt)
     v = np.empty(g.shape)
     v[:, 0] = a * prob.initial
     asrc = a[:, None] * prob.source
-    for k in range(g.n_t):
-        rhs = v[:, k] + dt * asrc[:, k + 1]
-        v[:, k + 1] = _implicit_step(
-            sub[:, k + 1], diag[:, k + 1], sup[:, k + 1], rhs, dt, k + 1
-        )
+    for k in range(1, g.n_t + 1):
+        rhs = v[:, k - 1] + dt * asrc[:, k]
+        v[:, k] = _implicit_step(sub[:, k], diag[:, k], sup[:, k], rhs, k)
     if not np.all(np.isfinite(v)):
         raise SolverError("density sweep produced non-finite entries")
     return SpaceTimeField(v / a[:, None], g)
@@ -283,9 +282,7 @@ def apply_fp_operator(m: FieldLike, prob: FpLinearProblem) -> SpaceTimeField:
     return SpaceTimeField(res, g)
 
 
-def hjb_scheme_residual(
-    u: FieldLike, prob: HjbLinearProblem, rhs_extra: Optional[FieldLike] = None
-) -> float:
+def hjb_scheme_residual(u: FieldLike, prob: HjbLinearProblem) -> float:
     """Max defect of the implicit backward-step equations at a trajectory.
 
     Zero (to solver roundoff) exactly when u satisfies every implicit step,
@@ -293,13 +290,10 @@ def hjb_scheme_residual(
     """
     g = prob.grid
     uv = _traj(u, g, "u")
-    src = prob.source
-    if rhs_extra is not None:
-        src = src + _traj(rhs_extra, g, "rhs_extra")
     a = prob.coeff.a(g.x)
     sub, diag, sup = _band_fields(a[:, None], prob.drift, np.zeros(g.shape), g.h)
     Lu = _apply_bands(sub, diag, sup, uv)
-    res = (uv[:, 1:] - uv[:, :-1]) / g.dt + Lu[:, :-1] - src[:, :-1]
+    res = (uv[:, 1:] - uv[:, :-1]) / g.dt + Lu[:, :-1] - prob.source[:, :-1]
     return float(np.max(np.abs(res)))
 
 

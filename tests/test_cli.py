@@ -190,6 +190,31 @@ def test_nonconverging_solve_exit_3(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_damping_floor_solve_exit_3(tmp_path, capsys):
+    # p and d at 40x and 400x the stock values: backtracking hits the floor
+    cfg = _load("solve_nonlinear.json")
+    cfg["grid"] = {"n_x": 64, "n_t": 128}
+    cfg["coefficients"] = {"p": {"kind": "bubble", "scale": 20.0},
+                           "d": {"kind": "a", "scale": 160.0}}
+    path = _dump(cfg, tmp_path / "cfg.json")
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    doc = _stderr_doc(capsys)
+    assert doc["error"]["code"] == 3
+    assert "did not converge" in doc["error"]["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_holder_t0_at_horizon_rejected(tmp_path, capsys):
+    cfg = _load("holder.json")
+    cfg["t0"] = 1.0
+    path = _dump(cfg, tmp_path / "cfg.json")
+    rc = main(["stability-holder", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    details = _stderr_doc(capsys)["error"]["details"]
+    assert details == ["t0: must be strictly less than the horizon T=1"]
+
+
 def test_weight_overflow_exit_4_still_reports(tmp_path):
     cfg = {
         "command": "verify-carleman",

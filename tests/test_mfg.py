@@ -5,6 +5,7 @@ import pytest
 
 from degenmfg.domain import DegenerateCoefficient, SpaceTimeGrid
 from degenmfg.mfg import (
+    DAMPING_FLOOR,
     IterConfig,
     MfgCoefficients,
     check_coefficient_bounds,
@@ -103,6 +104,52 @@ def test_sweep_budget_exhaustion_reports_not_converged():
     )
     assert not sol.converged
     assert sol.u.values.shape == (g.n_x, g.n_t + 1)
+
+
+def _stiff_solve(p_scale, d_scale, cfg=IterConfig()):
+    # the stock experiment's p = 0.5 x(1-x) and d = 0.4 a, scaled up
+    g = _grid(64, 128)
+    x = g.x
+    coeffs = MfgCoefficients(
+        P22, g, p=p_scale * x * (1 - x), d=d_scale * P22.a(x)
+    )
+    return solve_nonlinear_mfg(
+        coeffs, m0=16.0 * P22.a(x), h=16.0 * P22.a(x), cfg=cfg
+    )
+
+
+def _rejections(sol, factor=IterConfig().divergence_factor):
+    """Sweeps the driver rejected: residual above factor x the best accepted."""
+    best = np.inf
+    rejected = 0
+    for res in sol.residual_log:
+        if res > factor * best:
+            rejected += 1
+        else:
+            best = min(best, res)
+    return rejected
+
+
+def test_backtracking_rescues_a_diverging_full_step():
+    # p and d at 20x and 100x the stock values
+    plain = _stiff_solve(
+        10.0, 40.0, IterConfig(max_sweeps=60, divergence_factor=1e300)
+    )
+    assert not plain.converged
+    sol = _stiff_solve(10.0, 40.0)
+    assert sol.converged
+    assert _rejections(sol) == 1  # one halving: the rest ran at damping 0.5
+    assert 30 <= sol.sweeps <= 45
+
+
+def test_damping_floor_reports_not_converged():
+    # p and d at 40x and 400x the stock values
+    sol = _stiff_solve(20.0, 160.0)
+    assert not sol.converged
+    # stopped by the halving that would go below the floor, not by the budget
+    assert 0.5 ** _rejections(sol) < DAMPING_FLOOR <= 0.5 ** (_rejections(sol) - 1)
+    assert sol.sweeps < IterConfig().max_sweeps
+    assert np.all(np.isfinite(sol.u.values)) and np.all(np.isfinite(sol.m.values))
 
 
 def _nonlinear_pair(g, eps):

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from degenmfg.domain import DegenerateCoefficient, SpaceTimeGrid
 from degenmfg.solvers import (
     FpLinearProblem,
     HjbLinearProblem,
+    SolverError,
+    _implicit_step,
+    _to_step_bands,
     fp_scheme_residual,
     hjb_scheme_residual,
     isomorphism_residual,
@@ -110,3 +114,60 @@ def test_hjb_recovers_separable_solution():
         errs.append(np.max(np.abs(u.values - exact)))
     assert errs[1] < errs[0] / 2.5
     assert errs[1] < 5e-4
+
+
+def _reference_step(sub, diag, sup, rhs, dt):
+    """(I - dt L) f = rhs through scipy's general banded solver."""
+    n = rhs.shape[0]
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -dt * sup[:-1]
+    ab[1, :] = 1.0 - dt * diag
+    ab[2, :-1] = -dt * sub[1:]
+    return solve_banded((1, 1), ab, rhs)
+
+
+@pytest.mark.parametrize("n", [3, 64, 257])
+def test_gtsv_step_matches_banded_reference(n):
+    rng = np.random.default_rng(n)
+    dt = 0.01
+    # operator bands shaped like a sweep's (n_x, n_t + 1) band arrays
+    sub = rng.uniform(0.0, 50.0, (n, 4))
+    sup = rng.uniform(0.0, 50.0, (n, 4))
+    diag = -(sub + sup) - rng.uniform(0.0, 10.0, (n, 4))
+    sub[0] = 0.0
+    sup[-1] = 0.0
+    rhs = rng.standard_normal(n)
+    k = 2
+    want = _reference_step(sub[:, k], diag[:, k], sup[:, k], rhs, dt)
+    _to_step_bands(sub, diag, sup, dt)
+    got = _implicit_step(sub[:, k], diag[:, k], sup[:, k], rhs, k)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_singular_step_names_time_index():
+    n = 5
+    sub = np.zeros(n)
+    diag = np.zeros(n)  # zero first column: the first pivot is exactly zero
+    sup = np.ones(n)
+    with pytest.raises(SolverError, match="time index 7"):
+        _implicit_step(sub, diag, sup, np.ones(n), 7)
+
+
+def test_repeated_solves_bit_identical_and_problem_untouched():
+    g = SpaceTimeGrid(40, 30, 1.0)
+    x, t = g.x[:, None], g.t[None, :]
+    traj = np.sin(np.pi * x) * np.cos(t)
+    hjb = HjbLinearProblem(
+        g, WF, drift=0.3 * x * (1 - x) * (1 + t), source=traj, terminal=g.x * (1 - g.x)
+    )
+    fp = FpLinearProblem(
+        g, P22, convection=0.2 * x * (1 - x) * (1 + t), zeroth=0.4,
+        source=traj, initial=16.0 * P22.a(g.x),
+    )
+    before = [arr.copy() for arr in (hjb.drift, hjb.source, fp.convection, fp.source)]
+    u1, u2 = solve_hjb_linear(hjb), solve_hjb_linear(hjb)
+    m1, m2 = solve_fp_linear(fp), solve_fp_linear(fp)
+    assert np.array_equal(u1.values, u2.values)
+    assert np.array_equal(m1.values, m2.values)
+    after = (hjb.drift, hjb.source, fp.convection, fp.source)
+    assert all(np.array_equal(b, a) for b, a in zip(before, after))
