@@ -27,11 +27,10 @@ import numpy as np
 from degenmfg.domain import (
     DegenerateCoefficient,
     NormKind,
-    SpaceTimeField,
     SpaceTimeGrid,
+    _dt_array,
     _dx_array,
     _dxx_array,
-    time_derivative,
     weighted_norm,
 )
 from degenmfg.solvers import FpLinearProblem, HjbLinearProblem, _traj
@@ -210,7 +209,7 @@ def hjb_ingredients(u, F, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> 
     Fv = _traj(F if F is not None else 0.0, grid, "F")
     a = coeff.a(grid.x)[:, None]
     h = grid.h
-    ut = time_derivative(SpaceTimeField(uv, grid), 1).values
+    ut = _dt_array(uv, grid.dt, 1)
     ux = _dx_array(uv, grid.h, "dirichlet")
     uxx = _dxx_array(uv, grid.h, "dirichlet")
     return HjbIngredients(
@@ -270,7 +269,7 @@ def fp_ingredients(m, G, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> F
     vx = _dx_array(v, grid.h, "dirichlet")
     vxx = _dxx_array(v, grid.h, "dirichlet")
     # int a m_t^2 = int v_t^2 / a, differentiating the product field in time
-    vt = time_derivative(SpaceTimeField(v, grid), 1).values
+    vt = _dt_array(v, grid.dt, 1)
     return FpIngredients(
         grid=grid,
         coeff=coeff,

@@ -158,14 +158,14 @@ def _validate_problem(cfg, errors):
     _num_field(prob, "problem", "T", errors, lo=0.0, lo_open=True)
 
 
-def _validate_grid(cfg, errors):
+def _validate_grid(cfg, errors, n_t_min=3):
     grid = cfg.get("grid")
     if not isinstance(grid, dict):
         errors.append("grid: must be an object")
         return
     _keys(grid, "grid", ("n_x", "n_t"), (), errors)
     _int_field(grid, "grid", "n_x", errors, 4, N_X_CAP)
-    _int_field(grid, "grid", "n_t", errors, 3, N_T_CAP)
+    _int_field(grid, "grid", "n_t", errors, n_t_min, N_T_CAP)
 
 
 _PROFILE_PARAMS = {
@@ -317,7 +317,8 @@ def _validate_stability(cfg, command):
         required = ("command", "grid")
         optional = ("alpha", "eps_ladder", "experiment", "iter", "seed", "out_dir")
     _keys(cfg, "", required, optional, errors)
-    _validate_grid(cfg, errors)
+    # the log ladder's data norm D takes second time derivatives: n_t >= 4
+    _validate_grid(cfg, errors, n_t_min=3 if command == "stability-holder" else 4)
     if command == "stability-holder":
         t0 = _num_field(cfg, "", "t0", errors, lo=0.0, lo_open=True)
         T = default_backward_spec().problem.T

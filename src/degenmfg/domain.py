@@ -185,19 +185,12 @@ class SpaceTimeField:
         self.values = v
 
     @classmethod
-    def zeros(cls, grid: SpaceTimeGrid) -> "SpaceTimeField":
-        return cls(np.zeros(grid.shape), grid)
-
-    @classmethod
     def from_function(cls, grid: SpaceTimeGrid, fn: Callable) -> "SpaceTimeField":
         """Sample fn(x, t) with x broadcast down columns and t across rows."""
         vals = np.broadcast_to(
             np.asarray(fn(grid.x[:, None], grid.t[None, :]), dtype=float), grid.shape
         )
         return cls(vals, grid)
-
-    def at_time(self, k: int) -> np.ndarray:
-        return self.values[:, k]
 
 
 # ---------------------------------------------------------------------------
@@ -256,31 +249,25 @@ def spatial_derivatives(
 _D3_FWD = np.array([-2.5, 9.0, -12.0, 7.0, -1.5])
 
 
-def time_derivative(field: SpaceTimeField, order: int = 1) -> SpaceTimeField:
-    """k-th time derivative along rows, second order everywhere.
-
-    Central stencils at interior time levels, one-sided second-order stencils
-    at t = 0 and t = T.  Requires n_t >= order + 2.
-    """
+def _dt_array(v: np.ndarray, dt: float, order: int) -> np.ndarray:
+    """k-th time derivative of a trajectory array along its columns."""
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    g = field.grid
-    if g.n_t < order + 2:
-        raise ValueError(f"n_t={g.n_t} too coarse for order-{order} time derivative")
-    v = field.values
-    tau = g.dt
-    out = np.empty_like(v)
+    n_t = v.shape[1] - 1
+    if n_t < order + 2:
+        raise ValueError(f"n_t={n_t} too coarse for order-{order} time derivative")
+    out = np.empty(v.shape)
     if order == 1:
-        out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * tau)
-        out[:, 0] = (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2.0 * tau)
-        out[:, -1] = (3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]) / (2.0 * tau)
+        out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * dt)
+        out[:, 0] = (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2.0 * dt)
+        out[:, -1] = (3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]) / (2.0 * dt)
     elif order == 2:
-        t2 = tau * tau
+        t2 = dt * dt
         out[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / t2
         out[:, 0] = (2.0 * v[:, 0] - 5.0 * v[:, 1] + 4.0 * v[:, 2] - v[:, 3]) / t2
         out[:, -1] = (2.0 * v[:, -1] - 5.0 * v[:, -2] + 4.0 * v[:, -3] - v[:, -4]) / t2
     else:
-        t3 = tau**3
+        t3 = dt**3
         out[:, 2:-2] = (
             -v[:, :-4] + 2.0 * v[:, 1:-3] - 2.0 * v[:, 3:-1] + v[:, 4:]
         ) / (2.0 * t3)
@@ -288,10 +275,18 @@ def time_derivative(field: SpaceTimeField, order: int = 1) -> SpaceTimeField:
         for j in (0, 1):
             out[:, j] = v[:, j : j + 5] @ w
         wb = -_D3_FWD / t3  # mirrored stencil, odd order flips sign
-        nc = v.shape[1]
-        for j in (nc - 2, nc - 1):
+        for j in (n_t - 1, n_t):
             out[:, j] = v[:, j - 4 : j + 1] @ wb[::-1]
-    return SpaceTimeField(out, g)
+    return out
+
+
+def time_derivative(field: SpaceTimeField, order: int = 1) -> SpaceTimeField:
+    """k-th time derivative along rows, second order everywhere.
+
+    Central stencils at interior time levels, one-sided second-order stencils
+    at t = 0 and t = T.  Requires n_t >= order + 2.
+    """
+    return SpaceTimeField(_dt_array(field.values, field.grid.dt, order), field.grid)
 
 
 class NormKind(enum.Enum):

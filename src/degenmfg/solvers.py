@@ -1,12 +1,13 @@
 """Implicit finite-difference solvers for the two linear half-problems.
 
 Both equations advance by backward Euler steps with one tridiagonal solve per
-time level: each sweep turns the operator bands into the step bands once, in
-place, and each level is one LAPACK gtsv call on its band columns.  The
-spatial operator L = a d_xx + d d_x + q uses central stencils at interior
-cells and a ghost-cell closure at the two boundary cells: the unknown is
-extended by a quadratic that vanishes at the endpoint, the discrete form of
-the homogeneous Dirichlet condition carried by u and by a*m.
+time level: each problem builds the step bands of I - dt L once, shared by
+its sweep and its scheme residual, and each level is one LAPACK gtsv call on
+its band columns.  The spatial operator L = a d_xx + d d_x + q uses central
+stencils at interior cells and a ghost-cell closure at the two boundary
+cells: the unknown is extended by a quadratic that vanishes at the endpoint,
+the discrete form of the homogeneous Dirichlet condition carried by u and by
+a*m.
 
 The density equation is not discretized in m directly.  Its divergence-form
 principal part (a m)_xx makes v = a m the natural unknown: in v the equation
@@ -27,6 +28,7 @@ Two residual notions coexist on purpose:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -36,8 +38,9 @@ from degenmfg.domain import (
     DegenerateCoefficient,
     SpaceTimeField,
     SpaceTimeGrid,
-    spatial_derivatives,
-    time_derivative,
+    _dt_array,
+    _dx_array,
+    _dxx_array,
 )
 
 __all__ = [
@@ -108,6 +111,14 @@ class HjbLinearProblem:
         sqrt_a = self.coeff.sqrt_a(self.grid.x)
         self.drift_ratio = float(np.max(np.abs(self.drift) / sqrt_a[:, None]))
 
+    @cached_property
+    def _step_bands(self):
+        """Bands of I - dt L_k at every time level, built once per problem."""
+        g = self.grid
+        a = self.coeff.a(g.x)
+        bands = _band_fields(a[:, None], self.drift, np.zeros(g.shape), g.h)
+        return _to_step_bands(*bands, g.dt)
+
 
 @dataclass
 class FpLinearProblem:
@@ -136,6 +147,16 @@ class FpLinearProblem:
         sqrt_a = self.coeff.sqrt_a(x)
         self.convection_ratio = float(np.max(np.abs(self.convection) / sqrt_a[:, None]))
         self.slope_ratio = float(np.max(np.abs(self.coeff.a_x(x)) / sqrt_a))
+
+    @cached_property
+    def _step_bands(self):
+        """Bands of I - dt L_v, L_v = a d_xx - c1 d_x + (c1 a_x/a + b), built
+        once per problem."""
+        g = self.grid
+        x = g.x
+        q = self.convection * self.coeff.log_derivative(x)[:, None] + self.zeroth
+        bands = _band_fields(self.coeff.a(x)[:, None], -self.convection, q, g.h)
+        return _to_step_bands(*bands, g.dt)
 
 
 def _band_fields(a: np.ndarray, d: np.ndarray, q: np.ndarray, h: float):
@@ -172,11 +193,12 @@ def _apply_bands(sub, diag, sup, f):
 
 
 def _to_step_bands(sub, diag, sup, dt):
-    """Turn the bands of L into the bands of I - dt L, in place."""
+    """Turn the bands of L into the bands of I - dt L, in place; returns them."""
     sub *= -dt
     sup *= -dt
     diag *= -dt
     diag += 1.0
+    return sub, diag, sup
 
 
 def _implicit_step(sub_k, diag_k, sup_k, rhs, k):
@@ -187,15 +209,6 @@ def _implicit_step(sub_k, diag_k, sup_k, rhs, k):
     return f
 
 
-def _fp_bands(prob: FpLinearProblem):
-    """Bands of the v-space operator L_v = a d_xx - c1 d_x + (c1 a_x/a + b)."""
-    g = prob.grid
-    a = prob.coeff.a(g.x)
-    logd = prob.coeff.log_derivative(g.x)
-    q = prob.convection * logd[:, None] + prob.zeroth
-    return a, _band_fields(a[:, None], -prob.convection, q, g.h)
-
-
 def solve_hjb_linear(prob: HjbLinearProblem) -> SpaceTimeField:
     """March the value equation from t = T down to t = 0.
 
@@ -204,11 +217,9 @@ def solve_hjb_linear(prob: HjbLinearProblem) -> SpaceTimeField:
     orientation.
     """
     g = prob.grid
-    a = prob.coeff.a(g.x)
     src = prob.source
-    sub, diag, sup = _band_fields(a[:, None], prob.drift, np.zeros(g.shape), g.h)
+    sub, diag, sup = prob._step_bands
     dt = g.dt
-    _to_step_bands(sub, diag, sup, dt)
     u = np.empty(g.shape)
     u[:, -1] = prob.terminal
     for k in range(g.n_t - 1, -1, -1):
@@ -228,9 +239,9 @@ def solve_fp_linear(prob: FpLinearProblem) -> SpaceTimeField:
     Coefficients and source for the step to t_{k+1} are taken at t_{k+1}.
     """
     g = prob.grid
-    a, (sub, diag, sup) = _fp_bands(prob)
+    a = prob.coeff.a(g.x)
+    sub, diag, sup = prob._step_bands
     dt = g.dt
-    _to_step_bands(sub, diag, sup, dt)
     v = np.empty(g.shape)
     v[:, 0] = a * prob.initial
     asrc = a[:, None] * prob.source
@@ -250,11 +261,11 @@ def apply_hjb_operator(u: FieldLike, prob: HjbLinearProblem) -> SpaceTimeField:
     measures the discretization defect, O(dt + h^2).
     """
     g = prob.grid
-    uf = u if isinstance(u, SpaceTimeField) else SpaceTimeField(_traj(u, g, "u"), g)
-    ux, uxx = spatial_derivatives(uf, "dirichlet")
-    ut = time_derivative(uf, 1)
+    uv = _traj(u, g, "u")
+    ux = _dx_array(uv, g.h, "dirichlet")
+    uxx = _dxx_array(uv, g.h, "dirichlet")
     a = prob.coeff.a(g.x)
-    res = ut.values + a[:, None] * uxx.values + prob.drift * ux.values - prob.source
+    res = _dt_array(uv, g.dt, 1) + a[:, None] * uxx + prob.drift * ux - prob.source
     return SpaceTimeField(res, g)
 
 
@@ -266,17 +277,15 @@ def apply_fp_operator(m: FieldLike, prob: FpLinearProblem) -> SpaceTimeField:
     uses the free one-sided closure.
     """
     g = prob.grid
-    mf = m if isinstance(m, SpaceTimeField) else SpaceTimeField(_traj(m, g, "m"), g)
+    mv = _traj(m, g, "m")
     a = prob.coeff.a(g.x)
-    am = SpaceTimeField(a[:, None] * mf.values, g)
-    _, am_xx = spatial_derivatives(am, "dirichlet")
-    mx, _ = spatial_derivatives(mf, "free")
-    mt = time_derivative(mf, 1)
+    am_xx = _dxx_array(a[:, None] * mv, g.h, "dirichlet")
+    mx = _dx_array(mv, g.h, "free")
     res = (
-        mt.values
-        - am_xx.values
-        + prob.convection * mx.values
-        - prob.zeroth * mf.values
+        _dt_array(mv, g.dt, 1)
+        - am_xx
+        + prob.convection * mx
+        - prob.zeroth * mv
         - prob.source
     )
     return SpaceTimeField(res, g)
@@ -290,22 +299,20 @@ def hjb_scheme_residual(u: FieldLike, prob: HjbLinearProblem) -> float:
     """
     g = prob.grid
     uv = _traj(u, g, "u")
-    a = prob.coeff.a(g.x)
-    sub, diag, sup = _band_fields(a[:, None], prob.drift, np.zeros(g.shape), g.h)
-    Lu = _apply_bands(sub, diag, sup, uv)
-    res = (uv[:, 1:] - uv[:, :-1]) / g.dt + Lu[:, :-1] - prob.source[:, :-1]
+    sub, diag, sup = (b[:, :-1] for b in prob._step_bands)
+    Su = _apply_bands(sub, diag, sup, uv[:, :-1])
+    res = (Su - uv[:, 1:]) / g.dt + prob.source[:, :-1]
     return float(np.max(np.abs(res)))
 
 
 def fp_scheme_residual(m: FieldLike, prob: FpLinearProblem) -> float:
     """Max defect of the implicit forward-step equations, in v = a m."""
     g = prob.grid
-    mv = _traj(m, g, "m")
-    a, (sub, diag, sup) = _fp_bands(prob)
-    v = a[:, None] * mv
-    Lv = _apply_bands(sub, diag, sup, v)
-    asrc = a[:, None] * prob.source
-    res = (v[:, 1:] - v[:, :-1]) / g.dt - Lv[:, 1:] - asrc[:, 1:]
+    a = prob.coeff.a(g.x)[:, None]
+    v = a * _traj(m, g, "m")
+    sub, diag, sup = (b[:, 1:] for b in prob._step_bands)
+    Sv = _apply_bands(sub, diag, sup, v[:, 1:])
+    res = (Sv - v[:, :-1]) / g.dt - a * prob.source[:, 1:]
     return float(np.max(np.abs(res)))
 
 

@@ -26,9 +26,8 @@ import numpy as np
 from degenmfg.domain import (
     DegenerateCoefficient,
     NormKind,
-    SpaceTimeField,
     SpaceTimeGrid,
-    time_derivative,
+    _dt_array,
     weighted_norm,
 )
 from degenmfg.mfg import (
@@ -53,7 +52,6 @@ __all__ = [
     "run_holder_experiment",
     "run_log_experiment",
     "compute_data_norm_D",
-    "data_norm_from_fields",
     "DEFAULT_HOLDER_LADDER",
     "DEFAULT_LOG_LADDER",
     "DEFAULT_EXPERIMENT_SHAPE",
@@ -296,52 +294,31 @@ def build_ladder_pairs(
     return tuple(out)
 
 
-def _end_slice_norm_sum(
-    f: SpaceTimeField,
-    kind: NormKind,
-    coeff: DegenerateCoefficient,
-    order: int,
-    last: bool,
-) -> float:
-    """Sum over k <= order of the weighted norm of (d/dt)^k f at one end."""
-    col = -1 if last else 0
-    total = weighted_norm(f.values[:, col], kind, coeff, f.grid)
+def _pair_diff(pair):
+    """(u2 - u1, m2 - m1) of a solution pair, as arrays."""
+    sol1, sol2 = pair
+    return sol2.u.values - sol1.u.values, sol2.m.values - sol1.m.values
+
+
+def _end_norms(u, m, coeff: DegenerateCoefficient, g: SpaceTimeGrid, order: int, col: int):
+    """Weighted norms of (d/dt)^k u and (d/dt)^k m at time column col, k <= order.
+
+    The value part is measured in H1(1/a), the density part in the H1(a)
+    product norm; returns the two lists of per-order norms.
+    """
+    nu = [weighted_norm(u[:, col], NormKind.H1_INV_A, coeff, g)]
+    nm = [weighted_norm(m[:, col], NormKind.H1A_DIV, coeff, g)]
     for k in range(1, order + 1):
-        dk = time_derivative(f, k)
-        total += weighted_norm(dk.values[:, col], kind, coeff, f.grid)
-    return total
-
-
-def data_norm_from_fields(
-    u_diff: SpaceTimeField,
-    m_diff: SpaceTimeField,
-    coeff: DegenerateCoefficient,
-    order: int = 2,
-) -> float:
-    """Final-time data norm: time derivatives up to ``order`` of both fields,
-    the value part in H1(1/a) and the density part in the H1(a) product norm."""
-    return _end_slice_norm_sum(
-        u_diff, NormKind.H1_INV_A, coeff, order, last=True
-    ) + _end_slice_norm_sum(m_diff, NormKind.H1A_DIV, coeff, order, last=True)
+        nu.append(weighted_norm(_dt_array(u, g.dt, k)[:, col], NormKind.H1_INV_A, coeff, g))
+        nm.append(weighted_norm(_dt_array(m, g.dt, k)[:, col], NormKind.H1A_DIV, coeff, g))
+    return nu, nm
 
 
 def compute_data_norm_D(pair, coeff: DegenerateCoefficient, order: int = 2) -> float:
-    """The log-estimate data discrepancy D of a solution pair's difference."""
-    sol1, sol2 = pair
-    g = sol1.u.grid
-    u_diff = SpaceTimeField(sol2.u.values - sol1.u.values, g)
-    m_diff = SpaceTimeField(sol2.m.values - sol1.m.values, g)
-    return data_norm_from_fields(u_diff, m_diff, coeff, order)
-
-
-def _pair_initial_bound(pair, coeff: DegenerateCoefficient, order: int) -> float:
-    """Max over the pair of initial-state norms (with time derivatives when
-    order > 0), the quantity the a-priori bound M must dominate."""
-    vals = []
-    for sol in pair:
-        vals.append(_end_slice_norm_sum(sol.u, NormKind.H1_INV_A, coeff, order, last=False))
-        vals.append(_end_slice_norm_sum(sol.m, NormKind.H1A_DIV, coeff, order, last=False))
-    return max(vals)
+    """The log-estimate data discrepancy D of a solution pair's difference:
+    final-time norms of time derivatives up to ``order`` of both fields."""
+    nu, nm = _end_norms(*_pair_diff(pair), coeff, pair[0].u.grid, order, -1)
+    return sum(nu) + sum(nm)
 
 
 def _clean_ladder(eps_ladder, warnings: list):
@@ -369,6 +346,83 @@ def _fit(points, warnings: list, min_points: int):
     ly = np.log([p[1] for p in points])
     slope, intercept = np.polyfit(lx, ly, 1)
     return float(slope), float(intercept)
+
+
+def _c_spread(cs) -> float:
+    return max(cs) / min(cs) if min(cs) > 0.0 else math.inf
+
+
+def _run_ladder(
+    spec: BackwardExperimentSpec,
+    pairs,
+    warnings: list,
+    *,
+    mode: str,
+    t0: float,
+    theta: float,
+    alpha: float,
+    order: int,
+    rung_rule: Callable,
+    min_points: int,
+    stable: Callable,
+) -> StabilityResult:
+    """The rung loop of both stability experiments.
+
+    Per rung: D0, the first-order discrepancy at t = T; disc, which adds time
+    derivatives up to ``order`` (recorded as D when order > 0); and err, the
+    weak-norm difference at the grid time nearest t0.  M is the largest
+    initial-state norm, with time derivatives up to ``order``, over every
+    solution of the ladder, so every rung sees the M the result reports.
+    ``rung_rule(disc, err, M)`` gives (s_star, c_envelope, note); a nonempty
+    note rejects the rung.  The fit of log err against log disc needs
+    ``min_points`` accepted rungs, and ``stable`` judges the rung constants.
+    """
+    problem = spec.problem
+    g = pairs[0][1][0].u.grid
+    coeff = problem.coeff
+    k0 = int(round(t0 / g.dt))
+    t0_used = float(g.t[k0])
+    M = 0.0
+    for sol in {id(s): s for _, pair in pairs for s in pair}.values():
+        nu, nm = _end_norms(sol.u.values, sol.m.values, coeff, g, order, 0)
+        M = max(M, sum(nu), sum(nm))
+    rungs = []
+    accepted = []
+    for eps, pair in pairs:
+        du, dm = _pair_diff(pair)
+        nu, nm = _end_norms(du, dm, coeff, g, order, -1)
+        D0 = nu[0] + nm[0]
+        disc = sum(nu) + sum(nm)
+        err = weighted_norm(du[:, k0], NormKind.L2_INV_A, coeff, g) + weighted_norm(
+            dm[:, k0], NormKind.L2_A, coeff, g
+        )
+        if disc <= 0.0:
+            s_star, c_env, note = math.nan, math.nan, "zero discrepancy"
+        else:
+            s_star, c_env, note = rung_rule(disc, err, M)
+        D = disc if order else math.nan
+        rungs.append(LadderRung(eps, D0, err, s_star, c_env, D, t0_used, not note, note))
+        if not note:
+            accepted.append((disc, err, c_env))
+    if not accepted or max(d for d, _, _ in accepted) < 1e-14:
+        raise ValueError("degenerate ladder: every discrepancy is below 1e-14")
+    slope, intercept = _fit(
+        [(d, e) for d, e, _ in accepted if e > 0.0], warnings, min_points
+    )
+    cs = [c for _, _, c in accepted]
+    return StabilityResult(
+        mode=mode,
+        inputs=StabilityInputs(t0=t0, M=M, lam=problem.lam, T=problem.T),
+        theta=theta,
+        alpha=alpha,
+        rungs=tuple(rungs),
+        slope=slope,
+        intercept=intercept,
+        C_fit=max(cs),
+        c_spread=_c_spread(cs),
+        envelope_stable=stable(cs),
+        warnings=tuple(warnings),
+    )
 
 
 def run_holder_experiment(
@@ -399,56 +453,23 @@ def run_holder_experiment(
         if len(eps_list) < 4 or max(eps_list) / min(eps_list) < 100.0:
             raise ValueError("ladder must have >= 4 amplitudes spanning >= 2 decades")
         pairs = build_ladder_pairs(spec, eps_list, grid=grid, cfg=cfg)
-    g = pairs[0][1][0].u.grid
-    coeff = problem.coeff
     theta = theoretical_theta(t0, T, lam)
-    k0 = int(round(t0 / g.dt))
-    t0_used = float(g.t[k0])
-    rungs = []
-    M = 0.0
-    for eps, pair in pairs:
-        sol1, sol2 = pair
-        u_diff = SpaceTimeField(sol2.u.values - sol1.u.values, g)
-        m_diff = SpaceTimeField(sol2.m.values - sol1.m.values, g)
-        D0 = weighted_norm(
-            u_diff.values[:, -1], NormKind.H1_INV_A, coeff, g
-        ) + weighted_norm(m_diff.values[:, -1], NormKind.H1A_DIV, coeff, g)
-        err = weighted_norm(
-            u_diff.values[:, k0], NormKind.L2_INV_A, coeff, g
-        ) + weighted_norm(m_diff.values[:, k0], NormKind.L2_A, coeff, g)
-        M = max(M, _pair_initial_bound(pair, coeff, 0))
-        if D0 <= 0.0:
-            rungs.append(
-                LadderRung(eps, D0, err, math.nan, math.nan, math.nan,
-                           t0_used, False, "zero discrepancy")
-            )
-            continue
-        s_star = optimal_s(M, D0, t0, T, lam)
-        c_env = err / (D0 ** theta + D0)
-        rungs.append(
-            LadderRung(eps, D0, err, s_star, c_env, math.nan, t0_used, True)
-        )
-    accepted = [r for r in rungs if r.accepted]
-    if not accepted or max(r.D0 for r in accepted) < 1e-14:
-        raise ValueError("degenerate ladder: every discrepancy is below 1e-14")
-    slope, intercept = _fit(
-        [(r.D0, r.err) for r in accepted if r.err > 0.0], warnings, 4
-    )
-    cs = [r.c_envelope for r in accepted]
-    C_fit = max(cs)
-    c_spread = C_fit / min(cs) if min(cs) > 0.0 else math.inf
-    return StabilityResult(
+
+    def rung_rule(D0, err, M):
+        return optimal_s(M, D0, t0, T, lam), err / (D0**theta + D0), ""
+
+    return _run_ladder(
+        spec,
+        pairs,
+        warnings,
         mode="holder",
-        inputs=StabilityInputs(t0=t0, M=M, lam=lam, T=T),
+        t0=t0,
         theta=theta,
         alpha=math.expm1(lam * t0),
-        rungs=tuple(rungs),
-        slope=slope,
-        intercept=intercept,
-        C_fit=C_fit,
-        c_spread=c_spread,
-        envelope_stable=min(cs) >= 0.5 * C_fit,
-        warnings=tuple(warnings),
+        order=0,
+        rung_rule=rung_rule,
+        min_points=4,
+        stable=lambda cs: min(cs) >= 0.5 * max(cs),
     )
 
 
@@ -470,66 +491,30 @@ def run_log_experiment(
     logarithmic envelopes are nearly flat across any practical ladder, so
     tighter thresholds would reject honest runs.
     """
-    problem = spec.problem
-    T, lam = problem.T, problem.lam
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     warnings: list = []
     if pairs is None:
         eps_list = _clean_ladder(eps_ladder, warnings)
         pairs = build_ladder_pairs(spec, eps_list, grid=grid, cfg=cfg)
-    g = pairs[0][1][0].u.grid
-    coeff = problem.coeff
-    rungs = []
-    M = 0.0
-    for eps, pair in pairs:
-        sol1, sol2 = pair
-        u_diff = SpaceTimeField(sol2.u.values - sol1.u.values, g)
-        m_diff = SpaceTimeField(sol2.m.values - sol1.m.values, g)
-        D0 = weighted_norm(
-            u_diff.values[:, -1], NormKind.H1_INV_A, coeff, g
-        ) + weighted_norm(m_diff.values[:, -1], NormKind.H1A_DIV, coeff, g)
-        D = data_norm_from_fields(u_diff, m_diff, coeff, 2)
-        err = weighted_norm(
-            u_diff.values[:, 0], NormKind.L2_INV_A, coeff, g
-        ) + weighted_norm(m_diff.values[:, 0], NormKind.L2_A, coeff, g)
-        M = max(M, _pair_initial_bound(pair, coeff, 2))
-        if D <= 0.0:
-            rungs.append(
-                LadderRung(eps, D0, err, math.nan, math.nan, D, 0.0, False,
-                           "zero discrepancy")
-            )
-            continue
+
+    def rung_rule(D, err, M):
         if D >= 1.0:
-            rungs.append(
-                LadderRung(
-                    eps, D0, err, math.nan, math.nan, D, 0.0, False,
-                    f"data norm D={D:.3g} >= 1; shrink the perturbation amplitude",
-                )
-            )
-            continue
+            note = f"data norm D={D:.3g} >= 1; shrink the perturbation amplitude"
+            return math.nan, math.nan, note
         s_star = math.log(1.0 / D) ** alpha
-        c_env = err * s_star
-        rungs.append(LadderRung(eps, D0, err, s_star, c_env, D, 0.0, True))
-    accepted = [r for r in rungs if r.accepted]
-    if not accepted or max(r.D for r in accepted) < 1e-14:
-        raise ValueError("degenerate ladder: every discrepancy is below 1e-14")
-    slope, intercept = _fit(
-        [(r.D, r.err) for r in accepted if r.err > 0.0], warnings, 2
-    )
-    cs = [r.c_envelope for r in accepted]
-    C_fit = max(cs)
-    c_spread = C_fit / min(cs) if min(cs) > 0.0 else math.inf
-    return StabilityResult(
+        return s_star, err * s_star, ""
+
+    return _run_ladder(
+        spec,
+        pairs,
+        warnings,
         mode="log",
-        inputs=StabilityInputs(t0=0.0, M=M, lam=lam, T=T),
+        t0=0.0,
         theta=0.0,
         alpha=alpha,
-        rungs=tuple(rungs),
-        slope=slope,
-        intercept=intercept,
-        C_fit=C_fit,
-        c_spread=c_spread,
-        envelope_stable=c_spread < 10.0,
-        warnings=tuple(warnings),
+        order=2,
+        rung_rule=rung_rule,
+        min_points=2,
+        stable=lambda cs: _c_spread(cs) < 10.0,
     )

@@ -215,6 +215,18 @@ def test_holder_t0_at_horizon_rejected(tmp_path, capsys):
     assert details == ["t0: must be strictly less than the horizon T=1"]
 
 
+def test_log_grid_too_coarse_rejected_before_solving(tmp_path, capsys):
+    cfg = _load("log.json")
+    cfg["grid"]["n_t"] = 3
+    path = _dump(cfg, tmp_path / "cfg.json")
+    rc = main(["stability-log", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    doc = _stderr_doc(capsys)
+    assert doc["error"]["code"] == 2
+    assert any(d.startswith("grid.n_t:") for d in doc["error"]["details"])
+    assert not (tmp_path / "o" / "result.json").exists()
+
+
 def test_weight_overflow_exit_4_still_reports(tmp_path):
     cfg = {
         "command": "verify-carleman",

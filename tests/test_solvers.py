@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from degenmfg import solvers
 from degenmfg.domain import DegenerateCoefficient, SpaceTimeGrid
 from degenmfg.solvers import (
     FpLinearProblem,
     HjbLinearProblem,
     SolverError,
+    _apply_bands,
+    _band_fields,
     _implicit_step,
     _to_step_bands,
     fp_scheme_residual,
@@ -171,3 +174,49 @@ def test_repeated_solves_bit_identical_and_problem_untouched():
     assert np.array_equal(m1.values, m2.values)
     after = (hjb.drift, hjb.source, fp.convection, fp.source)
     assert all(np.array_equal(b, a) for b, a in zip(before, after))
+
+
+def _random_problems(g):
+    x, t = g.x[:, None], g.t[None, :]
+    hjb = HjbLinearProblem(
+        g, WF, drift=0.3 * x * (1 - x) * (1 + t), source=np.sin(np.pi * x) * t,
+        terminal=g.x * (1 - g.x),
+    )
+    fp = FpLinearProblem(
+        g, P22, convection=0.2 * x * (1 - x) * (1 + t), zeroth=0.4 * x * t,
+        source=np.cos(np.pi * x) * t, initial=16.0 * P22.a(g.x),
+    )
+    return hjb, fp
+
+
+def test_solve_and_residual_share_one_band_assembly(monkeypatch):
+    calls = []
+
+    def counting_bands(*args):
+        calls.append(1)
+        return _band_fields(*args)
+
+    monkeypatch.setattr(solvers, "_band_fields", counting_bands)
+    hjb, fp = _random_problems(SpaceTimeGrid(24, 20, 1.0))
+    hjb_scheme_residual(solve_hjb_linear(hjb), hjb)
+    assert len(calls) == 1
+    fp_scheme_residual(solve_fp_linear(fp), fp)
+    assert len(calls) == 2
+
+
+def test_step_form_residuals_match_operator_form():
+    g = SpaceTimeGrid(24, 20, 1.0)
+    hjb, fp = _random_problems(g)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(g.shape)
+    m = rng.standard_normal(g.shape)
+    a = WF.a(g.x)[:, None]
+    Lu = _apply_bands(*_band_fields(a, hjb.drift, np.zeros(g.shape), g.h), u)
+    want = np.max(np.abs((u[:, 1:] - u[:, :-1]) / g.dt + Lu[:, :-1] - hjb.source[:, :-1]))
+    assert hjb_scheme_residual(u, hjb) == pytest.approx(want, rel=1e-12)
+    a = P22.a(g.x)[:, None]
+    q = fp.convection * P22.log_derivative(g.x)[:, None] + fp.zeroth
+    v = a * m
+    Lv = _apply_bands(*_band_fields(a, -fp.convection, q, g.h), v)
+    want = np.max(np.abs((v[:, 1:] - v[:, :-1]) / g.dt - Lv[:, 1:] - a * fp.source[:, 1:]))
+    assert fp_scheme_residual(m, fp) == pytest.approx(want, rel=1e-12)

@@ -7,6 +7,9 @@ from mpmath import exp, expm1, log, mp, mpf
 
 from degenmfg.domain import SpaceTimeGrid
 from degenmfg.stability import (
+    DEFAULT_HOLDER_LADDER,
+    DEFAULT_LOG_LADDER,
+    build_ladder_pairs,
     compute_data_norm_D,
     default_backward_spec,
     generate_pair,
@@ -180,3 +183,18 @@ def test_data_norm_with_derivatives_exceeds_plain():
     assert compute_data_norm_D(pair, c, order=2) >= compute_data_norm_D(
         pair, c, order=0
     )
+
+
+def test_holder_s_star_independent_of_pair_order():
+    bspec = default_backward_spec()
+    pairs = build_ladder_pairs(bspec, DEFAULT_HOLDER_LADDER, grid=GRID)
+    fwd = run_holder_experiment(bspec, 0.5, pairs=pairs)
+    rev = run_holder_experiment(bspec, 0.5, pairs=tuple(reversed(pairs)))
+    assert rev.inputs.M == fwd.inputs.M
+    assert {r.eps: r.s_star for r in rev.rungs} == {r.eps: r.s_star for r in fwd.rungs}
+
+
+def test_log_experiment_reuses_given_pairs():
+    bspec = default_backward_spec()
+    pairs = build_ladder_pairs(bspec, DEFAULT_LOG_LADDER, grid=GRID)
+    assert run_log_experiment(bspec, pairs=pairs) == run_log_experiment(bspec, grid=GRID)
