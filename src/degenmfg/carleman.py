@@ -12,8 +12,11 @@ ratios and logs never overflow.
 
 Time integration is a trapezoid between adjacent slices of the spatial
 integrals multiplied by the scaled weight at the midpoint, so the fast weight
-is sampled where it matters and slice integrals are reused across the whole
-(s, lam) sweep: they do not depend on the parameters.
+is sampled where it matters.  The slice integrals do not depend on the
+parameters and are computed once per estimate.  For one lam, the scaled weight
+of every s is one table (a row per s, a column per midpoint), and every time
+integral of the estimate is a product of that table with a vector: a sweep
+builds one table per lam, and a single evaluation is a sweep with one s.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ __all__ = [
 
 # beyond this log-weight the linear-scale value of exp() is not representable
 OVERFLOW_LOG_LIMIT = 700.0
+# largest weight table a sweep builds at once: 64 s values x 1024 midpoints
+_TABLE_DOUBLES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -95,9 +100,7 @@ def weight_at(params: CarlemanParams, t: float) -> WeightValue:
 
 
 def _exp_clip(logv: float) -> float:
-    if logv > 709.0:
-        return math.inf
-    return math.exp(logv)
+    return math.inf if logv > 709.0 else math.exp(logv)
 
 
 def _safe_log(v: float) -> float:
@@ -130,16 +133,17 @@ class CarlemanReport:
 
 @dataclass(frozen=True)
 class _Scaled:
-    """Scaled-weight totals of one estimate; K is the common log offset."""
+    """Scaled-weight totals of one estimate, one entry per s; K is the common
+    log offset 2 s phi(T)."""
 
-    lhs: float
-    rhs_source: float
-    rhs_T: float
-    rhs_0: float
-    K: float
+    lhs: np.ndarray
+    rhs_source: np.ndarray
+    rhs_T: np.ndarray
+    rhs_0: np.ndarray
+    K: np.ndarray
 
     def __add__(self, other: "_Scaled") -> "_Scaled":
-        if other.K != self.K:
+        if not np.array_equal(other.K, self.K):
             raise ValueError("cannot combine estimates with different weights")
         return _Scaled(
             self.lhs + other.lhs,
@@ -149,20 +153,22 @@ class _Scaled:
             self.K,
         )
 
+    def ratio(self) -> np.ndarray:
+        """lhs / rhs where rhs > 0; otherwise 0 for a zero lhs, else inf."""
+        rhs = self.rhs_source + self.rhs_T + self.rhs_0
+        out = np.where(self.lhs == 0.0, 0.0, np.inf)
+        np.divide(self.lhs, rhs, out=out, where=rhs > 0.0)
+        return out
+
 
 def _report_from_scaled(kind: str, params: CarlemanParams, sc: _Scaled, parts=()):
-    rhs_total = sc.rhs_source + sc.rhs_T + sc.rhs_0
-    if rhs_total > 0.0:
-        ratio = sc.lhs / rhs_total
-    else:
-        ratio = 0.0 if sc.lhs == 0.0 else math.inf
-    lhs_log = _safe_log(sc.lhs) + sc.K
-    rhs_log = _safe_log(rhs_total) + sc.K
-    fields = [
-        _exp_clip(_safe_log(v) + sc.K)
-        for v in (sc.lhs, sc.rhs_source, sc.rhs_T, sc.rhs_0)
-    ]
-    overflow = sc.K > OVERFLOW_LOG_LIMIT or any(math.isinf(f) for f in fields)
+    """The report of a one-s evaluation."""
+    lhs, rhs_source, rhs_T, rhs_0, K = (
+        float(v[0]) for v in (sc.lhs, sc.rhs_source, sc.rhs_T, sc.rhs_0, sc.K)
+    )
+    rhs_total = rhs_source + rhs_T + rhs_0
+    fields = [_exp_clip(_safe_log(v) + K) for v in (lhs, rhs_source, rhs_T, rhs_0)]
+    overflow = K > OVERFLOW_LOG_LIMIT or any(math.isinf(f) for f in fields)
     return CarlemanReport(
         estimate=kind,
         params=params,
@@ -170,29 +176,47 @@ def _report_from_scaled(kind: str, params: CarlemanParams, sc: _Scaled, parts=()
         rhs_source=fields[1],
         rhs_T=fields[2],
         rhs_0=fields[3],
-        ratio=ratio,
-        lhs_log=lhs_log,
-        rhs_log=rhs_log,
+        ratio=float(sc.ratio()[0]),
+        lhs_log=_safe_log(lhs) + K,
+        rhs_log=_safe_log(rhs_total) + K,
         overflow=overflow,
         parts=tuple(parts),
     )
 
 
-def _time_sum(I: np.ndarray, params: CarlemanParams, grid: SpaceTimeGrid,
-              phi_power: int, K: float) -> float:
-    """Trapezoid of slice integrals against the scaled weight phi^p e^{2s phi}."""
-    t = grid.t
-    tm = 0.5 * (t[:-1] + t[1:])
-    expo = phi_power * params.lam * tm + 2.0 * params.s * np.exp(params.lam * tm) - K
-    pair = 0.5 * (I[:-1] + I[1:])
-    return float(np.sum(grid.dt * pair * np.exp(expo)))
+class _WeightTable:
+    """The scaled weight exp(2 s phi(t) - K), K = 2 s phi(T), of one lam at the
+    time midpoints: one row per s (a number or a 1-D array), one column per
+    midpoint."""
+
+    def __init__(self, grid: SpaceTimeGrid, s, lam: float):
+        self.s = s = np.atleast_1d(np.asarray(s, dtype=float))
+        self.lam = lam
+        self.dt = grid.dt
+        self.phi_T = math.exp(lam * grid.T)
+        self.K = 2.0 * s * self.phi_T
+        self.phi_mid = np.exp(lam * (0.5 * (grid.t[:-1] + grid.t[1:])))
+        table = np.multiply.outer(2.0 * s, self.phi_mid)
+        table -= self.K[:, None]
+        self.table = np.exp(table, out=table)
+
+    def time_sums(self, *terms) -> np.ndarray:
+        """Trapezoids of slice integrals I against phi^p times the scaled
+        weight, one row per (I, p) term and one column per s."""
+        cols = np.stack(
+            [self.dt * (0.5 * (I[:-1] + I[1:])) * self.phi_mid**p for I, p in terms],
+            axis=1,
+        )
+        return (self.table @ cols).T
+
+    def at_zero(self) -> np.ndarray:
+        """The scaled weight at t = 0, exp(2 s - K); at t = T it is exactly 1."""
+        return np.exp(np.minimum(2.0 * self.s - self.K, 0.0))
 
 
 # parameter-independent slice integrals of the value-equation estimate
 @dataclass(frozen=True)
 class HjbIngredients:
-    grid: SpaceTimeGrid
-    coeff: DegenerateCoefficient
     I_ut: np.ndarray   # int u_t^2 / a
     I_uxx: np.ndarray  # int a u_xx^2
     I_ux: np.ndarray   # int u_x^2
@@ -213,8 +237,6 @@ def hjb_ingredients(u, F, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> 
     ux = _dx_array(uv, grid.h, "dirichlet")
     uxx = _dxx_array(uv, grid.h, "dirichlet")
     return HjbIngredients(
-        grid=grid,
-        coeff=coeff,
         I_ut=h * np.sum(ut * ut / a, axis=0),
         I_uxx=h * np.sum(a * uxx * uxx, axis=0),
         I_ux=h * np.sum(ux * ux, axis=0),
@@ -227,29 +249,20 @@ def hjb_ingredients(u, F, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> 
     )
 
 
-def _hjb_scaled(ing: HjbIngredients, params: CarlemanParams) -> _Scaled:
-    s, lam = params.s, params.lam
-    g = ing.grid
-    K = 2.0 * s * float(params.phi(g.T))
-    lhs = (
-        _time_sum(ing.I_ut, params, g, 0, K)
-        + _time_sum(ing.I_uxx, params, g, 0, K)
-        + s * lam * _time_sum(ing.I_ux, params, g, 1, K)
-        + s * s * lam * lam * _time_sum(ing.I_u, params, g, 2, K)
+def _hjb_scaled(ing: HjbIngredients, w: _WeightTable) -> _Scaled:
+    s, lam = w.s, w.lam
+    ut, uxx, ux, u, F = w.time_sums(
+        (ing.I_ut, 0), (ing.I_uxx, 0), (ing.I_ux, 1), (ing.I_u, 2), (ing.I_F, 1)
     )
-    rhs_source = s * _time_sum(ing.I_F, params, g, 1, K)
-    phi_T = float(params.phi(g.T))
-    # scaled weight at t = T is exactly 1, at t = 0 it is exp(2s - K)
-    rhs_T = s * (s * lam * phi_T * ing.BT_0 + ing.BT_1)
-    rhs_0 = s * (s * lam * ing.B0_0 + ing.B0_1) * math.exp(min(2.0 * s - K, 0.0))
-    return _Scaled(lhs, rhs_source, rhs_T, rhs_0, K)
+    lhs = ut + uxx + s * lam * ux + s * s * lam * lam * u
+    rhs_T = s * (s * lam * w.phi_T * ing.BT_0 + ing.BT_1)
+    rhs_0 = s * (s * lam * ing.B0_0 + ing.B0_1) * w.at_zero()
+    return _Scaled(lhs, s * F, rhs_T, rhs_0, w.K)
 
 
 # parameter-independent slice integrals of the density-equation estimate
 @dataclass(frozen=True)
 class FpIngredients:
-    grid: SpaceTimeGrid
-    coeff: DegenerateCoefficient
     J_v2: np.ndarray   # int a ((am)_xx)^2 + int a m_t^2
     J_vx: np.ndarray   # int ((am)_x)^2
     J_m: np.ndarray    # int a m^2
@@ -271,8 +284,6 @@ def fp_ingredients(m, G, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> F
     # int a m_t^2 = int v_t^2 / a, differentiating the product field in time
     vt = _dt_array(v, grid.dt, 1)
     return FpIngredients(
-        grid=grid,
-        coeff=coeff,
         J_v2=h * np.sum(a * vxx * vxx + vt * vt / a, axis=0),
         J_vx=h * np.sum(vx * vx, axis=0),
         J_m=h * np.sum(a * mv * mv, axis=0),
@@ -284,20 +295,13 @@ def fp_ingredients(m, G, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> F
     )
 
 
-def _fp_scaled(ing: FpIngredients, params: CarlemanParams) -> _Scaled:
-    s, lam = params.s, params.lam
-    g = ing.grid
-    K = 2.0 * s * float(params.phi(g.T))
-    lhs = (
-        (1.0 / s) * _time_sum(ing.J_v2, params, g, -1, K)
-        + lam * _time_sum(ing.J_vx, params, g, 0, K)
-        + s * lam * lam * _time_sum(ing.J_m, params, g, 1, K)
-    )
-    rhs_source = _time_sum(ing.J_G, params, g, 0, K)
-    phi_T = float(params.phi(g.T))
-    rhs_T = s * lam * (phi_T * ing.BT_m + ing.BT_vx)
-    rhs_0 = (s * lam * ing.B0_m + ing.B0_vx) * math.exp(min(2.0 * s - K, 0.0))
-    return _Scaled(lhs, rhs_source, rhs_T, rhs_0, K)
+def _fp_scaled(ing: FpIngredients, w: _WeightTable) -> _Scaled:
+    s, lam = w.s, w.lam
+    v2, vx, m, G = w.time_sums((ing.J_v2, -1), (ing.J_vx, 0), (ing.J_m, 1), (ing.J_G, 0))
+    lhs = (1.0 / s) * v2 + lam * vx + s * lam * lam * m
+    rhs_T = s * lam * (w.phi_T * ing.BT_m + ing.BT_vx)
+    rhs_0 = (s * lam * ing.B0_m + ing.B0_vx) * w.at_zero()
+    return _Scaled(lhs, G, rhs_T, rhs_0, w.K)
 
 
 def _resolve(problem, grid, coeffs=None):
@@ -322,8 +326,8 @@ def evaluate_hjb_carleman(u, F, params: CarlemanParams, problem,
     plus weighted H1(1/a) data norms at the final and initial times.
     """
     coeff, g = _resolve(problem, grid)
-    ing = hjb_ingredients(u, F, coeff, g)
-    return _report_from_scaled("hjb", params, _hjb_scaled(ing, params))
+    sc = _hjb_scaled(hjb_ingredients(u, F, coeff, g), _WeightTable(g, params.s, params.lam))
+    return _report_from_scaled("hjb", params, sc)
 
 
 def evaluate_fp_carleman(m, G, params: CarlemanParams, problem,
@@ -336,8 +340,8 @@ def evaluate_fp_carleman(m, G, params: CarlemanParams, problem,
     m and (am)_x at both ends.
     """
     coeff, g = _resolve(problem, grid)
-    ing = fp_ingredients(m, G, coeff, g)
-    return _report_from_scaled("fp", params, _fp_scaled(ing, params))
+    sc = _fp_scaled(fp_ingredients(m, G, coeff, g), _WeightTable(g, params.s, params.lam))
+    return _report_from_scaled("fp", params, sc)
 
 
 def evaluate_mfg_carleman(u, m, F, G, params: CarlemanParams, coeffs,
@@ -349,8 +353,9 @@ def evaluate_mfg_carleman(u, m, F, G, params: CarlemanParams, coeffs,
     parts) and the ratio is their joint lhs over joint rhs.
     """
     coeff, g = _resolve(coeffs, grid)
-    sc_h = _hjb_scaled(hjb_ingredients(u, F, coeff, g), params)
-    sc_f = _fp_scaled(fp_ingredients(m, G, coeff, g), params)
+    w = _WeightTable(g, params.s, params.lam)
+    sc_h = _hjb_scaled(hjb_ingredients(u, F, coeff, g), w)
+    sc_f = _fp_scaled(fp_ingredients(m, G, coeff, g), w)
     parts = (
         _report_from_scaled("hjb", params, sc_h),
         _report_from_scaled("fp", params, sc_f),
@@ -401,48 +406,46 @@ class SweepResult:
 def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResult:
     """Evaluate the bundle's estimate over an (s, lam) grid.
 
-    Slice integrals are computed once; each cell only reassembles the time
-    quadrature.  Cells whose weight cannot be represented on a linear scale
-    are recorded as NaN and counted in overflow_cells.
+    Slice integrals are computed once.  Each lam builds one table of the
+    scaled weight over the time midpoints, a row per s that does not
+    overflow (in blocks of at most 64 x 1024 entries), and each time integral
+    of the estimate is a product of that table with a vector.  Cells whose
+    weight cannot be represented on a linear scale are recorded as NaN and
+    counted in overflow_cells.
     """
     s_sorted = tuple(sorted(float(s) for s in s_values))
     lam_sorted = tuple(sorted(float(x) for x in lam_values))
     if len(s_sorted) == 0 or len(lam_sorted) == 0:
         raise ValueError("sweep needs at least one s and one lam")
-    ing_h = None
-    ing_f = None
+    if not all(s > 0.0 for s in s_sorted):
+        raise ValueError("s must be positive")
+    if not all(lam > 0.0 for lam in lam_sorted):
+        raise ValueError("lam must be positive")
+    s_arr = np.array(s_sorted)
+    g = bundle.grid
+    equations = []
     if bundle.kind in ("hjb", "mfg"):
-        ing_h = hjb_ingredients(bundle.u, bundle.F, bundle.coeff, bundle.grid)
+        equations.append((_hjb_scaled, hjb_ingredients(bundle.u, bundle.F, bundle.coeff, g)))
     if bundle.kind in ("fp", "mfg"):
-        ing_f = fp_ingredients(bundle.m, bundle.G, bundle.coeff, bundle.grid)
+        equations.append((_fp_scaled, fp_ingredients(bundle.m, bundle.G, bundle.coeff, g)))
     ratios = np.full((len(s_sorted), len(lam_sorted)), np.nan)
     overflow = 0
-    for i, s in enumerate(s_sorted):
-        for j, lam in enumerate(lam_sorted):
-            params = CarlemanParams(s, lam)
-            K = 2.0 * s * math.exp(lam * bundle.grid.T)
-            if K > OVERFLOW_LOG_LIMIT:
-                overflow += 1
-                continue
-            if bundle.kind == "hjb":
-                sc = _hjb_scaled(ing_h, params)
-            elif bundle.kind == "fp":
-                sc = _fp_scaled(ing_f, params)
-            else:
-                sc = _hjb_scaled(ing_h, params) + _fp_scaled(ing_f, params)
-            rep = _report_from_scaled(bundle.kind, params, sc)
-            ratios[i, j] = rep.ratio
+    rows = max(1, _TABLE_DOUBLES // g.n_t)
+    for j, lam in enumerate(lam_sorted):
+        over = 2.0 * s_arr * math.exp(lam * g.T) > OVERFLOW_LOG_LIMIT
+        overflow += int(np.count_nonzero(over))
+        live = np.flatnonzero(~over)
+        for lo in range(0, live.size, rows):
+            idx = live[lo:lo + rows]
+            w = _WeightTable(g, s_arr[idx], lam)
+            sc = [scaled(ing, w) for scaled, ing in equations]
+            ratios[idx, j] = sum(sc[1:], sc[0]).ratio()
     total = len(s_sorted) * len(lam_sorted)
     half = len(s_sorted) // 2
     top = ratios[half:, :]
     top_half_max = float(np.nanmax(top)) if np.any(np.isfinite(top)) else math.nan
-    mid = (len(s_sorted) - 1) // 2
-
-    def row_max(i):
-        row = ratios[i, :]
-        return float(np.nanmax(row)) if np.any(np.isfinite(row)) else math.nan
-
-    r_med, r_max = row_max(mid), row_max(len(s_sorted) - 1)
+    curve = _row_max(ratios)
+    r_med, r_max = float(curve[(len(s_sorted) - 1) // 2]), float(curve[-1])
     if math.isnan(r_med) or math.isnan(r_max) or r_med == 0.0:
         inc = math.nan
     else:
@@ -458,28 +461,22 @@ def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResul
     )
 
 
+def _row_max(ratios: np.ndarray) -> np.ndarray:
+    """Per-s max ratio over lam; NaN where a row has no finite ratio."""
+    rows_max = np.fmax.reduce(ratios, axis=1)
+    return np.where(np.isfinite(ratios).any(axis=1), rows_max, np.nan)
+
+
 def s0_estimate(sweep: SweepResult, variation: float = 0.5):
     """Smallest swept s after which the per-s max ratio varies less than
     ``variation`` relatively, step to step, through the end of the range.
     Returns None when no such s exists (including all-overflow sweeps)."""
-    curve = []
-    for i in range(len(sweep.s_values)):
-        row = sweep.ratios[i, :]
-        curve.append(float(np.nanmax(row)) if np.any(np.isfinite(row)) else math.nan)
-    n = len(curve)
-    for i in range(n):
-        tail = curve[i:]
-        if any(math.isnan(c) for c in tail):
-            continue
-        ok = True
-        for j in range(len(tail) - 1):
-            base = abs(tail[j])
-            if base == 0.0:
-                ok = tail[j + 1] == 0.0
-            else:
-                ok = abs(tail[j + 1] - tail[j]) / base <= variation
-            if not ok:
-                break
-        if ok:
-            return sweep.s_values[i]
-    return None
+    curve = _row_max(sweep.ratios)
+    prev, nxt = curve[:-1], curve[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steady = np.where(prev == 0.0, nxt == 0.0, np.abs(nxt - prev) / np.abs(prev) <= variation)
+    # a start is blocked by a NaN or an unsteady step at or after it
+    blocked = np.isnan(curve)
+    blocked[:-1] |= ~steady
+    first = int(np.flatnonzero(blocked)[-1]) + 1 if blocked.any() else 0
+    return sweep.s_values[first] if first < len(curve) else None

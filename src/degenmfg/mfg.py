@@ -161,8 +161,10 @@ def _picard(g: SpaceTimeGrid, cfg: IterConfig, value_problem, density_problem):
         u_new = _blend(u, solve_hjb_linear(hjb).values, step)
         fp = density_problem(u_new)
         m_new = _blend(m, solve_fp_linear(fp).values, step)
+        res_fp = fp_scheme_residual(m_new, fp)
+        del fp  # free its step bands before hjb_new builds its own
         hjb_new = value_problem(u_new, m_new)
-        res = max(hjb_scheme_residual(u_new, hjb_new), fp_scheme_residual(m_new, fp))
+        res = max(hjb_scheme_residual(u_new, hjb_new), res_fp)
         log.append(res)
         if res <= cfg.tolerance:
             return _solution(g, u_new, m_new, log, True)

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from degenmfg import carleman
 from degenmfg.carleman import (
     CarlemanBundle,
     CarlemanParams,
     evaluate_fp_carleman,
     evaluate_hjb_carleman,
     evaluate_mfg_carleman,
+    fp_ingredients,
+    hjb_ingredients,
     s0_estimate,
     sweep_parameters,
     weight_at,
@@ -206,3 +209,108 @@ def test_s0_estimate_on_decaying_ladder():
     sw = sweep_parameters(_bundle("drifted-well"), [2.0, 4.0, 8.0, 16.0], [2.0])
     s0 = s0_estimate(sw)
     assert s0 is None or s0 in (2.0, 4.0, 8.0, 16.0)
+
+
+def _reference_time_sum(I, s, lam, g, p, K):
+    t = g.t
+    tm = 0.5 * (t[:-1] + t[1:])
+    expo = p * lam * tm + 2.0 * s * np.exp(lam * tm) - K
+    return float(np.sum(g.dt * 0.5 * (I[:-1] + I[1:]) * np.exp(expo)))
+
+
+def _reference_ratios(bundle, s_values, lam_values):
+    """Per-cell quadrature, one exp of the full exponent per cell and time sum."""
+    g = bundle.grid
+    h = f = None
+    if bundle.kind in ("hjb", "mfg"):
+        h = hjb_ingredients(bundle.u, bundle.F, bundle.coeff, g)
+    if bundle.kind in ("fp", "mfg"):
+        f = fp_ingredients(bundle.m, bundle.G, bundle.coeff, g)
+    s_sorted, lam_sorted = sorted(s_values), sorted(lam_values)
+    out = np.full((len(s_sorted), len(lam_sorted)), np.nan)
+    for i, s in enumerate(s_sorted):
+        for j, lam in enumerate(lam_sorted):
+            phi_T = math.exp(lam * g.T)
+            K = 2.0 * s * phi_T
+            if K > carleman.OVERFLOW_LOG_LIMIT:
+                continue
+            w0 = math.exp(min(2.0 * s - K, 0.0))
+
+            def ts(I, p):
+                return _reference_time_sum(I, s, lam, g, p, K)
+
+            lhs = rhs = 0.0
+            if h is not None:
+                lhs += (ts(h.I_ut, 0) + ts(h.I_uxx, 0) + s * lam * ts(h.I_ux, 1)
+                        + s * s * lam * lam * ts(h.I_u, 2))
+                rhs += (s * ts(h.I_F, 1) + s * (s * lam * phi_T * h.BT_0 + h.BT_1)
+                        + s * (s * lam * h.B0_0 + h.B0_1) * w0)
+            if f is not None:
+                lhs += (ts(f.J_v2, -1) / s + lam * ts(f.J_vx, 0)
+                        + s * lam * lam * ts(f.J_m, 1))
+                rhs += (ts(f.J_G, 0) + s * lam * (phi_T * f.BT_m + f.BT_vx)
+                        + (s * lam * f.B0_m + f.B0_vx) * w0)
+            if rhs > 0.0:
+                out[i, j] = lhs / rhs
+            else:
+                out[i, j] = 0.0 if lhs == 0.0 else math.inf
+    return out
+
+
+# straddles the overflow limit 2 s e^(lam T) = 700 in both s and lam
+ORACLE_S = [0.5, 3.0, 20.0, 150.0, 400.0]
+ORACLE_LAM = [0.5, 1.5, 3.0]
+
+
+def _assert_matches_reference(bundle, s_values, lam_values):
+    sw = sweep_parameters(bundle, s_values, lam_values)
+    ref = _reference_ratios(bundle, s_values, lam_values)
+    over = np.isnan(ref)
+    assert over.any() and not over.all()
+    assert np.array_equal(np.isnan(sw.ratios), over)
+    assert sw.overflow_cells == int(over.sum())
+    got, want = sw.ratios[~over], ref[~over]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    return sw
+
+
+@pytest.mark.parametrize("case", ["drifted-well", "wf-pulse", "coupled-mild"])
+def test_sweep_matches_per_cell_reference(case):
+    bundle = _bundle(case)
+    assert bundle.kind == {"drifted-well": "hjb", "wf-pulse": "fp"}.get(case, "mfg")
+    _assert_matches_reference(bundle, ORACLE_S, ORACLE_LAM)
+
+
+def test_sweep_in_row_blocks_matches_reference(monkeypatch):
+    bundle = _bundle("coupled-mild", 32, 32)
+    # two s values per weight table: the live s of a lam span several blocks
+    monkeypatch.setattr(carleman, "_TABLE_DOUBLES", 2 * bundle.grid.n_t)
+    _assert_matches_reference(bundle, ORACLE_S + [1.0, 7.0], ORACLE_LAM)
+
+
+def test_sweep_of_zero_bundle_is_exactly_zero():
+    g = SpaceTimeGrid(32, 32, 1.0)
+    z = np.zeros(g.shape)
+    bundle = CarlemanBundle(kind="mfg", coeff=WF, grid=g, u=z, m=z)
+    sw = _assert_matches_reference(bundle, ORACLE_S, ORACLE_LAM)
+    live = sw.ratios[np.isfinite(sw.ratios)]
+    assert live.size > 0 and np.all(live == 0.0)
+
+
+@pytest.mark.parametrize("s_values, lam_values", [
+    ([0.0], [1.0]),
+    ([2.0, -1.0], [1.0]),
+    ([math.nan], [1.0]),
+    ([2.0], [1.0, 0.0]),
+    ([], [1.0]),
+    ([2.0], []),
+])
+def test_sweep_rejects_invalid_parameters(s_values, lam_values):
+    with pytest.raises(ValueError):
+        sweep_parameters(_bundle("drifted-well", 16, 16), s_values, lam_values)
+
+
+def test_sweep_infinite_s_is_overflow_cell():
+    sw = sweep_parameters(_bundle("drifted-well", 16, 16), [2.0, math.inf], [1.0])
+    assert sw.overflow_cells == 1
+    assert np.isfinite(sw.ratios[0, 0]) and math.isnan(sw.ratios[1, 0])

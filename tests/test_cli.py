@@ -94,6 +94,19 @@ def test_result_deterministic_modulo_timestamp(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_carleman_sweep_deterministic_modulo_timestamp(tmp_path):
+    texts = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        rc = main(["verify-carleman", "--config",
+                   str(CONFIGS / "carleman_sweep.json"), "--out", str(out)])
+        assert rc == 0
+        lines = (out / "result.json").read_text(encoding="utf-8").splitlines()
+        texts.append(([ln for ln in lines if '"timestamp"' not in ln],
+                      (out / "ratios.csv").read_bytes()))
+    assert texts[0] == texts[1]
+
+
 def test_out_flag_beats_config_out_dir(tmp_path):
     cfg = _load("solve_zero.json")
     cfg["out_dir"] = str(tmp_path / "from_config")
