@@ -8,7 +8,7 @@ lies in (0, 1], the left/right ratio is unchanged because the scaling cancels
 exactly, and the unscaled magnitudes are recovered in log form as
 log(scaled) + K.  Linear-scale fields of a report are exact when they fit in
 a double and overflow to inf (with the overflow flag set) when they do not;
-ratios and logs never overflow.
+ratios and logs stay finite while phi(T) does (else inf, with a NaN ratio).
 
 Time integration is a trapezoid between adjacent slices of the spatial
 integrals multiplied by the scaled weight at the midpoint, so the fast weight
@@ -103,6 +103,13 @@ def _exp_clip(logv: float) -> float:
     return math.inf if logv > 709.0 else math.exp(logv)
 
 
+def _phi_T(lam: float, T: float) -> float:
+    try:  # phi(T), inf past the double range: every s overflows there
+        return math.exp(lam * T)
+    except OverflowError:
+        return math.inf
+
+
 def _safe_log(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
@@ -182,6 +189,13 @@ def _report_from_scaled(kind: str, params: CarlemanParams, sc: _Scaled, parts=()
         overflow=overflow,
         parts=tuple(parts),
     )
+
+
+def _unrepresentable(kind: str, params: CarlemanParams, grid: SpaceTimeGrid, parts=()):
+    """The all-inf report with a NaN ratio (as in a sweep) if phi(T) overflows."""
+    if math.isinf(_phi_T(params.lam, grid.T)):
+        return CarlemanReport(kind, params, *[math.inf] * 4, math.nan, math.inf, math.inf,
+                              True, parts)
 
 
 class _WeightTable:
@@ -326,6 +340,8 @@ def evaluate_hjb_carleman(u, F, params: CarlemanParams, problem,
     plus weighted H1(1/a) data norms at the final and initial times.
     """
     coeff, g = _resolve(problem, grid)
+    if over := _unrepresentable("hjb", params, g):
+        return over
     sc = _hjb_scaled(hjb_ingredients(u, F, coeff, g), _WeightTable(g, params.s, params.lam))
     return _report_from_scaled("hjb", params, sc)
 
@@ -340,6 +356,8 @@ def evaluate_fp_carleman(m, G, params: CarlemanParams, problem,
     m and (am)_x at both ends.
     """
     coeff, g = _resolve(problem, grid)
+    if over := _unrepresentable("fp", params, g):
+        return over
     sc = _fp_scaled(fp_ingredients(m, G, coeff, g), _WeightTable(g, params.s, params.lam))
     return _report_from_scaled("fp", params, sc)
 
@@ -353,6 +371,9 @@ def evaluate_mfg_carleman(u, m, F, G, params: CarlemanParams, coeffs,
     parts) and the ratio is their joint lhs over joint rhs.
     """
     coeff, g = _resolve(coeffs, grid)
+    parts = tuple(_unrepresentable(k, params, g) for k in ("hjb", "fp"))
+    if all(parts):
+        return _unrepresentable("mfg", params, g, parts)
     w = _WeightTable(g, params.s, params.lam)
     sc_h = _hjb_scaled(hjb_ingredients(u, F, coeff, g), w)
     sc_f = _fp_scaled(fp_ingredients(m, G, coeff, g), w)
@@ -432,7 +453,7 @@ def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResul
     overflow = 0
     rows = max(1, _TABLE_DOUBLES // g.n_t)
     for j, lam in enumerate(lam_sorted):
-        over = 2.0 * s_arr * math.exp(lam * g.T) > OVERFLOW_LOG_LIMIT
+        over = 2.0 * s_arr * _phi_T(lam, g.T) > OVERFLOW_LOG_LIMIT
         overflow += int(np.count_nonzero(over))
         live = np.flatnonzero(~over)
         for lo in range(0, live.size, rows):

@@ -46,10 +46,10 @@ from degenmfg.domain import (
 )
 from degenmfg.manufactured import (
     IterConfig,
+    _solve_case,
     catalog,
     convergence_study,
     make_case,
-    solve_case,
 )
 from degenmfg.mfg import (
     MfgCoefficients,
@@ -472,13 +472,15 @@ def qty(value, unit: str):
     return {"value": _jnum(value), "unit": unit}
 
 
-def _fmt_csv(v) -> str:
-    v = float(v)
-    if math.isnan(v):
-        return "NaN"
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
-    return repr(v)
+_CSV_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _fmt_csv(v):
+    """A data cell: strings and ints unchanged, other numbers as repr."""
+    if type(v) is str or type(v) is int:
+        return v
+    r = repr(float(v))
+    return _CSV_NONFINITE.get(r, r)
 
 
 class _RunFailure(Exception):
@@ -559,19 +561,11 @@ def _run_verify_carleman(cfg):
     grid = _build_grid(cfg, case.T)
     icfg = _build_iter(cfg)
     try:
-        u, m = solve_case(case, grid, icfg)
+        u, m, F, G = _solve_case(case, grid, icfg)
     except SolverError as exc:
         raise _RunFailure(3, str(exc)) from exc
     kind = {"hjb": "hjb", "fp": "fp"}.get(case.tag, "mfg")
-    bundle = CarlemanBundle(
-        kind=kind,
-        coeff=case.coeff,
-        grid=grid,
-        u=u,
-        m=m,
-        F=case.source_F(grid) if u is not None else None,
-        G=case.source_G(grid) if m is not None else None,
-    )
+    bundle = CarlemanBundle(kind=kind, coeff=case.coeff, grid=grid, u=u, m=m, F=F, G=G)
     sweep = sweep_parameters(bundle, cfg["s_values"], cfg["lam_values"])
     s0 = s0_estimate(sweep)
     results = {
@@ -584,11 +578,11 @@ def _run_verify_carleman(cfg):
         "overflow_cells": qty(sweep.overflow_cells, "count"),
         "total_cells": qty(sweep.total_cells, "count"),
     }
-    rows = []
-    for i, s in enumerate(sweep.s_values):
-        for j, lam in enumerate(sweep.lam_values):
-            r = sweep.ratios[i, j]
-            rows.append([s, lam, r, 1 if math.isnan(r) else 0])
+    rows = [
+        [s, lam, r, 1 if math.isnan(r) else 0]
+        for s, ratios in zip(sweep.s_values, sweep.ratios.tolist())
+        for lam, r in zip(sweep.lam_values, ratios)
+    ]
     csvs = [("ratios.csv", ["s", "lam", "ratio", "overflow"],
              ["1", "1", "ratio", "flag"], rows)]
     code = 4 if sweep.overflow_cells * 2 > sweep.total_cells else 0
@@ -742,11 +736,7 @@ def _write_csv(path: Path, names, units, rows):
         w = csv.writer(f)
         w.writerow(names)
         w.writerow(units)
-        for row in rows:
-            w.writerow(
-                [c if isinstance(c, (str, int)) and not isinstance(c, bool)
-                 else _fmt_csv(c) for c in row]
-            )
+        w.writerows(map(_fmt_csv, row) for row in rows)
 
 
 def _emit_error(code: int, message: str, details=()):

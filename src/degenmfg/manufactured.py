@@ -510,32 +510,39 @@ class ConvergenceResult:
 
 def solve_case(case: ManufacturedCase, grid: SpaceTimeGrid, cfg: IterConfig = IterConfig()):
     """Run the solver matching the case tag; returns (u or None, m or None)."""
+    return _solve_case(case, grid, cfg)[:2]
+
+
+def _solve_case(case: ManufacturedCase, grid: SpaceTimeGrid, cfg: IterConfig):
+    """solve_case, plus the sources it sampled: (u, m, F, G), None where unused."""
     x = grid.x
+    F = case.source_F(grid) if case.tag != "fp" else None
+    G = case.source_G(grid) if case.tag != "hjb" else None
     if case.tag == "hjb":
         prob = HjbLinearProblem(
             grid,
             case.coeff,
             drift=case.d1.f(x),
-            source=case.source_F(grid),
+            source=F,
             terminal=case.terminal(grid),
         )
-        return solve_hjb_linear(prob), None
+        return solve_hjb_linear(prob), None, F, G
     if case.tag == "fp":
         prob = FpLinearProblem(
             grid,
             case.coeff,
             convection=case.c1.f(x),
             zeroth=case.b.f(x),
-            source=case.source_G(grid),
+            source=G,
             initial=case.initial(grid),
         )
-        return None, solve_fp_linear(prob)
+        return None, solve_fp_linear(prob), F, G
     coeffs = case.coefficients_on(grid)
     solver = solve_linearized_mfg if case.tag == "mfg_linear" else solve_nonlinear_mfg
     sol = solver(
         coeffs,
-        F=case.source_F(grid),
-        G=case.source_G(grid),
+        F=F,
+        G=G,
         m0=case.initial(grid),
         h=case.terminal(grid),
         cfg=cfg,
@@ -544,7 +551,7 @@ def solve_case(case: ManufacturedCase, grid: SpaceTimeGrid, cfg: IterConfig = It
         raise SolverError(
             f"case {case.name}: coupled sweep did not converge on grid {grid.shape}"
         )
-    return sol.u, sol.m
+    return sol.u, sol.m, F, G
 
 
 def case_error(case: ManufacturedCase, grid: SpaceTimeGrid, cfg: IterConfig = IterConfig()) -> float:

@@ -1,13 +1,14 @@
 """Implicit finite-difference solvers for the two linear half-problems.
 
 Both equations advance by backward Euler steps with one tridiagonal solve per
-time level: each problem builds the step bands of I - dt L once, shared by
-its sweep and its scheme residual, and each level is one LAPACK gtsv call on
-its band columns.  The spatial operator L = a d_xx + d d_x + q uses central
-stencils at interior cells and a ghost-cell closure at the two boundary
-cells: the unknown is extended by a quadratic that vanishes at the endpoint,
-the discrete form of the homogeneous Dirichlet condition carried by u and by
-a*m.
+time level: each problem builds the step bands of I - dt L once, shared by its
+sweep and its scheme residual.  Bands constant in time (scalar and profile
+coefficients) are one column, factored once per sweep (LAPACK gttrf, then a
+gttrs per level); otherwise each level is one gtsv call on its column.  The
+spatial operator L = a d_xx + d d_x + q uses central stencils at interior
+cells and a ghost-cell closure at the two boundary cells: the unknown is
+extended by a quadratic that vanishes at the endpoint, the discrete form of
+the homogeneous Dirichlet condition carried by u and by a*m.
 
 The density equation is not discretized in m directly.  Its divergence-form
 principal part (a m)_xx makes v = a m the natural unknown: in v the equation
@@ -113,10 +114,10 @@ class HjbLinearProblem:
 
     @cached_property
     def _step_bands(self):
-        """Bands of I - dt L_k at every time level, built once per problem."""
+        """Bands of I - dt L_k, built once per problem (see _time_columns)."""
         g = self.grid
-        a = self.coeff.a(g.x)
-        bands = _band_fields(a[:, None], self.drift, np.zeros(g.shape), g.h)
+        (drift,) = _time_columns(self.drift)
+        bands = _band_fields(self.coeff.a(g.x)[:, None], drift, np.zeros(drift.shape), g.h)
         return _to_step_bands(*bands, g.dt)
 
 
@@ -154,9 +155,17 @@ class FpLinearProblem:
         once per problem."""
         g = self.grid
         x = g.x
-        q = self.convection * self.coeff.log_derivative(x)[:, None] + self.zeroth
-        bands = _band_fields(self.coeff.a(x)[:, None], -self.convection, q, g.h)
+        conv, zeroth = _time_columns(self.convection, self.zeroth)
+        q = conv * self.coeff.log_derivative(x)[:, None] + zeroth
+        bands = _band_fields(self.coeff.a(x)[:, None], -conv, q, g.h)
         return _to_step_bands(*bands, g.dt)
+
+
+def _time_columns(*fields):
+    """Each field's first column if none varies in time (stride 0), else the fields."""
+    if all(f.strides[1] == 0 for f in fields):
+        return tuple(f[:, :1] for f in fields)
+    return fields
 
 
 def _band_fields(a: np.ndarray, d: np.ndarray, q: np.ndarray, h: float):
@@ -172,10 +181,8 @@ def _band_fields(a: np.ndarray, d: np.ndarray, q: np.ndarray, h: float):
     a2 = a / h2
     dh = d / (2.0 * h)
     diag = -2.0 * a2 + q
-    sub = np.empty_like(diag)
-    sup = np.empty_like(diag)
-    sub[1:] = a2[1:] - dh[1:]
-    sup[:-1] = a2[:-1] + dh[:-1]
+    sub = a2 - dh
+    sup = np.add(a2, dh, out=dh)  # dh's memory: one full temporary fewer
     sub[0] = 0.0
     sup[-1] = 0.0
     diag[0] = -4.0 * a2[0] + d[0] / h + q[0]
@@ -209,6 +216,30 @@ def _implicit_step(sub_k, diag_k, sup_k, rhs, k):
     return f
 
 
+def _march(bands, first, src, scale, what):
+    """Implicit Euler steps S_k f^k = f^j + scale src^k from the end slice
+    ``first``: backward (j = k + 1, from t = T) when scale < 0, else forward
+    (j = k - 1, from t = 0).  One band column is factored once (gttrf) and
+    each level back-substitutes (gttrs); else each level is one gtsv."""
+    levels = range(src.shape[1] - 2, -1, -1) if scale < 0.0 else range(1, src.shape[1])
+    prev = 1 if scale < 0.0 else -1
+    f = np.empty(src.shape)
+    f[:, levels[0] + prev] = first
+    sub, diag, sup = bands
+    lu = None
+    if diag.shape[1] == 1:
+        *lu, info = lapack.dgttrf(sub[1:, 0], diag[:, 0], sup[:-1, 0])
+        if info != 0:
+            raise SolverError(f"singular tridiagonal system at time index {levels[0]}")
+    for k in levels:
+        rhs = f[:, k + prev] + scale * src[:, k]
+        f[:, k] = (lapack.dgttrs(*lu, rhs, overwrite_b=1)[0] if lu
+                   else _implicit_step(sub[:, k], diag[:, k], sup[:, k], rhs, k))
+    if not np.all(np.isfinite(f)):
+        raise SolverError(f"{what} sweep produced non-finite entries")
+    return f
+
+
 def solve_hjb_linear(prob: HjbLinearProblem) -> SpaceTimeField:
     """March the value equation from t = T down to t = 0.
 
@@ -217,16 +248,7 @@ def solve_hjb_linear(prob: HjbLinearProblem) -> SpaceTimeField:
     orientation.
     """
     g = prob.grid
-    src = prob.source
-    sub, diag, sup = prob._step_bands
-    dt = g.dt
-    u = np.empty(g.shape)
-    u[:, -1] = prob.terminal
-    for k in range(g.n_t - 1, -1, -1):
-        rhs = u[:, k + 1] - dt * src[:, k]
-        u[:, k] = _implicit_step(sub[:, k], diag[:, k], sup[:, k], rhs, k)
-    if not np.all(np.isfinite(u)):
-        raise SolverError("value sweep produced non-finite entries")
+    u = _march(prob._step_bands, prob.terminal, prob.source, -g.dt, "value")
     return SpaceTimeField(u, g)
 
 
@@ -239,18 +261,9 @@ def solve_fp_linear(prob: FpLinearProblem) -> SpaceTimeField:
     Coefficients and source for the step to t_{k+1} are taken at t_{k+1}.
     """
     g = prob.grid
-    a = prob.coeff.a(g.x)
-    sub, diag, sup = prob._step_bands
-    dt = g.dt
-    v = np.empty(g.shape)
-    v[:, 0] = a * prob.initial
-    asrc = a[:, None] * prob.source
-    for k in range(1, g.n_t + 1):
-        rhs = v[:, k - 1] + dt * asrc[:, k]
-        v[:, k] = _implicit_step(sub[:, k], diag[:, k], sup[:, k], rhs, k)
-    if not np.all(np.isfinite(v)):
-        raise SolverError("density sweep produced non-finite entries")
-    return SpaceTimeField(v / a[:, None], g)
+    a = prob.coeff.a(g.x)[:, None]
+    v = _march(prob._step_bands, a[:, 0] * prob.initial, a * prob.source, g.dt, "density")
+    return SpaceTimeField(v / a, g)
 
 
 def apply_hjb_operator(u: FieldLike, prob: HjbLinearProblem) -> SpaceTimeField:
@@ -299,10 +312,12 @@ def hjb_scheme_residual(u: FieldLike, prob: HjbLinearProblem) -> float:
     """
     g = prob.grid
     uv = _traj(u, g, "u")
-    sub, diag, sup = (b[:, :-1] for b in prob._step_bands)
+    sub, diag, sup = (b if b.shape[1] == 1 else b[:, :-1] for b in prob._step_bands)
     Su = _apply_bands(sub, diag, sup, uv[:, :-1])
-    res = (Su - uv[:, 1:]) / g.dt + prob.source[:, :-1]
-    return float(np.max(np.abs(res)))
+    Su -= uv[:, 1:]  # in place: full temporaries cost page faults per sweep
+    Su /= g.dt
+    Su += prob.source[:, :-1]
+    return float(np.max(np.abs(Su, out=Su)))
 
 
 def fp_scheme_residual(m: FieldLike, prob: FpLinearProblem) -> float:
@@ -310,10 +325,12 @@ def fp_scheme_residual(m: FieldLike, prob: FpLinearProblem) -> float:
     g = prob.grid
     a = prob.coeff.a(g.x)[:, None]
     v = a * _traj(m, g, "m")
-    sub, diag, sup = (b[:, 1:] for b in prob._step_bands)
+    sub, diag, sup = (b if b.shape[1] == 1 else b[:, 1:] for b in prob._step_bands)
     Sv = _apply_bands(sub, diag, sup, v[:, 1:])
-    res = (Sv - v[:, :-1]) / g.dt - a * prob.source[:, 1:]
-    return float(np.max(np.abs(res)))
+    Sv -= v[:, :-1]  # in place, as in hjb_scheme_residual
+    Sv /= g.dt
+    Sv -= a * prob.source[:, 1:]
+    return float(np.max(np.abs(Sv, out=Sv)))
 
 
 def isomorphism_residual(

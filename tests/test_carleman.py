@@ -1,6 +1,7 @@
 """Weighted energy functionals: weights, homogeneity, additivity, sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,31 @@ def test_combined_report_is_sum_of_scalar_reports():
         assert _rel(
             getattr(both, name), getattr(hjb, name) + getattr(fp, name)
         ) < 1e-12, name
+
+
+def test_unrepresentable_lam_reports_overflow_without_warnings():
+    c = make_case("coupled-mild")
+    g = SpaceTimeGrid(32, 32, c.T)
+    u, m = solve_case(c, g)
+    F, G = c.source_F(g), c.source_G(g)
+    coeffs = c.coefficients_on(g)
+    params = CarlemanParams(s=1.0, lam=800.0 / c.T)  # phi(T) = e^800
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = [
+            evaluate_hjb_carleman(u, F, params, coeffs),
+            evaluate_fp_carleman(m, G, params, coeffs),
+            evaluate_mfg_carleman(u, m, F, G, params, coeffs),
+        ]
+    reps += reps[2].parts
+    assert [r.estimate for r in reps] == ["hjb", "fp", "mfg", "hjb", "fp"]
+    for rep in reps:
+        assert rep.overflow and math.isnan(rep.ratio)
+        assert math.isinf(rep.lhs) and math.isinf(rep.lhs_log) and math.isinf(rep.rhs_log)
+    # the sweep reports the same cell as overflow
+    bundle = CarlemanBundle("mfg", c.coeff, g, u=u, m=m, F=F, G=G)
+    sw = sweep_parameters(bundle, [params.s], [params.lam])
+    assert sw.overflow_cells == 1 and math.isnan(sw.ratios[0, 0])
 
 
 def _bundle(name, n_x=64, n_t=64):

@@ -7,11 +7,13 @@ exactly what a shell invocation would produce, without subprocess cost.
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from degenmfg.cli import main
+from degenmfg.cli import _write_csv, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -298,3 +300,48 @@ def test_carleman_sweep_csv(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x.json"])
+
+
+@pytest.mark.parametrize("lam_values, overflow, code", [
+    ([1.0, 800.0], 4, 0),  # exactly half the cells overflow: exit 0
+    ([800.0, 1e6], 8, 4),  # every cell overflows: exit 4
+])
+def test_unrepresentable_lam_counts_overflow_cells(tmp_path, capsys, lam_values, overflow, code):
+    cfg = _load("carleman_sweep.json")
+    cfg["grid"] = {"n_x": 32, "n_t": 32}
+    cfg["lam_values"] = lam_values
+    path = _dump(cfg, tmp_path / "cfg.json")
+    out = tmp_path / "o"
+    rc = main(["verify-carleman", "--config", path, "--out", str(out)])
+    assert rc == code
+    assert capsys.readouterr().err == ""
+    res = json.loads((out / "result.json").read_text(encoding="utf-8"))["results"]
+    assert res["overflow_cells"]["value"] == overflow
+    assert res["total_cells"]["value"] == 8
+    for s, lam, ratio, flag in _read_rows(out / "ratios.csv")[2:]:
+        big = float(lam) >= 800.0
+        assert flag == ("1" if big else "0")
+        assert (ratio == "NaN") == big
+
+
+def test_csv_rows_match_the_csv_module(tmp_path):
+    rows = [
+        [1, 0.1, np.float64(2.5e-300), math.nan, np.float64("nan")],
+        [-3, math.inf, -math.inf, np.float64("-inf"), True],
+        ["plain", 'with "quote"', "a,b", "line\nbreak", 1e22],
+    ]
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["a", "b", "c", "d", "e"], ["1", "1", "1", "1", "1"], rows)
+    spelled = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+    def cell(c):
+        if isinstance(c, str) or type(c) is int:
+            return c
+        return spelled.get(repr(float(c)), repr(float(c)))
+
+    with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(["a", "b", "c", "d", "e"])
+        w.writerow(["1", "1", "1", "1", "1"])
+        w.writerows([[cell(c) for c in row] for row in rows])
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()

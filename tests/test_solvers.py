@@ -6,6 +6,7 @@ from scipy.linalg import solve_banded
 
 from degenmfg import solvers
 from degenmfg.domain import DegenerateCoefficient, SpaceTimeGrid
+from degenmfg.mfg import MfgCoefficients, solve_linearized_mfg
 from degenmfg.solvers import (
     FpLinearProblem,
     HjbLinearProblem,
@@ -220,3 +221,101 @@ def test_step_form_residuals_match_operator_form():
     Lv = _apply_bands(*_band_fields(a, -fp.convection, q, g.h), v)
     want = np.max(np.abs((v[:, 1:] - v[:, :-1]) / g.dt - Lv[:, 1:] - a * fp.source[:, 1:]))
     assert fp_scheme_residual(m, fp) == pytest.approx(want, rel=1e-12)
+
+
+def _static_problems(g, rng):
+    """A value and a density problem with time-invariant operators (profiles
+    and scalars) and time-varying sources."""
+    x = g.x
+    hjb = HjbLinearProblem(
+        g, WF, drift=0.3 * x * (1 - x), source=rng.standard_normal(g.shape),
+        terminal=x * (1 - x),
+    )
+    fp = FpLinearProblem(
+        g, P22, convection=0.2 * x * (1 - x), zeroth=0.4,
+        source=rng.standard_normal(g.shape), initial=16.0 * P22.a(x),
+    )
+    return hjb, fp
+
+
+# the smallest grid has 4 nodes
+@pytest.mark.parametrize("n", [4, 64, 257])
+def test_static_path_matches_per_level_path(n):
+    g = SpaceTimeGrid(n, 40, 1.0)
+    hjb, fp = _static_problems(g, np.random.default_rng(n))
+    # the same coefficients materialised as full trajectories: one band column
+    # per time level, one gtsv per level
+    hjb_full = HjbLinearProblem(
+        g, WF, drift=np.array(hjb.drift), source=hjb.source, terminal=hjb.terminal
+    )
+    fp_full = FpLinearProblem(
+        g, P22, convection=np.array(fp.convection), zeroth=np.array(fp.zeroth),
+        source=fp.source, initial=fp.initial,
+    )
+    for static, full, solve in ((hjb, hjb_full, solve_hjb_linear),
+                                (fp, fp_full, solve_fp_linear)):
+        assert all(b.shape == (n, 1) for b in static._step_bands)
+        assert all(b.shape == g.shape for b in full._step_bands)
+        want = solve(full).values
+        got = solve(static).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.fixture
+def dgttrf_calls(monkeypatch):
+    """The list that every LAPACK dgttrf call appends to."""
+    calls = []
+    dgttrf = solvers.lapack.dgttrf
+
+    def counting_dgttrf(*args, **kwargs):
+        calls.append(1)
+        return dgttrf(*args, **kwargs)
+
+    monkeypatch.setattr(solvers.lapack, "dgttrf", counting_dgttrf)
+    return calls
+
+
+def test_factor_once_per_static_sweep(dgttrf_calls):
+    calls = dgttrf_calls
+    g = SpaceTimeGrid(32, 24, 1.0)
+    hjb, fp = _static_problems(g, np.random.default_rng(0))
+    solve_hjb_linear(hjb)
+    solve_fp_linear(fp)
+    assert len(calls) == 2
+    solve_hjb_linear(hjb)
+    assert len(calls) == 3
+    calls.clear()
+    hjb, fp = _random_problems(g)
+    solve_hjb_linear(hjb)
+    solve_fp_linear(fp)
+    assert calls == []
+
+
+def test_factor_once_on_every_linearized_sweep(dgttrf_calls):
+    g = SpaceTimeGrid(32, 24, 1.0)
+    x = g.x
+    coeffs = MfgCoefficients(
+        P22, g, d1=0.3 * x * (1 - x), d2=-0.4 * P22.a(x), c1=0.2 * x * (1 - x),
+        b=0.4, c2=0.1, rho=0.05 * x * (1 - x),
+    )
+    sol = solve_linearized_mfg(coeffs, F=np.sin(np.pi * x), m0=16.0 * P22.a(x))
+    assert sol.converged and sol.sweeps > 1
+    assert len(dgttrf_calls) == 2 * sol.sweeps
+
+
+def test_static_scheme_residual_at_rounding_level():
+    g = SpaceTimeGrid(96, 80, 1.0)
+    hjb, fp = _static_problems(g, np.random.default_rng(7))
+    u = solve_hjb_linear(hjb).values
+    m = solve_fp_linear(fp).values
+    # the residual divides step defects by dt: rounding is eps * |field| / dt
+    assert hjb_scheme_residual(u, hjb) <= 1e-12 * np.max(np.abs(u)) / g.dt
+    assert fp_scheme_residual(m, fp) <= 1e-12 * np.max(np.abs(P22.a(g.x)[:, None] * m)) / g.dt
+
+
+@pytest.mark.parametrize("scale, first_level", [(-0.1, 9), (0.1, 1)])
+def test_singular_static_operator_names_time_index(scale, first_level):
+    n = 5
+    bands = (np.zeros((n, 1)), np.zeros((n, 1)), np.ones((n, 1)))  # zero first column
+    with pytest.raises(SolverError, match=f"time index {first_level}$"):
+        solvers._march(bands, np.ones(n), np.ones((n, 11)), scale, "value")
