@@ -17,6 +17,13 @@ parameters and are computed once per estimate.  For one lam, the scaled weight
 of every s is one table (a row per s, a column per midpoint), and every time
 integral of the estimate is a product of that table with a vector: a sweep
 builds one table per lam, and a single evaluation is a sweep with one s.
+
+The slice integrals walk the trajectory in blocks of time columns, each about
+one weight table in size: a block differentiates its own columns (in time
+through one halo column on each side) and sums them into the slice-integral
+rows, so no derivative of the whole trajectory is ever held.  The end-slice
+data norms read the first and last columns.  The sums are bit-identical to
+those of whole-trajectory derivative arrays.
 """
 
 from __future__ import annotations
@@ -55,7 +62,8 @@ __all__ = [
 
 # beyond this log-weight the linear-scale value of exp() is not representable
 OVERFLOW_LOG_LIMIT = 700.0
-# largest weight table a sweep builds at once: 64 s values x 1024 midpoints
+# largest weight table a sweep builds at once: 64 s values x 1024 midpoints;
+# also the size of a time-column block of the slice integrals
 _TABLE_DOUBLES = 64 * 1024
 
 
@@ -242,20 +250,44 @@ class HjbIngredients:
     B0_1: float
 
 
+def _time_blocks(grid: SpaceTimeGrid):
+    """Time-column blocks of a trajectory, _TABLE_DOUBLES doubles each at
+    most but for a short remainder: (cols, ext, inner) with the block's
+    columns, the same widened by the halo column on each side that the grid
+    has, and the block's place in ext.
+
+    Blocks hold at least three columns (a shorter remainder joins the last
+    block): _dt_array needs four in a widened block, where its central
+    stencil is that of the whole trajectory, and numpy would sum a
+    one-column block in another order than the whole array's columns.
+    """
+    n = grid.n_t + 1
+    starts = list(range(0, n, max(3, _TABLE_DOUBLES // grid.n_x)))
+    if len(starts) > 1 and n - starts[-1] < 3:
+        del starts[-1]
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        elo = max(lo - 1, 0)
+        yield slice(lo, hi), slice(elo, min(hi + 1, n)), slice(lo - elo, hi - elo)
+
+
 def hjb_ingredients(u, F, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> HjbIngredients:
     uv = _traj(u, grid, "u")
     Fv = _traj(F if F is not None else 0.0, grid, "F")
     a = coeff.a(grid.x)[:, None]
     h = grid.h
-    ut = _dt_array(uv, grid.dt, 1)
-    ux = _dx_array(uv, grid.h, "dirichlet")
-    uxx = _dxx_array(uv, grid.h, "dirichlet")
+    I_ut, I_uxx, I_ux, I_u, I_F = np.empty((5, grid.n_t + 1))
+    for cols, ext, inner in _time_blocks(grid):
+        ub, Fb = uv[:, cols], Fv[:, cols]
+        ut = _dt_array(uv[:, ext], grid.dt, 1)[:, inner]
+        ux = _dx_array(ub, h, "dirichlet")
+        uxx = _dxx_array(ub, h, "dirichlet")
+        I_ut[cols] = h * np.sum(ut * ut / a, axis=0)
+        I_uxx[cols] = h * np.sum(a * uxx * uxx, axis=0)
+        I_ux[cols] = h * np.sum(ux * ux, axis=0)
+        I_u[cols] = h * np.sum(ub * ub / a, axis=0)
+        I_F[cols] = h * np.sum(Fb * Fb / a, axis=0)
     return HjbIngredients(
-        I_ut=h * np.sum(ut * ut / a, axis=0),
-        I_uxx=h * np.sum(a * uxx * uxx, axis=0),
-        I_ux=h * np.sum(ux * ux, axis=0),
-        I_u=h * np.sum(uv * uv / a, axis=0),
-        I_F=h * np.sum(Fv * Fv / a, axis=0),
+        I_ut, I_uxx, I_ux, I_u, I_F,
         BT_0=weighted_norm(uv[:, -1], NormKind.L2_INV_A, coeff, grid) ** 2,
         BT_1=weighted_norm(uv[:, -1], NormKind.H1_INV_A, coeff, grid) ** 2,
         B0_0=weighted_norm(uv[:, 0], NormKind.L2_INV_A, coeff, grid) ** 2,
@@ -292,20 +324,27 @@ def fp_ingredients(m, G, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> F
     Gv = _traj(G if G is not None else 0.0, grid, "G")
     a = coeff.a(grid.x)[:, None]
     h = grid.h
-    v = a * mv
-    vx = _dx_array(v, grid.h, "dirichlet")
-    vxx = _dxx_array(v, grid.h, "dirichlet")
-    # int a m_t^2 = int v_t^2 / a, differentiating the product field in time
-    vt = _dt_array(v, grid.dt, 1)
+    J_v2, J_vx, J_m, J_G = np.empty((4, grid.n_t + 1))
+    for cols, ext, inner in _time_blocks(grid):
+        mb, Gb = mv[:, cols], Gv[:, cols]
+        v_ext = a * mv[:, ext]
+        v = v_ext[:, inner]
+        vx = _dx_array(v, h, "dirichlet")
+        vxx = _dxx_array(v, h, "dirichlet")
+        # int a m_t^2 = int v_t^2 / a, differentiating the product field in time
+        vt = _dt_array(v_ext, grid.dt, 1)[:, inner]
+        J_v2[cols] = h * np.sum(a * vxx * vxx + vt * vt / a, axis=0)
+        J_vx[cols] = h * np.sum(vx * vx, axis=0)
+        J_m[cols] = h * np.sum(a * mb * mb, axis=0)
+        J_G[cols] = h * np.sum(a * Gb * Gb, axis=0)
+        if cols.start == 0:
+            vx_0 = vx[:, 0].copy()
     return FpIngredients(
-        J_v2=h * np.sum(a * vxx * vxx + vt * vt / a, axis=0),
-        J_vx=h * np.sum(vx * vx, axis=0),
-        J_m=h * np.sum(a * mv * mv, axis=0),
-        J_G=h * np.sum(a * Gv * Gv, axis=0),
+        J_v2, J_vx, J_m, J_G,
         BT_m=weighted_norm(mv[:, -1], NormKind.L2_A, coeff, grid) ** 2,
         BT_vx=weighted_norm(vx[:, -1], NormKind.L2_PLAIN, coeff, grid) ** 2,
         B0_m=weighted_norm(mv[:, 0], NormKind.L2_A, coeff, grid) ** 2,
-        B0_vx=weighted_norm(vx[:, 0], NormKind.L2_PLAIN, coeff, grid) ** 2,
+        B0_vx=weighted_norm(vx_0, NormKind.L2_PLAIN, coeff, grid) ** 2,
     )
 
 
@@ -427,12 +466,12 @@ class SweepResult:
 def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResult:
     """Evaluate the bundle's estimate over an (s, lam) grid.
 
-    Slice integrals are computed once.  Each lam builds one table of the
-    scaled weight over the time midpoints, a row per s that does not
-    overflow (in blocks of at most 64 x 1024 entries), and each time integral
-    of the estimate is a product of that table with a vector.  Cells whose
-    weight cannot be represented on a linear scale are recorded as NaN and
-    counted in overflow_cells.
+    Slice integrals are computed once, in blocks of time columns.  Each lam
+    builds one table of the scaled weight over the time midpoints, a row per
+    s that does not overflow (in blocks of at most 64 x 1024 entries), and
+    each time integral of the estimate is a product of that table with a
+    vector.  Cells whose weight cannot be represented on a linear scale are
+    recorded as NaN and counted in overflow_cells.
     """
     s_sorted = tuple(sorted(float(s) for s in s_values))
     lam_sorted = tuple(sorted(float(x) for x in lam_values))

@@ -578,15 +578,23 @@ def _run_verify_carleman(cfg):
         "overflow_cells": qty(sweep.overflow_cells, "count"),
         "total_cells": qty(sweep.total_cells, "count"),
     }
-    rows = [
-        [s, lam, r, 1 if math.isnan(r) else 0]
-        for s, ratios in zip(sweep.s_values, sweep.ratios.tolist())
-        for lam, r in zip(sweep.lam_values, ratios)
-    ]
     csvs = [("ratios.csv", ["s", "lam", "ratio", "overflow"],
-             ["1", "1", "ratio", "flag"], rows)]
+             ["1", "1", "ratio", "flag"], _ratio_rows(sweep))]
     code = 4 if sweep.overflow_cells * 2 > sweep.total_cells else 0
     return results, csvs, code
+
+
+def _ratio_rows(sweep):
+    """ratios.csv rows (s, lam, ratio, overflow flag) as the strings _fmt_csv
+    spells, each distinct s and lam formatted once."""
+    s_txt = [_fmt_csv(s) for s in sweep.s_values]
+    lam_txt = [_fmt_csv(lam) for lam in sweep.lam_values]
+    n_lam = len(lam_txt)
+    cells = (_CSV_NONFINITE.get(r, r) for r in map(repr, sweep.ratios.ravel().tolist()))
+    return [
+        [s_txt[k // n_lam], lam_txt[k % n_lam], r, "1" if r == "NaN" else "0"]
+        for k, r in enumerate(cells)
+    ]
 
 
 def _rung_rows(rungs, with_D):

@@ -110,7 +110,8 @@ class HjbLinearProblem:
         self.source = _traj(self.source, self.grid, "source")
         self.terminal = _slice(self.terminal, self.grid, "terminal")
         sqrt_a = self.coeff.sqrt_a(self.grid.x)
-        self.drift_ratio = float(np.max(np.abs(self.drift) / sqrt_a[:, None]))
+        (drift,) = _time_columns(self.drift)
+        self.drift_ratio = float(np.max(np.abs(drift) / sqrt_a[:, None]))
 
     @cached_property
     def _step_bands(self):
@@ -146,7 +147,8 @@ class FpLinearProblem:
         self.initial = _slice(self.initial, self.grid, "initial")
         x = self.grid.x
         sqrt_a = self.coeff.sqrt_a(x)
-        self.convection_ratio = float(np.max(np.abs(self.convection) / sqrt_a[:, None]))
+        (conv,) = _time_columns(self.convection)
+        self.convection_ratio = float(np.max(np.abs(conv) / sqrt_a[:, None]))
         self.slope_ratio = float(np.max(np.abs(self.coeff.a_x(x)) / sqrt_a))
 
     @cached_property

@@ -340,3 +340,126 @@ def test_sweep_infinite_s_is_overflow_cell():
     sw = sweep_parameters(_bundle("drifted-well", 16, 16), [2.0, math.inf], [1.0])
     assert sw.overflow_cells == 1
     assert np.isfinite(sw.ratios[0, 0]) and math.isnan(sw.ratios[1, 0])
+
+
+def _full_hjb_ingredients(u, F, coeff, grid):
+    """The slice integrals from whole-trajectory derivative arrays."""
+    from degenmfg.domain import NormKind, _dt_array, _dx_array, _dxx_array, weighted_norm
+    from degenmfg.solvers import _traj
+
+    uv = _traj(u, grid, "u")
+    Fv = _traj(F if F is not None else 0.0, grid, "F")
+    a = coeff.a(grid.x)[:, None]
+    h = grid.h
+    ut = _dt_array(uv, grid.dt, 1)
+    ux = _dx_array(uv, h, "dirichlet")
+    uxx = _dxx_array(uv, h, "dirichlet")
+    return carleman.HjbIngredients(
+        I_ut=h * np.sum(ut * ut / a, axis=0),
+        I_uxx=h * np.sum(a * uxx * uxx, axis=0),
+        I_ux=h * np.sum(ux * ux, axis=0),
+        I_u=h * np.sum(uv * uv / a, axis=0),
+        I_F=h * np.sum(Fv * Fv / a, axis=0),
+        BT_0=weighted_norm(uv[:, -1], NormKind.L2_INV_A, coeff, grid) ** 2,
+        BT_1=weighted_norm(uv[:, -1], NormKind.H1_INV_A, coeff, grid) ** 2,
+        B0_0=weighted_norm(uv[:, 0], NormKind.L2_INV_A, coeff, grid) ** 2,
+        B0_1=weighted_norm(uv[:, 0], NormKind.H1_INV_A, coeff, grid) ** 2,
+    )
+
+
+def _full_fp_ingredients(m, G, coeff, grid):
+    """The slice integrals from whole-trajectory derivative arrays."""
+    from degenmfg.domain import NormKind, _dt_array, _dx_array, _dxx_array, weighted_norm
+    from degenmfg.solvers import _traj
+
+    mv = _traj(m, grid, "m")
+    Gv = _traj(G if G is not None else 0.0, grid, "G")
+    a = coeff.a(grid.x)[:, None]
+    h = grid.h
+    v = a * mv
+    vx = _dx_array(v, h, "dirichlet")
+    vxx = _dxx_array(v, h, "dirichlet")
+    vt = _dt_array(v, grid.dt, 1)
+    return carleman.FpIngredients(
+        J_v2=h * np.sum(a * vxx * vxx + vt * vt / a, axis=0),
+        J_vx=h * np.sum(vx * vx, axis=0),
+        J_m=h * np.sum(a * mv * mv, axis=0),
+        J_G=h * np.sum(a * Gv * Gv, axis=0),
+        BT_m=weighted_norm(mv[:, -1], NormKind.L2_A, coeff, grid) ** 2,
+        BT_vx=weighted_norm(vx[:, -1], NormKind.L2_PLAIN, coeff, grid) ** 2,
+        B0_m=weighted_norm(mv[:, 0], NormKind.L2_A, coeff, grid) ** 2,
+        B0_vx=weighted_norm(vx[:, 0], NormKind.L2_PLAIN, coeff, grid) ** 2,
+    )
+
+
+def _assert_same_bits(got, want):
+    for name, w in vars(want).items():
+        g = getattr(got, name)
+        if isinstance(w, np.ndarray):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+        else:
+            assert type(g) is type(w) and repr(g) == repr(w), name
+
+
+def _block_widths(grid):
+    return [c.stop - c.start for c, _, _ in carleman._time_blocks(grid)]
+
+
+# (case, n_x, n_t, block width or None for the default budget, expected widths)
+BLOCK_CASES = [
+    ("drifted-well", 32, 32, None, [33]),                     # one block
+    ("wf-pulse", 16, 3, None, [4]),                           # minimum n_t
+    ("wf-pulse", 16, 3, 3, [4]),                              # 1-column remainder joins
+    ("drifted-well", 16, 34, 17, [17, 18]),                   # 1-column remainder joins
+    ("coupled-mild", 16, 34, 11, [11, 11, 13]),               # 2-column remainder joins
+    ("spreading-ridge", 16, 34, 8, [8, 8, 8, 8, 3]),          # 3-column remainder stays
+    ("coupled-mild", 8, 20, 1, [3, 3, 3, 3, 3, 3, 3]),        # budget below 3 columns
+]
+
+
+@pytest.mark.parametrize("case, n_x, n_t, width, widths", BLOCK_CASES)
+def test_blocked_ingredients_bit_identical_to_full_arrays(monkeypatch, case, n_x, n_t,
+                                                          width, widths):
+    bundle = _bundle(case, n_x, n_t)
+    g = bundle.grid
+    if width is not None:
+        monkeypatch.setattr(carleman, "_TABLE_DOUBLES", width * n_x)
+    assert _block_widths(g) == widths
+    if bundle.kind in ("hjb", "mfg"):
+        _assert_same_bits(hjb_ingredients(bundle.u, bundle.F, bundle.coeff, g),
+                          _full_hjb_ingredients(bundle.u, bundle.F, bundle.coeff, g))
+        _assert_same_bits(hjb_ingredients(bundle.u, None, bundle.coeff, g),
+                          _full_hjb_ingredients(bundle.u, None, bundle.coeff, g))
+    if bundle.kind in ("fp", "mfg"):
+        _assert_same_bits(fp_ingredients(bundle.m, bundle.G, bundle.coeff, g),
+                          _full_fp_ingredients(bundle.m, bundle.G, bundle.coeff, g))
+        _assert_same_bits(fp_ingredients(bundle.m, None, bundle.coeff, g),
+                          _full_fp_ingredients(bundle.m, None, bundle.coeff, g))
+
+
+def test_time_blocks_tile_the_trajectory_with_one_halo_column():
+    g = SpaceTimeGrid(512, 1024, 1.0)
+    blocks = list(carleman._time_blocks(g))
+    assert [c.start for c, _, _ in blocks] == list(range(0, 1024, 128))
+    assert blocks[-1][0].stop == 1025  # the 1-column remainder joins the last block
+    for cols, ext, inner in blocks:
+        assert ext.start == max(cols.start - 1, 0) and ext.stop == min(cols.stop + 1, 1025)
+        assert inner.stop - inner.start == cols.stop - cols.start
+        assert cols.start - ext.start == inner.start
+
+
+def test_sweep_allocates_under_two_fields_at_fine_grid():
+    import tracemalloc
+
+    g = SpaceTimeGrid(512, 1024, 1.0)
+    rng = np.random.default_rng(3)
+    m, G = rng.random(g.shape), rng.random(g.shape)
+    bundle = CarlemanBundle(kind="fp", coeff=WF, grid=g, m=m, G=G)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sweep_parameters(bundle, [1.0, 10.0, 100.0], [0.5, 2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * m.nbytes

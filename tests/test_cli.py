@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenmfg.cli import _write_csv, main
+from degenmfg.carleman import SweepResult
+from degenmfg.cli import _ratio_rows, _write_csv, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -345,3 +346,26 @@ def test_csv_rows_match_the_csv_module(tmp_path):
         w.writerow(["1", "1", "1", "1", "1"])
         w.writerows([[cell(c) for c in row] for row in rows])
     assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_ratio_rows_match_per_cell_formatting(tmp_path):
+    s_values = (5e-324, 0.1, 3.0, 1e300)
+    lam_values = (0.25, 2.0, 1e-7)
+    ratios = np.array([
+        [math.nan, math.inf, -math.inf],
+        [0.0, 5e-324, 1e300],
+        [-0.0, 1.0 / 3.0, math.nan],
+        [2.5e-300, 7.0, -1e300],
+    ])
+    sweep = SweepResult(s_values, lam_values, ratios, 3, 12, math.nan, math.nan)
+    names, units = ["s", "lam", "ratio", "overflow"], ["1", "1", "ratio", "flag"]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_csv(got, names, units, _ratio_rows(sweep))
+    per_cell = [
+        [s, lam, r, 1 if math.isnan(r) else 0]
+        for s, row in zip(s_values, ratios.tolist())
+        for lam, r in zip(lam_values, row)
+    ]
+    _write_csv(want, names, units, per_cell)
+    assert got.read_bytes() == want.read_bytes()
+    assert b"NaN,1" in got.read_bytes() and b"-Infinity,0" in got.read_bytes()

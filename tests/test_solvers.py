@@ -319,3 +319,18 @@ def test_singular_static_operator_names_time_index(scale, first_level):
     bands = (np.zeros((n, 1)), np.zeros((n, 1)), np.ones((n, 1)))  # zero first column
     with pytest.raises(SolverError, match=f"time index {first_level}$"):
         solvers._march(bands, np.ones(n), np.ones((n, 11)), scale, "value")
+
+
+@pytest.mark.parametrize("kind", ["scalar", "profile", "trajectory"])
+def test_hypothesis_ratios_equal_full_array_ratios(kind):
+    g = SpaceTimeGrid(64, 48, 1.0)
+    x = g.x
+    coef = {
+        "scalar": -2.5,
+        "profile": np.sin(7.0 * x) - 0.3,
+        "trajectory": np.outer(np.cos(5.0 * x), 1.0 + g.t),
+    }[kind]
+    full = np.array(solvers._traj(coef, g, "coef"))  # materialised, every column
+    want = float(np.max(np.abs(full) / WF.sqrt_a(x)[:, None]))
+    assert HjbLinearProblem(g, WF, drift=coef).drift_ratio == want
+    assert FpLinearProblem(g, WF, convection=coef).convection_ratio == want
