@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -753,7 +754,9 @@ def _emit_error(code: int, message: str, details=()):
     return code
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="degenmfg",
         description="Degenerate mean-field-game laboratory: solvers, weighted "
@@ -768,7 +771,11 @@ def main(argv=None) -> int:
             "--threads", type=int, default=1,
             help="worker count (recorded; execution is serial and deterministic)",
         )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:

@@ -169,7 +169,8 @@ class SpaceTimeField:
     """Scalar samples on the tensor grid, shape (n_x, n_t + 1).
 
     The array is copied and frozen at construction; fields are values, not
-    buffers, everywhere in the package.
+    buffers, everywhere in the package.  The one exception is a solver's
+    fresh output, which no one else holds: it is frozen without a copy.
     """
 
     values: np.ndarray
@@ -183,6 +184,19 @@ class SpaceTimeField:
             )
         v.setflags(write=False)
         self.values = v
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, grid: SpaceTimeGrid) -> "SpaceTimeField":
+        """Wrap a fresh float array of the grid's shape without copying it.
+
+        The array is frozen in place, so the caller must hold no other
+        reference that it still writes through.
+        """
+        values.setflags(write=False)
+        field = object.__new__(cls)
+        field.values = values
+        field.grid = grid
+        return field
 
     @classmethod
     def from_function(cls, grid: SpaceTimeGrid, fn: Callable) -> "SpaceTimeField":

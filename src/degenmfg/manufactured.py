@@ -259,30 +259,39 @@ class ManufacturedCase:
         return self.Tm.f(t) * self.W.f2(x)
 
     def F(self, x, t):
-        """Value-equation source making the exact fields solve the system."""
-        base = self.u_t(x, t) + self.A.f(x) * self.u_xx(x, t)
+        """Value-equation source making the exact fields solve the system.
+
+        Terms accumulate left to right into the first one, in place, so a
+        grid sample holds the running sum and one term at a time.
+        """
+        out = self.u_t(x, t)
+        out += self.A.f(x) * self.u_xx(x, t)
         if self.tag == "mfg_nonlinear":
             ux = self.u_x(x, t)
-            return base - 0.5 * self.p.f(x) * ux * ux + self.d.f(x) * self.m(x, t)
-        out = base + self.d1.f(x) * self.u_x(x, t)
+            out -= 0.5 * self.p.f(x) * ux * ux
+            out += self.d.f(x) * self.m(x, t)
+            return out
+        out += self.d1.f(x) * self.u_x(x, t)
         if self.tag in ("mfg_linear",):
-            out = out - self.d2.f(x) * self.m(x, t)
+            out -= self.d2.f(x) * self.m(x, t)
         return out
 
     def G(self, x, t):
-        """Density-equation source for the exact fields."""
-        base = self.m_t(x, t) - self.am_xx(x, t)
+        """Density-equation source for the exact fields, accumulated as in F."""
+        out = self.m_t(x, t)
+        out -= self.am_xx(x, t)
         if self.tag == "mfg_nonlinear":
             ux = self.u_x(x, t)
-            flux_x = (
-                self.p.f1(x) * self.m(x, t) * ux
-                + self.p.f(x) * self.m_x(x, t) * ux
-                + self.p.f(x) * self.m(x, t) * self.u_xx(x, t)
-            )
-            return base - flux_x
-        out = base + self.c1.f(x) * self.m_x(x, t) - self.b.f(x) * self.m(x, t)
+            flux_x = self.p.f1(x) * self.m(x, t) * ux
+            flux_x += self.p.f(x) * self.m_x(x, t) * ux
+            flux_x += self.p.f(x) * self.m(x, t) * self.u_xx(x, t)
+            out -= flux_x
+            return out
+        out += self.c1.f(x) * self.m_x(x, t)
+        out -= self.b.f(x) * self.m(x, t)
         if self.tag in ("mfg_linear",):
-            out = out - self.c2.f(x) * self.u_x(x, t) - self.rho.f(x) * self.u_xx(x, t)
+            out -= self.c2.f(x) * self.u_x(x, t)
+            out -= self.rho.f(x) * self.u_xx(x, t)
         return out
 
     # grid samplers

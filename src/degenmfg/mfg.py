@@ -182,9 +182,10 @@ def _picard(g: SpaceTimeGrid, cfg: IterConfig, value_problem, density_problem):
 
 
 def _solution(g, u, m, log, converged):
+    # u and m are arrays only _picard holds: wrap them without a copy
     return MfgSolution(
-        u=SpaceTimeField(u, g),
-        m=SpaceTimeField(m, g),
+        u=SpaceTimeField._adopt(u, g),
+        m=SpaceTimeField._adopt(m, g),
         residual_log=tuple(log),
         converged=converged,
     )

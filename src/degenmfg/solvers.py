@@ -2,9 +2,12 @@
 
 Both equations advance by backward Euler steps with one tridiagonal solve per
 time level: each problem builds the step bands of I - dt L once, shared by its
-sweep and its scheme residual.  Bands constant in time (scalar and profile
-coefficients) are one column, factored once per sweep (LAPACK gttrf, then a
-gttrs per level); otherwise each level is one gtsv call on its column.  The
+sweep and its scheme residual.  A sweep marches through one time-major buffer
+whose rows are the time levels, and LAPACK solves each row in place.  Bands
+constant in time (scalar and profile coefficients) are one column, factored
+once per sweep (gttrf, then a gttrs per level); otherwise each level is one
+gtsv call on a per-sweep transposed copy of the bands.  The solvers return a
+fresh C-ordered array wrapped without a further copy.  The
 spatial operator L = a d_xx + d d_x + q uses central stencils at interior
 cells and a ghost-cell closure at the two boundary cells: the unknown is
 extended by a quadratic that vanishes at the endpoint, the discrete form of
@@ -211,35 +214,59 @@ def _to_step_bands(sub, diag, sup, dt):
 
 
 def _implicit_step(sub_k, diag_k, sup_k, rhs, k):
-    """Solve (I - dt L) f = rhs for one time level, from the step bands."""
-    _, _, _, f, info = lapack.dgtsv(sub_k[1:], diag_k, sup_k[:-1], rhs)
+    """Solve (I - dt L) f = rhs for one time level, from the step bands.
+
+    gtsv works in place: it overwrites the three bands and, when rhs is a
+    contiguous float array, returns the solution in rhs's memory.  Callers
+    pass bands they own.
+    """
+    _, _, _, f, info = lapack.dgtsv(sub_k[1:], diag_k, sup_k[:-1], rhs, 1, 1, 1, 1)
     if info != 0:
         raise SolverError(f"singular tridiagonal system at time index {k}")
     return f
 
 
-def _march(bands, first, src, scale, what):
+def _march(bands, first, src, scale, what, weight=None):
     """Implicit Euler steps S_k f^k = f^j + scale src^k from the end slice
     ``first``: backward (j = k + 1, from t = T) when scale < 0, else forward
-    (j = k - 1, from t = 0).  One band column is factored once (gttrf) and
-    each level back-substitutes (gttrs); else each level is one gtsv."""
-    levels = range(src.shape[1] - 2, -1, -1) if scale < 0.0 else range(1, src.shape[1])
-    prev = 1 if scale < 0.0 else -1
-    f = np.empty(src.shape)
-    f[:, levels[0] + prev] = first
-    sub, diag, sup = bands
-    lu = None
-    if diag.shape[1] == 1:
-        *lu, info = lapack.dgttrf(sub[1:, 0], diag[:, 0], sup[:-1, 0])
+    (j = k - 1, from t = 0).  With a ``weight`` column the source term is
+    scale (weight src^k), rounded in that order.
+
+    Level k is row k of one C-ordered (n_t+1, n_x) buffer filled once with
+    the source term; each step adds the previous row and solves in place.
+    One band column is factored once (gttrf) and each row back-substitutes
+    (gttrs); else each row is one gtsv on a transposed copy of the bands, so
+    the problem's bands stay intact.  Returns a fresh C-ordered (n_x, n_t+1)
+    array.
+    """
+    backward = scale < 0.0
+    levels = range(src.shape[1] - 2, -1, -1) if backward else range(1, src.shape[1])
+    prev = 1 if backward else -1
+    f = np.empty(src.shape[::-1])
+    if weight is None:
+        np.multiply(scale, src, out=f.T)
+    else:
+        np.multiply(weight, src, out=f.T)
+        f *= scale
+    f[levels[0] + prev] = first
+    if bands[1].shape[1] == 1:
+        sub, diag, sup = (band[:, 0] for band in bands)
+        *lu, info = lapack.dgttrf(sub[1:], diag, sup[:-1])
         if info != 0:
             raise SolverError(f"singular tridiagonal system at time index {levels[0]}")
-    for k in levels:
-        rhs = f[:, k + prev] + scale * src[:, k]
-        f[:, k] = (lapack.dgttrs(*lu, rhs, overwrite_b=1)[0] if lu
-                   else _implicit_step(sub[:, k], diag[:, k], sup[:, k], rhs, k))
+        for k in levels:
+            b = f[k]
+            b += f[k + prev]
+            lapack.dgttrs(*lu, b, overwrite_b=1)
+    else:
+        sub, diag, sup = (band.T.copy() for band in bands)
+        for k in levels:
+            b = f[k]
+            b += f[k + prev]
+            _implicit_step(sub[k], diag[k], sup[k], b, k)
     if not np.all(np.isfinite(f)):
         raise SolverError(f"{what} sweep produced non-finite entries")
-    return f
+    return f.T.copy()
 
 
 def solve_hjb_linear(prob: HjbLinearProblem) -> SpaceTimeField:
@@ -251,7 +278,7 @@ def solve_hjb_linear(prob: HjbLinearProblem) -> SpaceTimeField:
     """
     g = prob.grid
     u = _march(prob._step_bands, prob.terminal, prob.source, -g.dt, "value")
-    return SpaceTimeField(u, g)
+    return SpaceTimeField._adopt(u, g)
 
 
 def solve_fp_linear(prob: FpLinearProblem) -> SpaceTimeField:
@@ -264,8 +291,9 @@ def solve_fp_linear(prob: FpLinearProblem) -> SpaceTimeField:
     """
     g = prob.grid
     a = prob.coeff.a(g.x)[:, None]
-    v = _march(prob._step_bands, a[:, 0] * prob.initial, a * prob.source, g.dt, "density")
-    return SpaceTimeField(v / a, g)
+    v = _march(prob._step_bands, a[:, 0] * prob.initial, prob.source, g.dt, "density", a)
+    v /= a
+    return SpaceTimeField._adopt(v, g)
 
 
 def apply_hjb_operator(u: FieldLike, prob: HjbLinearProblem) -> SpaceTimeField:

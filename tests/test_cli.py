@@ -369,3 +369,16 @@ def test_ratio_rows_match_per_cell_formatting(tmp_path):
     _write_csv(want, names, units, per_cell)
     assert got.read_bytes() == want.read_bytes()
     assert b"NaN,1" in got.read_bytes() and b"-Infinity,0" in got.read_bytes()
+
+
+def test_parser_reuse_keeps_no_state_between_calls(tmp_path):
+    cfg = str(CONFIGS / "solve_zero.json")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "a"), "--threads", "2"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--out", str(tmp_path / "b"), "--threads", "3"])  # no --config
+    assert exc.value.code == 2
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    docs = [json.loads((tmp_path / d / "result.json").read_text(encoding="utf-8"))
+            for d in ("a", "c")]
+    assert [doc["threads"] for doc in docs] == [2, 1]
+    assert not (tmp_path / "b").exists()

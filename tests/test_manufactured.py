@@ -131,3 +131,38 @@ def test_space_refinement_drops_error():
     res = convergence_study(c, "space")
     assert res.errors[-1] < res.errors[0] / 8
     assert 1.7 <= res.observed_order <= 2.3
+
+
+def _sources_out_of_place(c, x, t):
+    """Reference: F and G as whole expressions, one temporary per operation."""
+    base = c.u_t(x, t) + c.A.f(x) * c.u_xx(x, t)
+    if c.tag == "mfg_nonlinear":
+        ux = c.u_x(x, t)
+        F = base - 0.5 * c.p.f(x) * ux * ux + c.d.f(x) * c.m(x, t)
+    else:
+        F = base + c.d1.f(x) * c.u_x(x, t)
+        if c.tag == "mfg_linear":
+            F = F - c.d2.f(x) * c.m(x, t)
+    base = c.m_t(x, t) - c.am_xx(x, t)
+    if c.tag == "mfg_nonlinear":
+        ux = c.u_x(x, t)
+        G = base - (c.p.f1(x) * c.m(x, t) * ux + c.p.f(x) * c.m_x(x, t) * ux
+                    + c.p.f(x) * c.m(x, t) * c.u_xx(x, t))
+    else:
+        G = base + c.c1.f(x) * c.m_x(x, t) - c.b.f(x) * c.m(x, t)
+        if c.tag == "mfg_linear":
+            G = G - c.c2.f(x) * c.u_x(x, t) - c.rho.f(x) * c.u_xx(x, t)
+    return F, G
+
+
+@pytest.mark.parametrize("name", catalog())
+def test_in_place_sources_equal_out_of_place_reference(name):
+    c = make_case(name)
+    g = SpaceTimeGrid(33, 17, c.T)
+    points = [(g.x[:, None], g.t[None, :]), (0.3, 0.7), (g.x[5], 0.0)]
+    for x, t in points:
+        F, G = _sources_out_of_place(c, x, t)
+        assert np.array_equal(c.F(x, t), F)
+        assert np.array_equal(c.G(x, t), G)
+    assert np.array_equal(c.source_G(g).values, _sources_out_of_place(c, *points[0])[1])
+    assert np.shape(c.F(0.3, 0.7)) == () and np.shape(c.G(0.3, 0.7)) == ()

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from degenmfg import solvers
-from degenmfg.domain import DegenerateCoefficient, SpaceTimeGrid
+from degenmfg.domain import DegenerateCoefficient, SpaceTimeField, SpaceTimeGrid
 from degenmfg.mfg import MfgCoefficients, solve_linearized_mfg
 from degenmfg.solvers import (
     FpLinearProblem,
@@ -334,3 +334,108 @@ def test_hypothesis_ratios_equal_full_array_ratios(kind):
     want = float(np.max(np.abs(full) / WF.sqrt_a(x)[:, None]))
     assert HjbLinearProblem(g, WF, drift=coef).drift_ratio == want
     assert FpLinearProblem(g, WF, convection=coef).convection_ratio == want
+
+
+def _column_march(bands, first, src, scale):
+    """Reference: the column-by-column march that preceded the time-major
+    buffer (a fresh right-hand side per level, copied into column k)."""
+    levels = range(src.shape[1] - 2, -1, -1) if scale < 0.0 else range(1, src.shape[1])
+    prev = 1 if scale < 0.0 else -1
+    f = np.empty(src.shape)
+    f[:, levels[0] + prev] = first
+    sub, diag, sup = bands
+    lu = None
+    if diag.shape[1] == 1:
+        *lu, _ = solvers.lapack.dgttrf(sub[1:, 0], diag[:, 0], sup[:-1, 0])
+    for k in levels:
+        rhs = f[:, k + prev] + scale * src[:, k]
+        f[:, k] = (solvers.lapack.dgttrs(*lu, rhs, overwrite_b=1)[0] if lu
+                   else solvers.lapack.dgtsv(sub[1:, k], diag[:, k], sup[:-1, k], rhs)[3])
+    return f
+
+
+def _march_case(n_x, n_t, columns, seed):
+    """Random diffusion-dominated step bands (one column or one per level), an
+    end slice and a source trajectory."""
+    rng = np.random.default_rng(seed)
+    g = SpaceTimeGrid(n_x, n_t, 1.0)
+    width = 1 if columns == "one" else n_t + 1
+    a = 0.1 + rng.random((n_x, 1))
+    d = rng.standard_normal((n_x, width))
+    q = rng.standard_normal((n_x, width))
+    bands = _to_step_bands(*_band_fields(a, d, q, g.h), g.dt)
+    return bands, rng.standard_normal(n_x), rng.standard_normal(g.shape), g.dt
+
+
+@pytest.mark.parametrize("n_x", [4, 64, 257])
+@pytest.mark.parametrize("n_t", [2, 7, 130])
+@pytest.mark.parametrize("columns", ["one", "full"])
+@pytest.mark.parametrize("backward", [True, False])
+def test_time_major_march_equals_column_march(n_x, n_t, columns, backward):
+    bands, first, src, dt = _march_case(n_x, n_t, columns, seed=n_x * n_t)
+    scale = -dt if backward else dt
+    kept = [b.copy() for b in bands]
+    got = solvers._march(bands, first, src, scale, "value")
+    assert np.array_equal(got, _column_march(bands, first, src, scale))
+    assert got.flags.c_contiguous and got.shape == src.shape
+    assert all(np.array_equal(b, k) for b, k in zip(bands, kept))
+    # a stride-0 source, as _traj makes for scalars and profiles
+    flat = np.broadcast_to(src[:, :1], src.shape)
+    assert np.array_equal(solvers._march(bands, first, flat, scale, "value"),
+                          _column_march(bands, first, flat, scale))
+    # the density path: weight times source, then the step scale
+    weight = 0.5 + np.arange(n_x)[:, None] / n_x
+    assert np.array_equal(solvers._march(bands, first, src, scale, "density", weight),
+                          _column_march(bands, first, weight * src, scale))
+
+
+def _owns_its_memory(field, *others):
+    v = field.values
+    return (v.flags.c_contiguous and not v.flags.writeable
+            and not any(np.shares_memory(v, o) for o in others))
+
+
+@pytest.mark.parametrize("kind", ["static", "time-varying", "fortran-ordered"])
+def test_solver_outputs_are_fresh_frozen_c_arrays(kind):
+    g = SpaceTimeGrid(24, 20, 1.0)
+    if kind == "static":
+        hjb, fp = _static_problems(g, np.random.default_rng(5))
+    else:
+        hjb, fp = _random_problems(g)
+    if kind == "fortran-ordered":
+        # column-major coefficients give column-major bands, whose levels are
+        # contiguous: a gtsv on them in place would overwrite the cache
+        hjb = HjbLinearProblem(g, WF, drift=np.asfortranarray(hjb.drift),
+                               source=hjb.source, terminal=hjb.terminal)
+        fp = FpLinearProblem(g, P22, convection=np.asfortranarray(fp.convection),
+                             zeroth=np.asfortranarray(fp.zeroth), source=fp.source,
+                             initial=fp.initial)
+        assert all(any(b.flags.f_contiguous for b in p._step_bands) for p in (hjb, fp))
+    for prob, solve, end in ((hjb, solve_hjb_linear, hjb.terminal),
+                             (fp, solve_fp_linear, fp.initial)):
+        kept = [b.copy() for b in prob._step_bands]
+        first, second = solve(prob), solve(prob)
+        assert _owns_its_memory(first, prob.source, end, second.values, *prob._step_bands)
+        assert np.array_equal(first.values, second.values)
+        assert all(np.array_equal(b, k) for b, k in zip(prob._step_bands, kept))
+
+
+def test_coupled_solution_fields_are_fresh_frozen_c_arrays():
+    g = SpaceTimeGrid(32, 24, 1.0)
+    x = g.x
+    coeffs = MfgCoefficients(
+        P22, g, d1=0.3 * x * (1 - x), d2=-0.4 * P22.a(x), c1=0.2 * x * (1 - x),
+        b=0.4, c2=0.1, rho=0.05 * x * (1 - x),
+    )
+    F = np.sin(np.pi * x)[:, None] * (1.0 + g.t)
+    sol = solve_linearized_mfg(coeffs, F=F, m0=16.0 * P22.a(x))
+    assert sol.converged and sol.sweeps > 1
+    assert _owns_its_memory(sol.u, sol.m.values, F)
+    assert _owns_its_memory(sol.m, sol.u.values, F)
+
+
+def test_public_field_construction_still_copies():
+    g = SpaceTimeGrid(8, 4, 1.0)
+    arr = np.ones(g.shape)
+    field = SpaceTimeField(arr, g)
+    assert arr.flags.writeable and not np.shares_memory(arr, field.values)
