@@ -27,16 +27,25 @@ Two residual notions coexist on purpose:
 * ``hjb_scheme_residual`` / ``fp_scheme_residual`` evaluate exactly the
   implicit-step equations the solvers enforce; on a direct solve they are at
   rounding level, so fixed-point iterations can drive them to tolerance.
+
+The LAPACK routines come from scipy's compiled extension
+``scipy.linalg._flapack``, the module ``scipy.linalg.lapack`` re-exports.
+``_load_lapack`` loads that file directly, so a command never imports the
+``scipy.linalg`` package (about half of a cold start); it imports the public
+module only when the file is not where scipy's layout puts it or cannot be
+loaded that way.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.linalg import lapack
 
 from degenmfg.domain import (
     DegenerateCoefficient,
@@ -46,6 +55,49 @@ from degenmfg.domain import (
     _dx_array,
     _dxx_array,
 )
+
+
+def _load_lapack():
+    """scipy's compiled LAPACK wrappers, without importing ``scipy.linalg``.
+
+    The routines used here (dgtsv, dgttrf, dgttrs) live in the f2py extension
+    ``scipy/linalg/_flapack``; ``scipy.linalg.lapack`` re-exports them.
+    Importing that package runs all of ``scipy.linalg`` and its array-API
+    layer (which pulls in ``numpy.f2py`` and ``numpy.testing``), about half of
+    a cold command's start-up.  So the extension file is found next to
+    scipy's package directory (``find_spec`` does not import scipy) and loaded
+    under its canonical name.  The loader itself writes nothing to
+    ``sys.modules``, but CPython registers the extension there while
+    initialising it: afterwards ``sys.modules`` holds
+    ``scipy.linalg._flapack`` without its parent packages ``scipy`` and
+    ``scipy.linalg``.  A later ``import scipy.linalg`` reuses that
+    initialised extension.
+
+    The public ``scipy.linalg.lapack`` is imported instead when the file is
+    not there (scipy missing, or installed in another layout) or fails to
+    load (loading it this way skips ``scipy/__init__.py``, where some builds
+    make the extension's shared libraries findable).  A missing scipy then
+    raises the usual ``ModuleNotFoundError``.
+    """
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                try:
+                    ext = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+                    module = importlib.util.module_from_spec(ext)
+                    ext.loader.exec_module(module)
+                    return module
+                except ImportError:
+                    pass
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+lapack = _load_lapack()
 
 __all__ = [
     "SolverError",

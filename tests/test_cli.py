@@ -382,3 +382,34 @@ def test_parser_reuse_keeps_no_state_between_calls(tmp_path):
             for d in ("a", "c")]
     assert [doc["threads"] for doc in docs] == [2, 1]
     assert not (tmp_path / "b").exists()
+
+
+def test_cold_solve_never_imports_scipy_linalg(tmp_path):
+    """A fresh interpreter runs a solve without the scipy.linalg package (or
+    the numpy.f2py and numpy.testing it pulls in): only its LAPACK
+    extension is loaded."""
+    import os
+    import subprocess
+    import sys
+
+    root = CONFIGS.parent
+    script = (
+        "import json, sys\n"
+        "import degenmfg.cli\n"
+        "code = degenmfg.cli.main(sys.argv[1:])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy')"
+        " or m in ('numpy.f2py', 'numpy.testing'))))\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve", "--config", str(CONFIGS / "solve_zero.json"),
+         "--out", str(tmp_path / "run")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # CPython registers the directly loaded extension under its canonical
+    # name, and nothing else of scipy: no parent packages, no numpy.f2py or
+    # numpy.testing
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == ["scipy.linalg._flapack"]
+    assert (tmp_path / "run" / "result.json").stat().st_size > 0

@@ -439,3 +439,64 @@ def test_public_field_construction_still_copies():
     arr = np.ones(g.shape)
     field = SpaceTimeField(arr, g)
     assert arr.flags.writeable and not np.shares_memory(arr, field.values)
+
+
+def _pivoting_bands(n, rng):
+    """Random tridiagonal bands where every third row has |dl| > |d|, so the
+    partial pivoting of gtsv/gttrf swaps rows there."""
+    dl = rng.standard_normal(n - 1)
+    d = rng.standard_normal(n)
+    du = rng.standard_normal(n - 1)
+    dl[::3] = 4.0 + rng.random(dl[::3].shape)
+    d[1::3] = 0.1 * rng.random(d[1::3].shape)
+    return dl, d, du, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [4, 64, 257])
+def test_loaded_lapack_equals_public_scipy_lapack(n):
+    from scipy.linalg import lapack as public
+
+    dl, d, du, b = _pivoting_bands(n, np.random.default_rng(n))
+    assert np.any(np.abs(dl) > np.abs(d[1:]))
+    got = solvers.lapack.dgtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+    want = public.dgtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+    assert got[4] == want[4] == 0
+    assert all(np.array_equal(g, w) for g, w in zip(got[:4], want[:4]))
+    *lu_got, info_got = solvers.lapack.dgttrf(dl, d, du)
+    *lu_want, info_want = public.dgttrf(dl, d, du)
+    assert info_got == info_want == 0
+    assert all(np.array_equal(g, w) for g, w in zip(lu_got, lu_want))
+    assert not np.array_equal(lu_got[4], np.arange(1, n + 1))  # rows were swapped
+    x_got, _ = solvers.lapack.dgttrs(*lu_got, b.copy())
+    x_want, _ = public.dgttrs(*lu_want, b.copy())
+    assert np.array_equal(x_got, x_want)
+
+
+@pytest.mark.parametrize("missing", ["extension file", "scipy spec", "create error", "exec error"])
+def test_lapack_loader_falls_back_to_public_module(monkeypatch, missing):
+    import importlib.machinery
+    import importlib.util
+
+    from scipy.linalg import lapack as public
+
+    cases = [_march_case(64, 33, columns, seed=11) for columns in ("one", "full")]
+    direct = [solvers._march(bands, first, src, -dt, "value") for bands, first, src, dt in cases]
+    if missing == "extension file":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    elif missing.endswith("error"):
+        # the file is there but will not load, e.g. its shared libraries are
+        # not findable without scipy/__init__.py
+        def fail(*args):
+            raise ImportError("DLL load failed")
+
+        step = "create_module" if missing == "create error" else "exec_module"
+        monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, step, fail)
+    else:
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *a: None if name == "scipy" else find_spec(name, *a))
+    loaded = solvers._load_lapack()
+    assert loaded is public
+    monkeypatch.setattr(solvers, "lapack", loaded)
+    for (bands, first, src, dt), want in zip(cases, direct):
+        assert np.array_equal(solvers._march(bands, first, src, -dt, "value"), want)
