@@ -193,6 +193,19 @@ def coeff_smooth(coeff: DegenerateCoefficient) -> Smooth:
 _TAGS = ("hjb", "fp", "mfg_linear", "mfg_nonlinear")
 
 
+def _scaled(term, factor, *more):
+    """term * factor * more[0] * ..., left to right, in place in ``term``.
+
+    ``term`` must be a fresh result that no caller holds, e.g. a field
+    evaluation.  Products commute, so this is bitwise
+    factor * term * more[0] * ....  Scalar points rebind instead of writing.
+    """
+    term *= factor
+    for f in more:
+        term *= f
+    return term
+
+
 @dataclass
 class ManufacturedCase:
     """One exact-solution scenario: fields, coefficients, and sources.
@@ -261,19 +274,22 @@ class ManufacturedCase:
     def F(self, x, t):
         """Value-equation source making the exact fields solve the system.
 
-        Terms accumulate left to right into the first one, in place, so a
-        grid sample holds the running sum and one term at a time.
+        Terms accumulate left to right into the first one, in place.  Each
+        term is built as one temporary and scaled in place by its spatial
+        factor (products commute, so the sums are bitwise those of the
+        written-out expression): a grid sample holds the running sum and one
+        term at a time.
         """
         out = self.u_t(x, t)
-        out += self.A.f(x) * self.u_xx(x, t)
+        out += _scaled(self.u_xx(x, t), self.A.f(x))
         if self.tag == "mfg_nonlinear":
             ux = self.u_x(x, t)
-            out -= 0.5 * self.p.f(x) * ux * ux
-            out += self.d.f(x) * self.m(x, t)
+            out -= _scaled(0.5 * self.p.f(x) * ux, ux)
+            out += _scaled(self.m(x, t), self.d.f(x))
             return out
-        out += self.d1.f(x) * self.u_x(x, t)
+        out += _scaled(self.u_x(x, t), self.d1.f(x))
         if self.tag in ("mfg_linear",):
-            out -= self.d2.f(x) * self.m(x, t)
+            out -= _scaled(self.m(x, t), self.d2.f(x))
         return out
 
     def G(self, x, t):
@@ -282,16 +298,16 @@ class ManufacturedCase:
         out -= self.am_xx(x, t)
         if self.tag == "mfg_nonlinear":
             ux = self.u_x(x, t)
-            flux_x = self.p.f1(x) * self.m(x, t) * ux
-            flux_x += self.p.f(x) * self.m_x(x, t) * ux
-            flux_x += self.p.f(x) * self.m(x, t) * self.u_xx(x, t)
+            flux_x = _scaled(self.m(x, t), self.p.f1(x), ux)
+            flux_x += _scaled(self.m_x(x, t), self.p.f(x), ux)
+            flux_x += _scaled(self.m(x, t), self.p.f(x), self.u_xx(x, t))
             out -= flux_x
             return out
-        out += self.c1.f(x) * self.m_x(x, t)
-        out -= self.b.f(x) * self.m(x, t)
+        out += _scaled(self.m_x(x, t), self.c1.f(x))
+        out -= _scaled(self.m(x, t), self.b.f(x))
         if self.tag in ("mfg_linear",):
-            out -= self.c2.f(x) * self.u_x(x, t)
-            out -= self.rho.f(x) * self.u_xx(x, t)
+            out -= _scaled(self.u_x(x, t), self.c2.f(x))
+            out -= _scaled(self.u_xx(x, t), self.rho.f(x))
         return out
 
     # grid samplers

@@ -3,10 +3,12 @@
 The coupled systems pair a backward value equation with a forward density
 equation.  Both solvers share one Picard driver: freeze the density, solve
 the value equation; freeze the value, solve the density equation; blend each
-candidate into the iterate with the current damping.  The damping starts at
-IterConfig.damping (default 1.0, a full step) and the first sweep always
-takes the full step, so a fully decoupled system finishes in one sweep,
-bit-identical to the two scalar solves.  A sweep whose residual exceeds
+candidate into the iterate with the current damping.  The iteration starts
+from u = m = 0, or for the quadratic-Hamiltonian system from a given
+``start`` pair (stability ladders start near the answer).  The damping
+starts at IterConfig.damping (default 1.0, a full step) and the first sweep
+always takes the full step, so a fully decoupled system finishes in one
+sweep, bit-identical to the two scalar solves.  A sweep whose residual exceeds
 divergence_factor times the best one so far is rejected: the damping halves
 and the iteration restarts from the best pair.  Once the damping would fall
 below DAMPING_FLOOR (1/64), the solve gives up and returns the best pair with
@@ -141,7 +143,9 @@ def _blend(old: np.ndarray, cand: np.ndarray, step: float) -> np.ndarray:
     return old + step * (cand - old)
 
 
-def _picard(g: SpaceTimeGrid, cfg: IterConfig, value_problem, density_problem):
+def _picard(
+    g: SpaceTimeGrid, cfg: IterConfig, value_problem, density_problem, start=None
+):
     """Picard sweeps with backtracking, shared by both coupled solvers.
 
     ``value_problem(u, m)`` builds the value equation linearized at the pair
@@ -149,9 +153,10 @@ def _picard(g: SpaceTimeGrid, cfg: IterConfig, value_problem, density_problem):
     The residual of a sweep is the larger scheme residual at the new pair,
     with the value equation rebuilt there: at a fixed point that is the
     discrete system itself, and it is also the next sweep's value equation.
+    The iteration starts from the array pair ``start`` (only read), and
+    from zeros when it is None.
     """
-    u = np.zeros(g.shape)
-    m = np.zeros(g.shape)
+    u, m = (np.zeros(g.shape), np.zeros(g.shape)) if start is None else start
     hjb = value_problem(u, m)
     best = (np.inf, u, m, hjb)
     damping = cfg.damping
@@ -243,6 +248,7 @@ def solve_nonlinear_mfg(
     h: FieldLike = 0.0,
     grid: Optional[SpaceTimeGrid] = None,
     cfg: IterConfig = IterConfig(),
+    start: Optional[tuple] = None,
 ) -> MfgSolution:
     """Picard iteration for the quadratic-Hamiltonian system.
 
@@ -252,12 +258,21 @@ def solve_nonlinear_mfg(
     term (p u_x)_x.  Uses only the p and d layers of ``coeffs``.  With p = 0
     the sweep sequence coincides, operation for operation, with
     solve_linearized_mfg(d2=-d): they agree to machine precision.
+
+    ``start`` is the (u, m) pair the iteration starts from, fields or arrays
+    coerced like F and G (a shape the grid cannot take raises ValueError);
+    it is only read.  The default None starts from u = m = 0.  A start near
+    the solution, such as a nearby solve's result, saves sweeps; the solve
+    still stops on the same residual tolerance.
     """
     g = coeffs.grid
     if grid is not None and grid.shape != g.shape:
         raise ValueError("grid does not match the coefficient grid")
     Ft = _traj(F, g, "F")
     Gt = _traj(G, g, "G")
+    if start is not None:
+        u_start, m_start = start
+        start = (_traj(u_start, g, "start u"), _traj(m_start, g, "start m"))
     p = coeffs.p
 
     def value_problem(u, m):
@@ -281,7 +296,7 @@ def solve_nonlinear_mfg(
             initial=m0,
         )
 
-    return _picard(g, cfg, value_problem, density_problem)
+    return _picard(g, cfg, value_problem, density_problem, start)
 
 
 def form_difference_coefficients(

@@ -222,3 +222,53 @@ def test_iter_config_validation():
         IterConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         IterConfig(divergence_factor=1.0)
+
+
+def _stock_coeffs(g):
+    x = g.x
+    coeffs = MfgCoefficients(P22, g, p=0.5 * x * (1 - x), d=0.4 * P22.a(x))
+    return coeffs, 16.0 * P22.a(x), 16.0 * P22.a(x)
+
+
+def test_zero_start_is_the_default_bit_for_bit():
+    g = _grid()
+    coeffs, m0, h = _stock_coeffs(g)
+    cold = solve_nonlinear_mfg(coeffs, m0=m0, h=h)
+    zero = solve_nonlinear_mfg(coeffs, m0=m0, h=h, start=(0.0, np.zeros(g.shape)))
+    assert zero.residual_log == cold.residual_log
+    assert np.array_equal(zero.u.values, cold.u.values)
+    assert np.array_equal(zero.m.values, cold.m.values)
+
+
+def test_solve_started_at_its_own_solution_takes_one_sweep():
+    g = _grid()
+    coeffs, m0, h = _stock_coeffs(g)
+    sol = solve_nonlinear_mfg(coeffs, m0=m0, h=h)
+    assert sol.converged and sol.sweeps > 1
+    again = solve_nonlinear_mfg(coeffs, m0=m0, h=h, start=(sol.u, sol.m))
+    assert again.converged and again.sweeps == 1
+    scale = np.max(np.abs(sol.u.values))
+    assert np.max(np.abs(again.u.values - sol.u.values)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        (np.zeros((48, 48)), 0.0),  # one time column short
+        (0.0, np.zeros(47)),  # a profile one node short
+        (SpaceTimeGrid(24, 48, 1.0).x, 0.0),  # a coarser grid's profile
+    ],
+)
+def test_start_on_a_wrong_grid_raises_value_error(start):
+    g = _grid()
+    coeffs, m0, h = _stock_coeffs(g)
+    with pytest.raises(ValueError, match=r"^start [um]: "):
+        solve_nonlinear_mfg(coeffs, m0=m0, h=h, start=start)
+
+
+def test_start_field_on_another_grid_raises_value_error():
+    g = _grid()
+    other = solve_nonlinear_mfg(MfgCoefficients(P22, _grid(48, 24)))
+    coeffs, m0, h = _stock_coeffs(g)
+    with pytest.raises(ValueError, match=r"^start u: field grid"):
+        solve_nonlinear_mfg(coeffs, m0=m0, h=h, start=(other.u, other.m))

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from mpmath import exp, expm1, log, mp, mpf
 
@@ -198,3 +199,70 @@ def test_log_experiment_reuses_given_pairs():
     bspec = default_backward_spec()
     pairs = build_ladder_pairs(bspec, DEFAULT_LOG_LADDER, grid=GRID)
     assert run_log_experiment(bspec, pairs=pairs) == run_log_experiment(bspec, grid=GRID)
+
+
+def _cold_pairs(bspec, ladder):
+    """The ladder's pairs with every perturbed solve started from zero."""
+    base = None
+    out = []
+    for eps in ladder:
+        sol1, sol2 = generate_pair(
+            (bspec.m0, bspec.h), (bspec.delta_m0, bspec.delta_h), eps,
+            bspec.problem, grid=GRID, base_solution=base, start=(0.0, 0.0),
+        )
+        base = sol1
+        out.append((eps, (sol1, sol2)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "ladder", [DEFAULT_HOLDER_LADDER, DEFAULT_LOG_LADDER, (1e-3, 0.0, 1e-4)]
+)
+def test_continuation_pairs_match_cold_pairs_in_fewer_sweeps(ladder):
+    bspec = default_backward_spec()
+    warm = build_ladder_pairs(bspec, ladder, grid=GRID)
+    cold = _cold_pairs(bspec, ladder)
+    assert warm[0][1][0] is warm[-1][1][0]  # one shared base solve
+    for (eps_w, (b_w, s_w)), (eps_c, (b_c, s_c)) in zip(warm, cold):
+        assert eps_w == eps_c and s_w.converged
+        assert np.array_equal(b_w.u.values, b_c.u.values)
+        for f_w, f_c in ((s_w.u, s_c.u), (s_w.m, s_c.m)):
+            scale = np.max(np.abs(f_c.values))
+            assert np.max(np.abs(f_w.values - f_c.values)) <= 1e-8 * scale
+    sweeps_warm = sum(s.sweeps for _, (_, s) in warm)
+    sweeps_cold = sum(s.sweeps for _, (_, s) in cold)
+    assert sweeps_warm < sweeps_cold
+
+
+def test_generate_pair_same_perturbed_solve_with_or_without_base_solution():
+    bspec = default_backward_spec()
+    base = (bspec.m0, bspec.h)
+    pert = (bspec.delta_m0, bspec.delta_h)
+    own = generate_pair(base, pert, 1e-3, bspec.problem, grid=GRID)
+    given = generate_pair(
+        base, pert, 1e-3, bspec.problem, grid=GRID, base_solution=own[0]
+    )
+    assert given[0] is own[0]
+    assert given[1].residual_log == own[1].residual_log
+    assert np.array_equal(given[1].u.values, own[1].u.values)
+    assert np.array_equal(given[1].m.values, own[1].m.values)
+
+
+def test_generate_pair_start_on_a_wrong_grid_raises_value_error():
+    bspec = default_backward_spec()
+    base = (bspec.m0, bspec.h)
+    pert = (bspec.delta_m0, bspec.delta_h)
+    sol1, _ = generate_pair(base, pert, 1e-3, bspec.problem, grid=GRID)
+    bad = np.zeros((GRID.n_x + 1, GRID.n_t + 1))
+    with pytest.raises(ValueError, match=r"^start u: "):
+        generate_pair(
+            base, pert, 1e-3, bspec.problem, grid=GRID,
+            base_solution=sol1, start=(bad, sol1.m),
+        )
+    coarse = build_ladder_pairs(bspec, [1e-3], grid=SpaceTimeGrid(32, 64, 1.0))
+    other = coarse[0][1][1]
+    with pytest.raises(ValueError, match=r"^start u: field grid"):
+        generate_pair(
+            base, pert, 1e-3, bspec.problem, grid=GRID,
+            base_solution=sol1, start=(other.u, other.m),
+        )
