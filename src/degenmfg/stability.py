@@ -36,7 +36,7 @@ from degenmfg.mfg import (
     MfgSolution,
     solve_nonlinear_mfg,
 )
-from degenmfg.solvers import SolverError
+from degenmfg.solvers import SolverError, _traj
 
 __all__ = [
     "theoretical_theta",
@@ -257,6 +257,8 @@ def generate_pair(
     coeffs = spec.coefficients_on(g)
     Fv = _profile(spec.F, x, "F")
     Gv = _profile(spec.G, x, "G")
+    if start is not None:  # a wrong shape fails before any Picard work
+        start = (_traj(start[0], g, "start u"), _traj(start[1], g, "start m"))
     if base_solution is None:
         sol1 = solve_nonlinear_mfg(coeffs, F=Fv, G=Gv, m0=m0, h=h, cfg=cfg)
         if not sol1.converged:
@@ -331,13 +333,18 @@ def _pair_diff(pair):
 
 
 def _end_norms(u, m, coeff: DegenerateCoefficient, g: SpaceTimeGrid, order: int, col: int):
-    """Weighted norms of (d/dt)^k u and (d/dt)^k m at time column col, k <= order.
+    """Weighted norms of (d/dt)^k u and (d/dt)^k m, k <= order, at the end
+    column col (0 or -1).
 
     The value part is measured in H1(1/a), the density part in the H1(a)
-    product norm; returns the two lists of per-order norms.
+    product norm; returns the two lists of per-order norms.  Only the
+    order + 3 end columns are differentiated: the one-sided end stencils
+    read no further.
     """
     nu = [weighted_norm(u[:, col], NormKind.H1_INV_A, coeff, g)]
     nm = [weighted_norm(m[:, col], NormKind.H1A_DIV, coeff, g)]
+    ends = slice(None, order + 3) if col == 0 else slice(-order - 3, None)
+    u, m = u[:, ends], m[:, ends]
     for k in range(1, order + 1):
         nu.append(weighted_norm(_dt_array(u, g.dt, k)[:, col], NormKind.H1_INV_A, coeff, g))
         nm.append(weighted_norm(_dt_array(m, g.dt, k)[:, col], NormKind.H1A_DIV, coeff, g))

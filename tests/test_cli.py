@@ -413,3 +413,77 @@ def test_cold_solve_never_imports_scipy_linalg(tmp_path):
     # numpy.testing
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == ["scipy.linalg._flapack"]
     assert (tmp_path / "run" / "result.json").stat().st_size > 0
+
+
+def _has_mallopt() -> bool:
+    import ctypes
+
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_freed_arrays_are_reused_without_page_faults(tmp_path):
+    """After one command, freeing and reallocating trajectory-sized arrays
+    reuses resident heap: glibc's default thresholds would mmap each 320 KB
+    array and fault its pages in again on every round (about 6,400 faults
+    over 50 rounds).  The first round may still grow the heap, so it runs
+    before the count starts."""
+    import os
+    import subprocess
+    import sys
+
+    root = CONFIGS.parent
+    script = (
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "import degenmfg.cli\n"
+        "assert degenmfg.cli.main(sys.argv[1:]) == 0\n"
+        "def churn():\n"
+        "    a, b, c = np.ones((256, 160)), np.ones((256, 160)), np.ones((256, 160))\n"
+        "churn()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(50):\n"
+        "    churn()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve", "--config", str(CONFIGS / "solve_zero.json"),
+         "--out", str(tmp_path / "run")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.strip().splitlines()[-1]) <= 10
+
+
+@pytest.mark.parametrize("libc", ["raises", "no_mallopt"])
+def test_solve_without_mallopt_gives_the_same_result(tmp_path, monkeypatch, libc):
+    import ctypes
+
+    from degenmfg import cli
+
+    opened = []
+
+    def cdll(name):
+        opened.append(name)
+        if libc == "raises":
+            raise OSError("no C library")
+        return object()
+
+    cfg = str(CONFIGS / "solve_zero.json")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "ref")]) == 0
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cli._keep_heap_resident.cache_clear()
+    try:
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    finally:
+        cli._keep_heap_resident.cache_clear()
+    assert opened == [None]
+    docs = [json.loads((tmp_path / d / "result.json").read_text(encoding="utf-8"))
+            for d in ("ref", "run")]
+    for doc in docs:
+        doc.pop("timestamp")
+    assert docs[0] == docs[1]

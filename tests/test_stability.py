@@ -266,3 +266,39 @@ def test_generate_pair_start_on_a_wrong_grid_raises_value_error():
             base, pert, 1e-3, bspec.problem, grid=GRID,
             base_solution=sol1, start=(other.u, other.m),
         )
+
+
+def test_generate_pair_rejects_a_wrong_start_before_any_solve(monkeypatch):
+    from degenmfg import stability
+
+    calls = []
+    real = stability.solve_nonlinear_mfg
+    monkeypatch.setattr(
+        stability, "solve_nonlinear_mfg", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    bspec = default_backward_spec()
+    bad = np.zeros((GRID.n_x + 1, GRID.n_t + 1))
+    with pytest.raises(ValueError, match=r"^start m: "):
+        generate_pair(
+            (bspec.m0, bspec.h), (bspec.delta_m0, bspec.delta_h), 1e-3,
+            bspec.problem, grid=GRID, start=(0.0, bad),
+        )
+    assert calls == []
+
+
+@pytest.mark.parametrize("col", [0, -1])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_end_norms_equal_full_trajectory_derivatives(order, col):
+    from degenmfg.domain import NormKind, _dt_array, weighted_norm
+    from degenmfg.stability import _end_norms
+
+    g = SpaceTimeGrid(32, 40, 1.0)
+    coeff = default_backward_spec().problem.coeff
+    rng = np.random.default_rng(7)
+    u, m = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    want_u = [weighted_norm(u[:, col], NormKind.H1_INV_A, coeff, g)]
+    want_m = [weighted_norm(m[:, col], NormKind.H1A_DIV, coeff, g)]
+    for k in range(1, order + 1):
+        want_u.append(weighted_norm(_dt_array(u, g.dt, k)[:, col], NormKind.H1_INV_A, coeff, g))
+        want_m.append(weighted_norm(_dt_array(m, g.dt, k)[:, col], NormKind.H1A_DIV, coeff, g))
+    assert _end_norms(u, m, coeff, g, order, col) == (want_u, want_m)
