@@ -357,7 +357,7 @@ def _fp_scaled(ing: FpIngredients, w: _WeightTable) -> _Scaled:
     return _Scaled(lhs, G, rhs_T, rhs_0, w.K)
 
 
-def _resolve(problem, grid, coeffs=None):
+def _resolve(problem, grid):
     """Accept a problem object, a coefficients bundle, or a bare coefficient."""
     if isinstance(problem, (HjbLinearProblem, FpLinearProblem)):
         return problem.coeff, problem.grid

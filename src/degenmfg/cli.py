@@ -14,8 +14,9 @@ header (column names, then units).  The result document embeds the verbatim
 config and its SHA-256 over a canonical serialization; apart from the
 timestamp field, identical configs produce byte-identical result.json.
 
-Exit codes: 0 success; 2 configuration parse/validation error; 3 solver
-non-convergence; 4 more than half of the sweep cells overflow the weight.
+Exit codes: 0 success; 2 configuration read/parse/validation error or an
+output that cannot be written; 3 solver non-convergence; 4 more than half of
+the sweep cells overflow the weight.
 Errors are also emitted to stderr as a JSON diagnostic.  --threads is
 accepted and recorded for provenance, but execution is serial: every command
 here is deterministic and fast at desk scale, and a fixed schedule keeps
@@ -32,9 +33,10 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,7 +78,7 @@ N_T_CAP = 8192
 _LINEAR_COEFF_KEYS = ("d1", "d2", "c1", "c2", "b", "rho")
 _NONLINEAR_COEFF_KEYS = ("p", "d")
 _DATA_KEYS = ("m0", "h", "F", "G")
-_ITER_KEYS = ("max_sweeps", "damping", "tolerance", "divergence_factor")
+_ITER_KEYS = tuple(f.name for f in fields(IterConfig))
 
 
 class ConfigError(Exception):
@@ -227,31 +229,17 @@ def _validate_iter(cfg, errors):
     _num_field(it, "iter", "divergence_factor", errors, lo=1.0, lo_open=True)
 
 
-def _validate_common(cfg, command, errors, extra_optional=()):
-    if not isinstance(cfg, dict):
-        errors.append("config: top level must be an object")
-        raise ConfigError(errors)
-    declared = cfg.get("command")
-    if declared != command:
-        errors.append(
-            f"command: config declares {declared!r} but the CLI invoked {command!r}"
-        )
-    if "seed" in cfg:
-        _int_field(cfg, "", "seed", errors, 0, 2**63 - 1)
-    if "out_dir" in cfg and not isinstance(cfg["out_dir"], str):
-        errors.append("out_dir: must be a string")
+def _validate_system(cfg, errors):
+    system = cfg.get("system")
+    if system not in ("linear", "nonlinear"):
+        errors.append("system: must be 'linear' or 'nonlinear'")
+    else:
+        allowed = _LINEAR_COEFF_KEYS if system == "linear" else _NONLINEAR_COEFF_KEYS
+        _validate_profile_map(cfg, "coefficients", allowed, errors)
 
 
-def _validate_eps_ladder(cfg, errors, key="eps_ladder"):
-    if key not in cfg:
-        return
-    ladder = cfg[key]
-    if not isinstance(ladder, list) or not ladder:
-        errors.append(f"{key}: must be a non-empty list of numbers")
-        return
-    for i, e in enumerate(ladder):
-        if not _is_num(e) or e < 0.0:
-            errors.append(f"{key}[{i}]: must be a number >= 0")
+def _validate_data(cfg, errors):
+    _validate_profile_map(cfg, "data", _DATA_KEYS, errors)
 
 
 def _validate_case(cfg, errors):
@@ -260,42 +248,7 @@ def _validate_case(cfg, errors):
         errors.append(f"case: must be one of {', '.join(catalog())}")
 
 
-# ------------------------------------------------------ per-command validators
-
-def _validate_solve(cfg):
-    errors: list = []
-    _validate_common(cfg, "solve", errors)
-    _keys(
-        cfg, "",
-        ("command", "problem", "grid", "system"),
-        ("coefficients", "data", "iter", "seed", "out_dir"),
-        errors,
-    )
-    _validate_problem(cfg, errors)
-    _validate_grid(cfg, errors)
-    system = cfg.get("system")
-    if system not in ("linear", "nonlinear"):
-        errors.append("system: must be 'linear' or 'nonlinear'")
-    else:
-        allowed = _LINEAR_COEFF_KEYS if system == "linear" else _NONLINEAR_COEFF_KEYS
-        _validate_profile_map(cfg, "coefficients", allowed, errors)
-    _validate_profile_map(cfg, "data", _DATA_KEYS, errors)
-    _validate_iter(cfg, errors)
-    if errors:
-        raise ConfigError(errors)
-
-
-def _validate_verify_carleman(cfg):
-    errors: list = []
-    _validate_common(cfg, "verify-carleman", errors)
-    _keys(
-        cfg, "",
-        ("command", "case", "grid", "s_values", "lam_values"),
-        ("iter", "seed", "out_dir"),
-        errors,
-    )
-    _validate_case(cfg, errors)
-    _validate_grid(cfg, errors)
+def _validate_sweep_values(cfg, errors):
     for key in ("s_values", "lam_values"):
         vals = cfg.get(key)
         if not isinstance(vals, list) or not vals:
@@ -304,95 +257,93 @@ def _validate_verify_carleman(cfg):
         for i, v in enumerate(vals):
             if not _is_num(v) or v <= 0.0:
                 errors.append(f"{key}[{i}]: must be a positive number")
-    _validate_iter(cfg, errors)
-    if errors:
-        raise ConfigError(errors)
 
 
-def _validate_stability(cfg, command):
-    errors: list = []
-    _validate_common(cfg, command, errors)
-    if command == "stability-holder":
-        required = ("command", "grid", "t0")
-        optional = ("eps_ladder", "experiment", "iter", "seed", "out_dir")
-    else:
-        required = ("command", "grid")
-        optional = ("alpha", "eps_ladder", "experiment", "iter", "seed", "out_dir")
-    _keys(cfg, "", required, optional, errors)
-    # the log ladder's data norm D takes second time derivatives: n_t >= 4
-    _validate_grid(cfg, errors, n_t_min=3 if command == "stability-holder" else 4)
-    if command == "stability-holder":
-        t0 = _num_field(cfg, "", "t0", errors, lo=0.0, lo_open=True)
-        T = default_backward_spec().problem.T
-        if t0 is not None and t0 >= T:
-            errors.append(f"t0: must be strictly less than the horizon T={T:g}")
-    else:
-        a = _num_field(cfg, "", "alpha", errors, lo=0.0, lo_open=True)
-        if a is not None and a >= 1.0:
-            errors.append("alpha: must lie strictly inside (0, 1)")
+def _validate_t0(cfg, errors):
+    t0 = _num_field(cfg, "", "t0", errors, lo=0.0, lo_open=True)
+    T = default_backward_spec().problem.T
+    if t0 is not None and t0 >= T:
+        errors.append(f"t0: must be strictly less than the horizon T={T:g}")
+
+
+def _validate_alpha(cfg, errors):
+    a = _num_field(cfg, "", "alpha", errors, lo=0.0, lo_open=True)
+    if a is not None and a >= 1.0:
+        errors.append("alpha: must lie strictly inside (0, 1)")
+
+
+def _validate_experiment(cfg, errors):
     if "experiment" in cfg and cfg["experiment"] != "default":
         errors.append(
             "experiment: only \"default\" is supported here; use the library API "
             "for custom problems"
         )
-    _validate_eps_ladder(cfg, errors)
-    _validate_iter(cfg, errors)
-    if errors:
-        raise ConfigError(errors)
 
 
-def _validate_convergence(cfg):
-    errors: list = []
-    _validate_common(cfg, "convergence", errors)
-    _keys(
-        cfg, "",
-        ("command", "case", "mode"),
-        ("ladder", "iter", "seed", "out_dir"),
-        errors,
-    )
-    _validate_case(cfg, errors)
+def _validate_eps_ladder(cfg, errors):
+    if "eps_ladder" not in cfg:
+        return
+    ladder = cfg["eps_ladder"]
+    if not isinstance(ladder, list) or not ladder:
+        errors.append("eps_ladder: must be a non-empty list of numbers")
+        return
+    for i, e in enumerate(ladder):
+        if not _is_num(e) or e < 0.0:
+            errors.append(f"eps_ladder[{i}]: must be a number >= 0")
+
+
+def _validate_mode(cfg, errors):
     if cfg.get("mode") not in ("space", "time"):
         errors.append("mode: must be 'space' or 'time'")
-    if "ladder" in cfg:
-        ladder = cfg["ladder"]
-        if not isinstance(ladder, list) or len(ladder) < 3:
-            errors.append("ladder: must be a list of at least 3 [n_x, n_t] pairs")
-        else:
-            for i, lvl in enumerate(ladder):
-                if (
-                    not isinstance(lvl, list)
-                    or len(lvl) != 2
-                    or not all(_is_int(v) for v in lvl)
-                    or not (4 <= lvl[0] <= N_X_CAP)
-                    or not (3 <= lvl[1] <= N_T_CAP)
-                ):
-                    errors.append(
-                        f"ladder[{i}]: must be [n_x, n_t] with "
-                        f"4 <= n_x <= {N_X_CAP} and 3 <= n_t <= {N_T_CAP}"
-                    )
-    _validate_iter(cfg, errors)
-    if errors:
-        raise ConfigError(errors)
 
 
-def _validate_coeff_check(cfg):
-    errors: list = []
-    _validate_common(cfg, "coeff-check", errors)
-    _keys(
-        cfg, "",
-        ("command", "problem", "grid", "system"),
-        ("coefficients", "samples", "seed", "out_dir"),
-        errors,
-    )
-    _validate_problem(cfg, errors)
-    _validate_grid(cfg, errors)
-    system = cfg.get("system")
-    if system not in ("linear", "nonlinear"):
-        errors.append("system: must be 'linear' or 'nonlinear'")
-    else:
-        allowed = _LINEAR_COEFF_KEYS if system == "linear" else _NONLINEAR_COEFF_KEYS
-        _validate_profile_map(cfg, "coefficients", allowed, errors)
+def _validate_ladder(cfg, errors):
+    if "ladder" not in cfg:
+        return
+    ladder = cfg["ladder"]
+    if not isinstance(ladder, list) or len(ladder) < 3:
+        errors.append("ladder: must be a list of at least 3 [n_x, n_t] pairs")
+        return
+    for i, lvl in enumerate(ladder):
+        if (
+            not isinstance(lvl, list)
+            or len(lvl) != 2
+            or not all(_is_int(v) for v in lvl)
+            or not (4 <= lvl[0] <= N_X_CAP)
+            or not (3 <= lvl[1] <= N_T_CAP)
+        ):
+            errors.append(
+                f"ladder[{i}]: must be [n_x, n_t] with "
+                f"4 <= n_x <= {N_X_CAP} and 3 <= n_t <= {N_T_CAP}"
+            )
+
+
+def _validate_samples(cfg, errors):
     _int_field(cfg, "", "samples", errors, 1, 100000)
+
+
+def _validate(cfg, command: str) -> None:
+    """Check cfg against its command's row of _COMMANDS.
+
+    The checks shared by every command run first, then the row's key lists
+    and its section checks in order; every fault found is raised at once as
+    one ConfigError.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(["config: top level must be an object"])
+    errors: list = []
+    declared = cfg.get("command")
+    if declared != command:
+        errors.append(
+            f"command: config declares {declared!r} but the CLI invoked {command!r}"
+        )
+    _int_field(cfg, "", "seed", errors, 0, 2**63 - 1)
+    if "out_dir" in cfg and not isinstance(cfg["out_dir"], str):
+        errors.append("out_dir: must be a string")
+    row = _COMMANDS[command]
+    _keys(cfg, "", ("command",) + row.required, row.optional + ("seed", "out_dir"), errors)
+    for check in row.checks:
+        check(cfg, errors)
     if errors:
         raise ConfigError(errors)
 
@@ -400,12 +351,8 @@ def _validate_coeff_check(cfg):
 # ------------------------------------------------------------------- builders
 
 def _build_coeff(prob: dict) -> DegenerateCoefficient:
-    fam = prob["family"]
-    if fam == "power":
-        return DegenerateCoefficient.power(prob["beta"], prob["delta"])
-    if fam == "quadratic_oil":
-        return DegenerateCoefficient.quadratic_oil(prob["gamma"])
-    return DegenerateCoefficient.wright_fischer()
+    params = {k: float(v) for k, v in prob.items() if k not in ("family", "T")}
+    return DegenerateCoefficient(prob["family"], **params)
 
 
 def _build_grid(cfg: dict, T: float) -> SpaceTimeGrid:
@@ -485,11 +432,16 @@ def _fmt_csv(v):
     return _CSV_NONFINITE.get(r, r)
 
 
-class _RunFailure(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
-        super().__init__(message)
+def _bounds_doc(report):
+    """result.json's view of a coefficient-bounds report, keyed by entry name."""
+    return {
+        e.name: {
+            "value": qty(e.value, "ratio"),
+            "x": qty(e.x, "x"),
+            "t": qty(e.t, "t"),
+        }
+        for e in report.entries
+    }
 
 
 # ------------------------------------------------------------------ runners
@@ -504,10 +456,9 @@ def _run_solve(cfg):
     solver = solve_linearized_mfg if cfg["system"] == "linear" else solve_nonlinear_mfg
     sol = solver(coeffs, **data, cfg=icfg)
     if not sol.converged:
-        raise _RunFailure(
-            3,
+        raise SolverError(
             f"coupled sweep did not converge after {sol.sweeps} sweeps "
-            f"(budget {icfg.max_sweeps}, best residual {min(sol.residual_log):.3e})",
+            f"(budget {icfg.max_sweeps}, best residual {min(sol.residual_log):.3e})"
         )
     bounds = check_coefficient_bounds(coeffs)
     uv, mv = sol.u.values, sol.m.values
@@ -529,14 +480,7 @@ def _run_solve(cfg):
             "m_T_L2_a": qty(norm(mv[:, -1], NormKind.L2_A), "L2_a"),
             "m_T_H1a_div": qty(norm(mv[:, -1], NormKind.H1A_DIV), "H1a_div"),
         },
-        "bounds": {
-            e.name: {
-                "value": qty(e.value, "ratio"),
-                "x": qty(e.x, "x"),
-                "t": qty(e.t, "t"),
-            }
-            for e in bounds.entries
-        },
+        "bounds": _bounds_doc(bounds),
     }
     csvs = [
         (
@@ -561,11 +505,7 @@ def _run_solve(cfg):
 def _run_verify_carleman(cfg):
     case = make_case(cfg["case"])
     grid = _build_grid(cfg, case.T)
-    icfg = _build_iter(cfg)
-    try:
-        u, m, F, G = _solve_case(case, grid, icfg)
-    except SolverError as exc:
-        raise _RunFailure(3, str(exc)) from exc
+    u, m, F, G = _solve_case(case, grid, _build_iter(cfg))
     kind = {"hjb": "hjb", "fp": "fp"}.get(case.tag, "mfg")
     bundle = CarlemanBundle(kind=kind, coeff=case.coeff, grid=grid, u=u, m=m, F=F, G=G)
     sweep = sweep_parameters(bundle, cfg["s_values"], cfg["lam_values"])
@@ -599,19 +539,27 @@ def _ratio_rows(sweep):
     ]
 
 
-def _rung_rows(rungs, with_D):
-    rows = []
-    for r in rungs:
-        row = [r.eps, r.D0, r.err, r.s_star, r.c_envelope]
-        if with_D:
-            row.append(r.D)
-        row.append(1 if r.accepted else 0)
-        rows.append(row)
-    return rows
+# the runners look the experiments up by module name at call time, so a
+# wrapper bound over that name (bench/spans.py's tracer) sees every call
+def _run_stability_holder(cfg):
+    return _run_ladder(cfg, run_holder_experiment, cfg["t0"], DEFAULT_HOLDER_LADDER)
 
 
-def _stability_results(res):
-    return {
+def _run_stability_log(cfg):
+    return _run_ladder(cfg, run_log_experiment, cfg.get("alpha", 0.5), DEFAULT_LOG_LADDER)
+
+
+def _run_ladder(cfg, experiment, param, default_ladder):
+    """One stability ladder on the default problem at t0 (Holder) or alpha
+    (log); the experiment's own rejections of a ladder are config errors."""
+    spec = default_backward_spec()
+    grid = _build_grid(cfg, spec.problem.T)
+    ladder = cfg.get("eps_ladder", list(default_ladder))
+    try:
+        res = experiment(spec, param, ladder, grid=grid, cfg=_build_iter(cfg))
+    except ValueError as exc:
+        raise ConfigError([f"experiment: {exc}"]) from exc
+    results = {
         "mode": res.mode,
         "theta": qty(res.theta, "1"),
         "alpha": qty(res.alpha, "1"),
@@ -627,38 +575,15 @@ def _stability_results(res):
         "rungs_accepted": qty(sum(1 for r in res.rungs if r.accepted), "count"),
         "warnings": list(res.warnings),
     }
-
-
-def _run_stability(cfg, command):
-    grid_cfg = cfg["grid"]
-    spec = default_backward_spec()
-    grid = SpaceTimeGrid(grid_cfg["n_x"], grid_cfg["n_t"], spec.problem.T)
-    icfg = _build_iter(cfg)
-    try:
-        if command == "stability-holder":
-            ladder = cfg.get("eps_ladder", list(DEFAULT_HOLDER_LADDER))
-            res = run_holder_experiment(
-                spec, cfg["t0"], ladder, grid=grid, cfg=icfg
-            )
-        else:
-            ladder = cfg.get("eps_ladder", list(DEFAULT_LOG_LADDER))
-            res = run_log_experiment(
-                spec, cfg.get("alpha", 0.5), ladder, grid=grid, cfg=icfg
-            )
-    except SolverError as exc:
-        raise _RunFailure(3, str(exc)) from exc
-    except ValueError as exc:
-        raise ConfigError([f"experiment: {exc}"]) from exc
-    with_D = res.mode == "log"
-    names = ["eps", "D0", "err", "s_star", "c_envelope"]
-    units = ["1", "mixed_H1", "mixed_L2", "1", "ratio"]
-    if with_D:
-        names.append("D")
-        units.append("mixed_H1")
-    names.append("accepted")
-    units.append("flag")
-    csvs = [("ladder.csv", names, units, _rung_rows(res.rungs, with_D))]
-    return _stability_results(res), csvs, 0
+    cols = [("eps", "1"), ("D0", "mixed_H1"), ("err", "mixed_L2"), ("s_star", "1"),
+            ("c_envelope", "ratio")]
+    if res.mode == "log":
+        cols.append(("D", "mixed_H1"))
+    rows = [[getattr(r, name) for name, _ in cols] + [1 if r.accepted else 0]
+            for r in res.rungs]
+    names, units = zip(*cols, ("accepted", "flag"))
+    csvs = [("ladder.csv", names, units, rows)]
+    return results, csvs, 0
 
 
 def _run_convergence(cfg):
@@ -667,10 +592,7 @@ def _run_convergence(cfg):
     ladder = cfg.get("ladder")
     if ladder is not None:
         ladder = tuple((int(a), int(b)) for a, b in ladder)
-    try:
-        res = convergence_study(case, cfg["mode"], ladder, icfg)
-    except SolverError as exc:
-        raise _RunFailure(3, str(exc)) from exc
+    res = convergence_study(case, cfg["mode"], ladder, icfg)
     results = {
         "case": res.case_name,
         "mode": res.mode,
@@ -703,14 +625,7 @@ def _run_coeff_check(cfg):
         "sampled_slope_ratio_sup": qty(float(np.max(slope_samples)), "ratio"),
         "sampled_points": qty(n_samples, "count"),
         "nonnegative_on_samples": bool(np.all(coeff.a(xs) >= 0.0)),
-        "bounds": {
-            e.name: {
-                "value": qty(e.value, "ratio"),
-                "x": qty(e.x, "x"),
-                "t": qty(e.t, "t"),
-            }
-            for e in report.entries
-        },
+        "bounds": _bounds_doc(report),
     }
     rows = [[e.name, e.value, e.x, e.t] for e in report.entries]
     csvs = [("bounds.csv", ["name", "value", "x", "t"],
@@ -718,19 +633,57 @@ def _run_coeff_check(cfg):
     return results, csvs, 0
 
 
+class _Command(NamedTuple):
+    """One CLI command: the config keys it takes beyond ``command``, ``seed``
+    and ``out_dir``, its section checks in report order, and its runner."""
+
+    required: tuple
+    optional: tuple
+    checks: tuple
+    run: Callable
+
+
 _COMMANDS = {
-    "solve": (_validate_solve, _run_solve),
-    "verify-carleman": (_validate_verify_carleman, _run_verify_carleman),
-    "stability-holder": (
-        lambda cfg: _validate_stability(cfg, "stability-holder"),
-        lambda cfg: _run_stability(cfg, "stability-holder"),
+    "solve": _Command(
+        ("problem", "grid", "system"),
+        ("coefficients", "data", "iter"),
+        (_validate_problem, _validate_grid, _validate_system, _validate_data,
+         _validate_iter),
+        _run_solve,
     ),
-    "stability-log": (
-        lambda cfg: _validate_stability(cfg, "stability-log"),
-        lambda cfg: _run_stability(cfg, "stability-log"),
+    "verify-carleman": _Command(
+        ("case", "grid", "s_values", "lam_values"),
+        ("iter",),
+        (_validate_case, _validate_grid, _validate_sweep_values, _validate_iter),
+        _run_verify_carleman,
     ),
-    "convergence": (_validate_convergence, _run_convergence),
-    "coeff-check": (_validate_coeff_check, _run_coeff_check),
+    "stability-holder": _Command(
+        ("grid", "t0"),
+        ("eps_ladder", "experiment", "iter"),
+        (_validate_grid, _validate_t0, _validate_experiment, _validate_eps_ladder,
+         _validate_iter),
+        _run_stability_holder,
+    ),
+    "stability-log": _Command(
+        ("grid",),
+        ("alpha", "eps_ladder", "experiment", "iter"),
+        # the log ladder's data norm D takes second time derivatives: n_t >= 4
+        (functools.partial(_validate_grid, n_t_min=4), _validate_alpha,
+         _validate_experiment, _validate_eps_ladder, _validate_iter),
+        _run_stability_log,
+    ),
+    "convergence": _Command(
+        ("case", "mode"),
+        ("ladder", "iter"),
+        (_validate_case, _validate_mode, _validate_ladder, _validate_iter),
+        _run_convergence,
+    ),
+    "coeff-check": _Command(
+        ("problem", "grid", "system"),
+        ("coefficients", "samples"),
+        (_validate_problem, _validate_grid, _validate_system, _validate_samples),
+        _run_coeff_check,
+    ),
 }
 
 
@@ -807,7 +760,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _emit_error(2, f"cannot read config: {exc}")
     try:
         cfg = json.loads(text)
@@ -815,21 +768,13 @@ def main(argv=None) -> int:
         return _emit_error(2, f"config is not valid JSON: {exc}")
     if args.threads < 1:
         return _emit_error(2, "--threads must be >= 1")
-    validate, run = _COMMANDS[args.command]
     try:
-        validate(cfg)
+        _validate(cfg, args.command)
+        results, csvs, code = _COMMANDS[args.command].run(cfg)
     except ConfigError as exc:
         return _emit_error(2, "config validation failed", exc.errors)
-    try:
-        results, csvs, code = run(cfg)
-    except ConfigError as exc:
-        return _emit_error(2, "config validation failed", exc.errors)
-    except _RunFailure as exc:
-        return _emit_error(exc.code, exc.message)
     except SolverError as exc:
         return _emit_error(3, str(exc))
-    out_dir = Path(args.out or cfg.get("out_dir") or "degenmfg-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "command": args.command,
         "package_version": __version__,
@@ -841,11 +786,16 @@ def main(argv=None) -> int:
         "exit_code": code,
         "results": results,
     }
-    with open(out_dir / "result.json", "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=2, ensure_ascii=True)
-        f.write("\n")
-    for fname, names, units, rows in csvs:
-        _write_csv(out_dir / fname, names, units, rows)
+    out_dir = Path(args.out or cfg.get("out_dir") or "degenmfg-out")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "result.json", "w", encoding="utf-8") as f:
+            json.dump(doc, f, sort_keys=True, indent=2, ensure_ascii=True)
+            f.write("\n")
+        for fname, names, units, rows in csvs:
+            _write_csv(out_dir / fname, names, units, rows)
+    except OSError as exc:
+        return _emit_error(2, f"cannot write output: {exc}")
     return code
 
 

@@ -8,13 +8,14 @@ import csv
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from degenmfg.carleman import SweepResult
-from degenmfg.cli import _ratio_rows, _write_csv, main
+from degenmfg.cli import _COMMANDS, _ratio_rows, _write_csv, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -153,6 +154,39 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
     rc = main(["solve", "--config", str(tmp_path / "nope.json")])
     assert rc == 2
     assert "cannot read config" in _stderr_doc(capsys)["error"]["message"]
+
+
+def test_config_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe")
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    doc = _stderr_doc(capsys)
+    assert doc["error"]["code"] == 2
+    assert doc["error"]["message"].startswith("cannot read config: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("blocked", ["out-flag", "out_dir-key", "result-json"])
+def test_unwritable_output_exit_2(tmp_path, capsys, blocked):
+    # a file where the output directory goes, or a directory where result.json goes
+    out = tmp_path / "o"
+    if blocked == "result-json":
+        (out / "result.json").mkdir(parents=True)
+    else:
+        out.write_text("keep\n", encoding="utf-8")
+    cfg = _load("solve_zero.json")
+    argv = ["solve", "--out", str(out)]
+    if blocked == "out_dir-key":
+        cfg["out_dir"] = str(out)
+        argv = ["solve"]
+    rc = main(argv + ["--config", _dump(cfg, tmp_path / "cfg.json")])
+    assert rc == 2
+    doc = _stderr_doc(capsys)
+    assert doc["error"]["code"] == 2
+    assert doc["error"]["message"].startswith("cannot write output: ")
+    if blocked != "result-json":
+        assert out.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_unknown_field_rejected(tmp_path, capsys):
@@ -301,6 +335,20 @@ def test_carleman_sweep_csv(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x.json"])
+
+
+def test_readme_key_table_matches_the_command_table():
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.strip().strip("|").split("|")
+        if len(cells) == 3 and cells[0].strip().startswith("`"):
+            name, required, optional = (re.findall(r"`([^`]+)`", c) for c in cells)
+            table[name[0]] = (tuple(required), tuple(optional))
+    assert list(table.items()) == [
+        (name, (row.required, row.optional)) for name, row in _COMMANDS.items()
+    ]
 
 
 @pytest.mark.parametrize("lam_values, overflow, code", [
