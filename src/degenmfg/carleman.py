@@ -13,10 +13,16 @@ ratios and logs stay finite while phi(T) does (else inf, with a NaN ratio).
 Time integration is a trapezoid between adjacent slices of the spatial
 integrals multiplied by the scaled weight at the midpoint, so the fast weight
 is sampled where it matters.  The slice integrals do not depend on the
-parameters and are computed once per estimate.  For one lam, the scaled weight
-of every s is one table (a row per s, a column per midpoint), and every time
-integral of the estimate is a product of that table with a vector: a sweep
-builds one table per lam, and a single evaluation is a sweep with one s.
+parameters and are computed once per estimate, and so are their trapezoids.
+For one lam, the scaled weight of every s is one table (a row per s, a column
+per midpoint), and every time integral of the estimate is a product of that
+table with a vector.  A sweep builds the table of each lam in turn into one
+reused buffer and gathers the time sums of every cell; the per-cell rest of
+the estimate (the s and lam factors, the data terms, the ratio) then runs
+once over all cells, on per-cell s, lam, phi(T) and K, so that arithmetic
+of a cell does not depend on the other cells evaluated with it (the time
+sums can, at rounding: a matrix product rounds by its shape).  A single
+evaluation is a sweep of its one cell.
 
 The slice integrals walk the trajectory in blocks of time columns, each about
 one weight table in size: a block differentiates its own columns (in time
@@ -206,34 +212,71 @@ def _unrepresentable(kind: str, params: CarlemanParams, grid: SpaceTimeGrid, par
                               True, parts)
 
 
-class _WeightTable:
-    """The scaled weight exp(2 s phi(t) - K), K = 2 s phi(T), of one lam at the
-    time midpoints: one row per s (a number or a 1-D array), one column per
-    midpoint."""
+@dataclass(frozen=True)
+class _Cells:
+    """A set of (s, lam) cells, one entry per cell: s, lam, phi(T) and the
+    log offset K = 2 s phi(T) of the scaled weight."""
 
-    def __init__(self, grid: SpaceTimeGrid, s, lam: float):
-        self.s = s = np.atleast_1d(np.asarray(s, dtype=float))
-        self.lam = lam
-        self.dt = grid.dt
-        self.phi_T = math.exp(lam * grid.T)
-        self.K = 2.0 * s * self.phi_T
-        self.phi_mid = np.exp(lam * (0.5 * (grid.t[:-1] + grid.t[1:])))
-        table = np.multiply.outer(2.0 * s, self.phi_mid)
-        table -= self.K[:, None]
-        self.table = np.exp(table, out=table)
-
-    def time_sums(self, *terms) -> np.ndarray:
-        """Trapezoids of slice integrals I against phi^p times the scaled
-        weight, one row per (I, p) term and one column per s."""
-        cols = np.stack(
-            [self.dt * (0.5 * (I[:-1] + I[1:])) * self.phi_mid**p for I, p in terms],
-            axis=1,
-        )
-        return (self.table @ cols).T
+    s: np.ndarray
+    lam: np.ndarray
+    phi_T: np.ndarray
+    K: np.ndarray
 
     def at_zero(self) -> np.ndarray:
         """The scaled weight at t = 0, exp(2 s - K); at t = T it is exactly 1."""
         return np.exp(np.minimum(2.0 * self.s - self.K, 0.0))
+
+
+def _trapezoids(I: np.ndarray, dt: float) -> np.ndarray:
+    """dt times the mean of adjacent slices: one trapezoid per time step."""
+    return dt * (0.5 * (I[:-1] + I[1:]))
+
+
+def _scaled_cells(grid: SpaceTimeGrid, estimates, s, lam, live) -> list:
+    """The _Scaled totals of each estimate at the cells (s[i], lam[j]) with
+    live[i, j], taken lam by lam and in the order of s within a lam.
+
+    estimates holds (scaled, ingredients, terms) triples, terms being the
+    (slice integral, p) pairs of the estimate's time integrals against phi^p
+    times the scaled weight.  The trapezoids of the slice integrals are
+    computed once.  For each lam the scaled weight of its live s is built
+    into one buffer, a table of at most _TABLE_DOUBLES entries at a time (a
+    row per s, a column per midpoint), and each estimate's time sums are one
+    product of a table with the matrix of its weighted trapezoids.  The
+    per-cell arithmetic of scaled then runs once over every cell.
+    """
+    n_mid = grid.n_t
+    rows = max(1, _TABLE_DOUBLES // n_mid)
+    t_mid = 0.5 * (grid.t[:-1] + grid.t[1:])
+    phi_T = np.array([_phi_T(x, grid.T) for x in lam])
+    K = np.multiply.outer(2.0 * s, phi_T)
+    # the cells lam-major: j indexes lam, i indexes s
+    j, i = np.nonzero(live.T)
+    cells = _Cells(s[i], lam[j], phi_T[j], K[i, j])
+    trapezoids = [
+        [(_trapezoids(getattr(ing, name), grid.dt), p) for name, p in terms]
+        for _, ing, terms in estimates
+    ]
+    sums = [np.empty((len(terms), i.size)) for _, _, terms in estimates]
+    per_lam = np.count_nonzero(live, axis=0)
+    buf = np.empty(min(rows, int(per_lam.max(initial=0))) * n_mid)
+    lo = 0
+    for lam_j, n in zip(lam, per_lam):
+        if n == 0:
+            continue
+        phi_mid = np.exp(lam_j * t_mid)
+        cols = [np.stack([tz * phi_mid**p for tz, p in tzs], axis=1) for tzs in trapezoids]
+        for block in range(lo, lo + n, rows):
+            idx = slice(block, min(block + rows, lo + n))
+            s_b = cells.s[idx]
+            table = buf[:s_b.size * n_mid].reshape(s_b.size, n_mid)
+            np.multiply.outer(2.0 * s_b, phi_mid, out=table)
+            table -= cells.K[idx, None]
+            np.exp(table, out=table)
+            for out, c in zip(sums, cols):
+                out[:, idx] = (table @ c).T
+        lo += n
+    return [scaled(ing, out, cells) for (scaled, ing, _), out in zip(estimates, sums)]
 
 
 # parameter-independent slice integrals of the value-equation estimate
@@ -295,15 +338,17 @@ def hjb_ingredients(u, F, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> 
     )
 
 
-def _hjb_scaled(ing: HjbIngredients, w: _WeightTable) -> _Scaled:
-    s, lam = w.s, w.lam
-    ut, uxx, ux, u, F = w.time_sums(
-        (ing.I_ut, 0), (ing.I_uxx, 0), (ing.I_ux, 1), (ing.I_u, 2), (ing.I_F, 1)
-    )
+# the time integrals of the estimate: slice integral and the power p of phi
+_HJB_TERMS = (("I_ut", 0), ("I_uxx", 0), ("I_ux", 1), ("I_u", 2), ("I_F", 1))
+
+
+def _hjb_scaled(ing: HjbIngredients, sums: np.ndarray, c: _Cells) -> _Scaled:
+    s, lam = c.s, c.lam
+    ut, uxx, ux, u, F = sums
     lhs = ut + uxx + s * lam * ux + s * s * lam * lam * u
-    rhs_T = s * (s * lam * w.phi_T * ing.BT_0 + ing.BT_1)
-    rhs_0 = s * (s * lam * ing.B0_0 + ing.B0_1) * w.at_zero()
-    return _Scaled(lhs, s * F, rhs_T, rhs_0, w.K)
+    rhs_T = s * (s * lam * c.phi_T * ing.BT_0 + ing.BT_1)
+    rhs_0 = s * (s * lam * ing.B0_0 + ing.B0_1) * c.at_zero()
+    return _Scaled(lhs, s * F, rhs_T, rhs_0, c.K)
 
 
 # parameter-independent slice integrals of the density-equation estimate
@@ -348,13 +393,22 @@ def fp_ingredients(m, G, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> F
     )
 
 
-def _fp_scaled(ing: FpIngredients, w: _WeightTable) -> _Scaled:
-    s, lam = w.s, w.lam
-    v2, vx, m, G = w.time_sums((ing.J_v2, -1), (ing.J_vx, 0), (ing.J_m, 1), (ing.J_G, 0))
+_FP_TERMS = (("J_v2", -1), ("J_vx", 0), ("J_m", 1), ("J_G", 0))
+
+
+def _fp_scaled(ing: FpIngredients, sums: np.ndarray, c: _Cells) -> _Scaled:
+    s, lam = c.s, c.lam
+    v2, vx, m, G = sums
     lhs = (1.0 / s) * v2 + lam * vx + s * lam * lam * m
-    rhs_T = s * lam * (w.phi_T * ing.BT_m + ing.BT_vx)
-    rhs_0 = (s * lam * ing.B0_m + ing.B0_vx) * w.at_zero()
-    return _Scaled(lhs, G, rhs_T, rhs_0, w.K)
+    rhs_T = s * lam * (c.phi_T * ing.BT_m + ing.BT_vx)
+    rhs_0 = (s * lam * ing.B0_m + ing.B0_vx) * c.at_zero()
+    return _Scaled(lhs, G, rhs_T, rhs_0, c.K)
+
+
+def _at_point(grid: SpaceTimeGrid, estimates, params: CarlemanParams) -> list:
+    """_scaled_cells at the one cell (params.s, params.lam)."""
+    s, lam = np.array([float(params.s)]), np.array([float(params.lam)])
+    return _scaled_cells(grid, estimates, s, lam, np.ones((1, 1), dtype=bool))
 
 
 def _resolve(problem, grid):
@@ -381,8 +435,8 @@ def evaluate_hjb_carleman(u, F, params: CarlemanParams, problem,
     coeff, g = _resolve(problem, grid)
     if over := _unrepresentable("hjb", params, g):
         return over
-    sc = _hjb_scaled(hjb_ingredients(u, F, coeff, g), _WeightTable(g, params.s, params.lam))
-    return _report_from_scaled("hjb", params, sc)
+    est = (_hjb_scaled, hjb_ingredients(u, F, coeff, g), _HJB_TERMS)
+    return _report_from_scaled("hjb", params, *_at_point(g, [est], params))
 
 
 def evaluate_fp_carleman(m, G, params: CarlemanParams, problem,
@@ -397,8 +451,8 @@ def evaluate_fp_carleman(m, G, params: CarlemanParams, problem,
     coeff, g = _resolve(problem, grid)
     if over := _unrepresentable("fp", params, g):
         return over
-    sc = _fp_scaled(fp_ingredients(m, G, coeff, g), _WeightTable(g, params.s, params.lam))
-    return _report_from_scaled("fp", params, sc)
+    est = (_fp_scaled, fp_ingredients(m, G, coeff, g), _FP_TERMS)
+    return _report_from_scaled("fp", params, *_at_point(g, [est], params))
 
 
 def evaluate_mfg_carleman(u, m, F, G, params: CarlemanParams, coeffs,
@@ -413,9 +467,10 @@ def evaluate_mfg_carleman(u, m, F, G, params: CarlemanParams, coeffs,
     parts = tuple(_unrepresentable(k, params, g) for k in ("hjb", "fp"))
     if all(parts):
         return _unrepresentable("mfg", params, g, parts)
-    w = _WeightTable(g, params.s, params.lam)
-    sc_h = _hjb_scaled(hjb_ingredients(u, F, coeff, g), w)
-    sc_f = _fp_scaled(fp_ingredients(m, G, coeff, g), w)
+    sc_h, sc_f = _at_point(g, [
+        (_hjb_scaled, hjb_ingredients(u, F, coeff, g), _HJB_TERMS),
+        (_fp_scaled, fp_ingredients(m, G, coeff, g), _FP_TERMS),
+    ], params)
     parts = (
         _report_from_scaled("hjb", params, sc_h),
         _report_from_scaled("fp", params, sc_f),
@@ -466,12 +521,15 @@ class SweepResult:
 def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResult:
     """Evaluate the bundle's estimate over an (s, lam) grid.
 
-    Slice integrals are computed once, in blocks of time columns.  Each lam
-    builds one table of the scaled weight over the time midpoints, a row per
-    s that does not overflow (in blocks of at most 64 x 1024 entries), and
-    each time integral of the estimate is a product of that table with a
-    vector.  Cells whose weight cannot be represented on a linear scale are
-    recorded as NaN and counted in overflow_cells.
+    Slice integrals and their trapezoids are computed once, in blocks of
+    time columns.  Each lam builds one table of the scaled weight over the
+    time midpoints, a row per s that does not overflow (in blocks of at most
+    _TABLE_DOUBLES = 64 x 1024 entries), into one buffer that every lam
+    reuses, and each time integral of the estimate is a product of that
+    table with a vector.  The rest of the estimate runs once per sweep over
+    the time sums of every live cell.  Cells whose weight cannot be
+    represented on a linear scale are recorded as NaN and counted in
+    overflow_cells.
     """
     s_sorted = tuple(sorted(float(s) for s in s_values))
     lam_sorted = tuple(sorted(float(x) for x in lam_values))
@@ -481,25 +539,22 @@ def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResul
         raise ValueError("s must be positive")
     if not all(lam > 0.0 for lam in lam_sorted):
         raise ValueError("lam must be positive")
-    s_arr = np.array(s_sorted)
+    s_arr, lam_arr = np.array(s_sorted), np.array(lam_sorted)
     g = bundle.grid
-    equations = []
+    estimates = []
     if bundle.kind in ("hjb", "mfg"):
-        equations.append((_hjb_scaled, hjb_ingredients(bundle.u, bundle.F, bundle.coeff, g)))
+        estimates.append(
+            (_hjb_scaled, hjb_ingredients(bundle.u, bundle.F, bundle.coeff, g), _HJB_TERMS))
     if bundle.kind in ("fp", "mfg"):
-        equations.append((_fp_scaled, fp_ingredients(bundle.m, bundle.G, bundle.coeff, g)))
+        estimates.append(
+            (_fp_scaled, fp_ingredients(bundle.m, bundle.G, bundle.coeff, g), _FP_TERMS))
+    phi_T = np.array([_phi_T(lam, g.T) for lam in lam_sorted])
+    live = ~(np.multiply.outer(2.0 * s_arr, phi_T) > OVERFLOW_LOG_LIMIT)
+    overflow = int(np.count_nonzero(~live))
+    sc = _scaled_cells(g, estimates, s_arr, lam_arr, live)
     ratios = np.full((len(s_sorted), len(lam_sorted)), np.nan)
-    overflow = 0
-    rows = max(1, _TABLE_DOUBLES // g.n_t)
-    for j, lam in enumerate(lam_sorted):
-        over = 2.0 * s_arr * _phi_T(lam, g.T) > OVERFLOW_LOG_LIMIT
-        overflow += int(np.count_nonzero(over))
-        live = np.flatnonzero(~over)
-        for lo in range(0, live.size, rows):
-            idx = live[lo:lo + rows]
-            w = _WeightTable(g, s_arr[idx], lam)
-            sc = [scaled(ing, w) for scaled, ing in equations]
-            ratios[idx, j] = sum(sc[1:], sc[0]).ratio()
+    # the cells come lam by lam, as the transpose's mask lists them
+    ratios.T[live.T] = sum(sc[1:], sc[0]).ratio()
     total = len(s_sorted) * len(lam_sorted)
     half = len(s_sorted) // 2
     top = ratios[half:, :]

@@ -15,8 +15,9 @@ config and its SHA-256 over a canonical serialization; apart from the
 timestamp field, identical configs produce byte-identical result.json.
 
 Exit codes: 0 success; 2 configuration read/parse/validation error or an
-output that cannot be written; 3 solver non-convergence; 4 more than half of
-the sweep cells overflow the weight.
+output that cannot be written (an output path that is not a writable
+directory is caught before the run); 3 solver non-convergence; 4 more than
+half of the sweep cells overflow the weight.
 Errors are also emitted to stderr as a JSON diagnostic.  --threads is
 accepted and recorded for provenance, but execution is serial: every command
 here is deterministic and fast at desk scale, and a fixed schedule keeps
@@ -32,6 +33,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from datetime import datetime, timezone
@@ -372,7 +374,7 @@ def _profile_values(spec: dict, coeff: DegenerateCoefficient, x: np.ndarray):
         return np.zeros_like(x)
     if kind == "const":
         return np.full_like(x, float(spec["value"]))
-    s = float(spec.get("scale", 1.0))
+    s = float(spec["scale"])
     if kind == "bubble":
         return s * x * (1.0 - x)
     if kind == "a":
@@ -527,16 +529,18 @@ def _run_verify_carleman(cfg):
 
 
 def _ratio_rows(sweep):
-    """ratios.csv rows (s, lam, ratio, overflow flag) as the strings _fmt_csv
-    spells, each distinct s and lam formatted once."""
+    """The data rows of ratios.csv (s, lam, ratio, overflow flag), rendered
+    as one CSV text body: the cells _fmt_csv spells, comma-joined, CRLF
+    after each row, as csv.writer would write them (no cell needs quoting).
+    Each distinct s and lam is formatted once."""
     s_txt = [_fmt_csv(s) for s in sweep.s_values]
     lam_txt = [_fmt_csv(lam) for lam in sweep.lam_values]
     n_lam = len(lam_txt)
     cells = (_CSV_NONFINITE.get(r, r) for r in map(repr, sweep.ratios.ravel().tolist()))
-    return [
-        [s_txt[k // n_lam], lam_txt[k % n_lam], r, "1" if r == "NaN" else "0"]
+    return "".join([
+        f"{s_txt[k // n_lam]},{lam_txt[k % n_lam]},{r},{'1' if r == 'NaN' else '0'}\r\n"
         for k, r in enumerate(cells)
-    ]
+    ])
 
 
 # the runners look the experiments up by module name at call time, so a
@@ -695,11 +699,32 @@ def _canonical_hash(cfg: dict) -> str:
 
 
 def _write_csv(path: Path, names, units, rows):
+    """One CSV file: the name and unit rows, then the data rows, each cell as
+    _fmt_csv spells it; rows may also be a data body already rendered as CSV
+    text (see _ratio_rows), which is written as it is."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(names)
         w.writerow(units)
-        w.writerows(map(_fmt_csv, row) for row in rows)
+        if isinstance(rows, str):
+            f.write(rows)
+        else:
+            w.writerows(map(_fmt_csv, row) for row in rows)
+
+
+def _unusable_output(out_dir: Path):
+    """Why out_dir cannot take the artifacts, or None: the path, or else its
+    nearest existing ancestor, is not a directory or is not writable.
+    Checked before a run and creating nothing, so a run that cannot write
+    fails at once; the writes themselves can still fail."""
+    probe = out_dir
+    while not probe.exists() and probe != probe.parent:
+        probe = probe.parent
+    if not probe.is_dir():
+        return f"{probe} exists and is not a directory"
+    if not os.access(probe, os.W_OK | os.X_OK):
+        return f"{probe} is not writable"
+    return None
 
 
 def _emit_error(code: int, message: str, details=()):
@@ -770,6 +795,9 @@ def main(argv=None) -> int:
         return _emit_error(2, "--threads must be >= 1")
     try:
         _validate(cfg, args.command)
+        out_dir = Path(args.out or cfg.get("out_dir") or "degenmfg-out")
+        if problem := _unusable_output(out_dir):
+            return _emit_error(2, f"cannot write output: {problem}")
         results, csvs, code = _COMMANDS[args.command].run(cfg)
     except ConfigError as exc:
         return _emit_error(2, "config validation failed", exc.errors)
@@ -786,7 +814,6 @@ def main(argv=None) -> int:
         "exit_code": code,
         "results": results,
     }
-    out_dir = Path(args.out or cfg.get("out_dir") or "degenmfg-out")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "result.json", "w", encoding="utf-8") as f:

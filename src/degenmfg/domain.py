@@ -218,12 +218,18 @@ class SpaceTimeField:
 #     second derivative uses the 4-point one-sided stencil through the
 #     boundary point (second order).
 #   * "free": no boundary information, plain one-sided second-order stencils.
+#
+# The spatial stencils compute their interior straight into out[1:-1], one
+# contiguous block of rows, with no temporaries.  The time stencils keep
+# theirs: their interior out[:, 1:-1] is strided, and numpy loops over a
+# strided view row by row, which costs more than a temporary and one copy.
 # ---------------------------------------------------------------------------
 
 
 def _dx_array(f: np.ndarray, h: float, closure: str) -> np.ndarray:
     out = np.empty_like(f, dtype=float)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    mid = np.subtract(f[2:], f[:-2], out=out[1:-1])
+    mid /= 2.0 * h
     if closure == "dirichlet":
         out[0] = f[0] / h + f[1] / (3.0 * h)
         out[-1] = -(f[-1] / h + f[-2] / (3.0 * h))
@@ -238,7 +244,11 @@ def _dx_array(f: np.ndarray, h: float, closure: str) -> np.ndarray:
 def _dxx_array(f: np.ndarray, h: float, closure: str) -> np.ndarray:
     out = np.empty_like(f, dtype=float)
     h2 = h * h
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2
+    # (f[2:] - 2 f[1:-1] + f[:-2]) / h2
+    mid = np.multiply(f[1:-1], 2.0, out=out[1:-1])
+    np.subtract(f[2:], mid, out=mid)
+    mid += f[:-2]
+    mid /= h2
     if closure == "dirichlet":
         out[0] = (-5.0 * f[0] + 2.0 * f[1] - 0.2 * f[2]) / h2
         out[-1] = (-5.0 * f[-1] + 2.0 * f[-2] - 0.2 * f[-3]) / h2

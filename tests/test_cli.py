@@ -8,6 +8,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from degenmfg.carleman import SweepResult
-from degenmfg.cli import _COMMANDS, _ratio_rows, _write_csv, main
+from degenmfg import cli
+from degenmfg.cli import _COMMANDS, _PROFILE_PARAMS, _ratio_rows, _write_csv, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -187,6 +189,33 @@ def test_unwritable_output_exit_2(tmp_path, capsys, blocked):
     assert doc["error"]["message"].startswith("cannot write output: ")
     if blocked != "result-json":
         assert out.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize("blocked", ["file", "below-file", "read-only"])
+def test_output_path_checked_before_the_run(tmp_path, capsys, monkeypatch, blocked):
+    # an existing file, a directory to be made below one, a directory the
+    # process may not write to: the ladder never runs and nothing is created
+    path = tmp_path / "o"
+    out = path / "sub" if blocked == "below-file" else path
+    if blocked == "read-only":
+        path.mkdir()
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: Path(p) != path and access(p, mode))
+    else:
+        path.write_text("keep\n", encoding="utf-8")
+    ran = []
+    monkeypatch.setattr(cli, "run_holder_experiment", lambda *args, **kwargs: ran.append(args))
+    rc = main(["stability-holder", "--config", str(CONFIGS / "holder.json"), "--out", str(out)])
+    assert rc == 2
+    doc = _stderr_doc(capsys)
+    assert doc["error"]["code"] == 2
+    assert doc["error"]["message"] == "cannot write output: " + str(path) + (
+        " is not writable" if blocked == "read-only" else " exists and is not a directory")
+    assert ran == []
+    if blocked == "read-only":
+        assert list(path.iterdir()) == []
+    else:
+        assert path.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_unknown_field_rejected(tmp_path, capsys):
@@ -396,6 +425,21 @@ def test_csv_rows_match_the_csv_module(tmp_path):
     assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def _full_size_ratio_grid():
+    """A seeded 64 x 40 sweep, the benchmark's size: ratios over many decades
+    with NaN, +-inf, +-0, subnormals, +-1e300 and an all-NaN row mixed in."""
+    rng = np.random.default_rng(12)
+    s_values = tuple(np.sort(np.exp(rng.uniform(math.log(0.5), math.log(300.0), 64))).tolist())
+    lam_values = tuple(np.sort(rng.uniform(0.2, 3.0, 40)).tolist())
+    ratios = rng.standard_normal((64, 40)) * 10.0 ** rng.integers(-300, 300, (64, 40))
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+    for v in specials:
+        ratios[tuple(rng.integers(0, [[64], [40]], (2, 20)))] = v
+    ratios[17] = math.nan
+    overflow = int(np.count_nonzero(np.isnan(ratios)))
+    return SweepResult(s_values, lam_values, ratios, overflow, 2560, math.nan, math.nan)
+
+
 def test_ratio_rows_match_per_cell_formatting(tmp_path):
     s_values = (5e-324, 0.1, 3.0, 1e300)
     lam_values = (0.25, 2.0, 1e-7)
@@ -405,18 +449,33 @@ def test_ratio_rows_match_per_cell_formatting(tmp_path):
         [-0.0, 1.0 / 3.0, math.nan],
         [2.5e-300, 7.0, -1e300],
     ])
-    sweep = SweepResult(s_values, lam_values, ratios, 3, 12, math.nan, math.nan)
+    small = SweepResult(s_values, lam_values, ratios, 3, 12, math.nan, math.nan)
     names, units = ["s", "lam", "ratio", "overflow"], ["1", "1", "ratio", "flag"]
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    _write_csv(got, names, units, _ratio_rows(sweep))
-    per_cell = [
-        [s, lam, r, 1 if math.isnan(r) else 0]
-        for s, row in zip(s_values, ratios.tolist())
-        for lam, r in zip(lam_values, row)
-    ]
-    _write_csv(want, names, units, per_cell)
-    assert got.read_bytes() == want.read_bytes()
-    assert b"NaN,1" in got.read_bytes() and b"-Infinity,0" in got.read_bytes()
+    for sweep in (small, _full_size_ratio_grid()):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        _write_csv(got, names, units, _ratio_rows(sweep))
+        per_cell = [
+            [s, lam, r, 1 if math.isnan(r) else 0]
+            for s, row in zip(sweep.s_values, sweep.ratios.tolist())
+            for lam, r in zip(sweep.lam_values, row)
+        ]
+        _write_csv(want, names, units, per_cell)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(_read_rows(got)) == 2 + sweep.ratios.size
+        for cell in (b"NaN,1", b"-Infinity,0", b",Infinity,0", b",0.0,0", b",-0.0,0",
+                     b",5e-324,0"):
+            assert cell in got.read_bytes()
+
+
+def test_readme_profile_table_matches_the_profile_kinds():
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config profiles\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.strip().strip("|").split("|")
+        if len(cells) == 3 and re.fullmatch(r"`[a-z_]+`", cells[0].strip()):
+            table[cells[0].strip().strip("`")] = tuple(re.findall(r"`([^`]+)`", cells[1]))
+    assert table == _PROFILE_PARAMS
 
 
 def test_parser_reuse_keeps_no_state_between_calls(tmp_path):

@@ -198,3 +198,86 @@ def test_weighted_norm_rejects_nan():
     f[3] = np.nan
     with pytest.raises(ValueError):
         weighted_norm(f, NormKind.L2_PLAIN, c, g)
+
+
+def _ref_dx(f, h, closure):
+    """The first-derivative stencil written out one double at a time."""
+    out = np.empty(f.shape)
+    for j in range(f.shape[1]):
+        c = [float(v) for v in f[:, j]]
+        for i in range(1, len(c) - 1):
+            out[i, j] = (c[i + 1] - c[i - 1]) / (2.0 * h)
+        if closure == "dirichlet":
+            out[0, j] = c[0] / h + c[1] / (3.0 * h)
+            out[-1, j] = -(c[-1] / h + c[-2] / (3.0 * h))
+        else:
+            out[0, j] = (-3.0 * c[0] + 4.0 * c[1] - c[2]) / (2.0 * h)
+            out[-1, j] = (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * h)
+    return out
+
+
+def _ref_dxx(f, h, closure):
+    """The second-derivative stencil written out one double at a time."""
+    h2 = h * h
+    out = np.empty(f.shape)
+    for j in range(f.shape[1]):
+        c = [float(v) for v in f[:, j]]
+        for i in range(1, len(c) - 1):
+            out[i, j] = (c[i + 1] - 2.0 * c[i] + c[i - 1]) / h2
+        if closure == "dirichlet":
+            out[0, j] = (-5.0 * c[0] + 2.0 * c[1] - 0.2 * c[2]) / h2
+            out[-1, j] = (-5.0 * c[-1] + 2.0 * c[-2] - 0.2 * c[-3]) / h2
+        else:
+            out[0, j] = (2.0 * c[0] - 5.0 * c[1] + 4.0 * c[2] - c[3]) / h2
+            out[-1, j] = (2.0 * c[-1] - 5.0 * c[-2] + 4.0 * c[-3] - c[-4]) / h2
+    return out
+
+
+def _ref_dt1(v, dt):
+    """The first time derivative written out one double at a time."""
+    out = np.empty(v.shape)
+    for i in range(v.shape[0]):
+        r = [float(x) for x in v[i]]
+        for k in range(1, len(r) - 1):
+            out[i, k] = (r[k + 1] - r[k - 1]) / (2.0 * dt)
+        out[i, 0] = (-3.0 * r[0] + 4.0 * r[1] - r[2]) / (2.0 * dt)
+        out[i, -1] = (3.0 * r[-1] - 4.0 * r[-2] + r[-3]) / (2.0 * dt)
+    return out
+
+
+def _stencil_inputs():
+    """Trajectory arrays in the layouts the callers pass: C-ordered, a
+    column block of a wider array, and stride-0 broadcasts of a profile and
+    of a scalar; values over many decades, so any reordering of an
+    operation changes the last bits."""
+    from degenmfg.solvers import _traj
+
+    g = SpaceTimeGrid(13, 10, 0.7)
+    rng = np.random.default_rng(8)
+
+    def noisy(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+    wide = noisy((g.n_x, 3 * (g.n_t + 1)))
+    return g, {
+        "c-ordered": noisy(g.shape),
+        "column-block": wide[:, 5:5 + g.n_t + 1],
+        "profile-broadcast": _traj(noisy(g.n_x), g, "u"),
+        "scalar-broadcast": _traj(1.0 / 3.0, g, "u"),
+    }
+
+
+def test_stencils_match_their_written_out_formulas_bitwise():
+    from degenmfg.domain import _dt_array, _dx_array, _dxx_array
+
+    g, inputs = _stencil_inputs()
+    assert inputs["column-block"].strides[1] == 8 and not inputs["column-block"].flags.c_contiguous
+    assert inputs["profile-broadcast"].strides[1] == 0
+    for name, v in inputs.items():
+        for closure in ("dirichlet", "free"):
+            got, want = _dx_array(v, g.h, closure), _ref_dx(v, g.h, closure)
+            assert got.tobytes() == want.tobytes(), (name, "dx", closure)
+            got, want = _dxx_array(v, g.h, closure), _ref_dxx(v, g.h, closure)
+            assert got.tobytes() == want.tobytes(), (name, "dxx", closure)
+        got, want = _dt_array(v, g.dt, 1), _ref_dt1(v, g.dt)
+        assert got.tobytes() == want.tobytes(), (name, "dt")
