@@ -507,7 +507,7 @@ def _run_solve(cfg):
 def _run_verify_carleman(cfg):
     case = make_case(cfg["case"])
     grid = _build_grid(cfg, case.T)
-    u, m, F, G = _solve_case(case, grid, _build_iter(cfg))
+    u, m, F, G, _ = _solve_case(case, grid, _build_iter(cfg))
     kind = {"hjb": "hjb", "fp": "fp"}.get(case.tag, "mfg")
     bundle = CarlemanBundle(kind=kind, coeff=case.coeff, grid=grid, u=u, m=m, F=F, G=G)
     sweep = sweep_parameters(bundle, cfg["s_values"], cfg["lam_values"])
@@ -605,11 +605,11 @@ def _run_convergence(cfg):
         "exact": res.exact,
     }
     rows = []
-    for (n_x, n_t), err in zip(res.levels, res.errors):
+    for (n_x, n_t), err, sweeps in zip(res.levels, res.errors, res.sweeps):
         g = SpaceTimeGrid(n_x, n_t, case.T)
-        rows.append([n_x, n_t, g.h, g.dt, err])
-    csvs = [("errors.csv", ["n_x", "n_t", "h", "dt", "max_error"],
-             ["count", "count", "x", "t", "max_abs"], rows)]
+        rows.append([n_x, n_t, g.h, g.dt, err, sweeps])
+    csvs = [("errors.csv", ["n_x", "n_t", "h", "dt", "max_error", "sweeps"],
+             ["count", "count", "x", "t", "max_abs", "count"], rows)]
     return results, csvs, 0
 
 

@@ -4,8 +4,8 @@ The coupled systems pair a backward value equation with a forward density
 equation.  Both solvers share one Picard driver: freeze the density, solve
 the value equation; freeze the value, solve the density equation; blend each
 candidate into the iterate with the current damping.  The iteration starts
-from u = m = 0, or for the quadratic-Hamiltonian system from a given
-``start`` pair (stability ladders start near the answer).  The damping
+from u = m = 0, or from a given ``start`` pair (stability ladders and
+convergence studies start near the answer).  The damping
 starts at IterConfig.damping (default 1.0, a full step) and the first sweep
 always takes the full step, so a fully decoupled system finishes in one
 sweep, bit-identical to the two scalar solves.  A sweep whose residual exceeds
@@ -48,6 +48,7 @@ from degenmfg.solvers import (
     FieldLike,
     FpLinearProblem,
     HjbLinearProblem,
+    _time_columns,
     _traj,
     apply_fp_operator,
     apply_hjb_operator,
@@ -137,6 +138,10 @@ class MfgSolution:
         return len(self.residual_log)
 
 
+def _identity(u):
+    return u
+
+
 def _blend(old: np.ndarray, cand: np.ndarray, step: float) -> np.ndarray:
     if step == 1.0:
         return cand
@@ -144,31 +149,40 @@ def _blend(old: np.ndarray, cand: np.ndarray, step: float) -> np.ndarray:
 
 
 def _picard(
-    g: SpaceTimeGrid, cfg: IterConfig, value_problem, density_problem, start=None
+    g: SpaceTimeGrid,
+    cfg: IterConfig,
+    value_terms,
+    value_problem,
+    density_problem,
+    start=None,
 ):
     """Picard sweeps with backtracking, shared by both coupled solvers.
 
-    ``value_problem(u, m)`` builds the value equation linearized at the pair
-    (u, m); ``density_problem(u)`` builds the density equation at the value u.
-    The residual of a sweep is the larger scheme residual at the new pair,
-    with the value equation rebuilt there: at a fixed point that is the
-    discrete system itself, and it is also the next sweep's value equation.
-    The iteration starts from the array pair ``start`` (only read), and
-    from zeros when it is None.
+    ``value_terms(u)`` computes what both builders read of a value u, once
+    per sweep; ``value_problem(terms, m)`` builds the value equation
+    linearized at the pair (u, m) and ``density_problem(terms)`` the density
+    equation at u, each from terms = value_terms(u).  The residual of a sweep
+    is the larger scheme residual at the new pair, with the value equation
+    rebuilt there: at a fixed point that is the discrete system itself, and
+    it is also the next sweep's value equation.  The iteration starts from
+    the array pair ``start`` (only read), and from zeros when it is None.
     """
     u, m = (np.zeros(g.shape), np.zeros(g.shape)) if start is None else start
-    hjb = value_problem(u, m)
+    hjb = value_problem(value_terms(u), m)
     best = (np.inf, u, m, hjb)
     damping = cfg.damping
     log: list = []
     for sweep in range(1, cfg.max_sweeps + 1):
         step = 1.0 if sweep == 1 else damping
         u_new = _blend(u, solve_hjb_linear(hjb).values, step)
-        fp = density_problem(u_new)
+        del hjb._step_bands  # rebuilt only if a rejected sweep restarts from hjb
+        terms = value_terms(u_new)
+        fp = density_problem(terms)
         m_new = _blend(m, solve_fp_linear(fp).values, step)
         res_fp = fp_scheme_residual(m_new, fp)
         del fp  # free its step bands before hjb_new builds its own
-        hjb_new = value_problem(u_new, m_new)
+        hjb_new = value_problem(terms, m_new)
+        del terms
         res = max(hjb_scheme_residual(u_new, hjb_new), res_fp)
         log.append(res)
         if res <= cfg.tolerance:
@@ -184,6 +198,18 @@ def _picard(
             best = (res, u, m, hjb)
     _, u, m, _ = best
     return _solution(g, u, m, log, False)
+
+
+def _start_pair(start, g: SpaceTimeGrid):
+    """A solver's ``start`` as a pair of trajectories on g, or None.
+
+    Each member is coerced like F and G, so a shape the grid cannot take (or
+    a field on another grid) raises ValueError before any sweep.
+    """
+    if start is None:
+        return None
+    u, m = start
+    return _traj(u, g, "start u"), _traj(m, g, "start m")
 
 
 def _solution(g, u, m, log, converged):
@@ -204,6 +230,7 @@ def solve_linearized_mfg(
     h: FieldLike = 0.0,
     grid: Optional[SpaceTimeGrid] = None,
     cfg: IterConfig = IterConfig(),
+    start: Optional[tuple] = None,
 ) -> MfgSolution:
     """Picard iteration for the linearized coupled system.
 
@@ -212,15 +239,17 @@ def solve_linearized_mfg(
     (forward, m(.,0) = m0; b is handled implicitly inside the step matrix).
     Stops when the larger of the two scheme residuals falls below tolerance;
     when the damping floor or the sweep budget is reached, the best iterate
-    is returned with converged=False.
+    is returned with converged=False.  ``start`` is the (u, m) pair the
+    iteration starts from, as for solve_nonlinear_mfg (zeros when None).
     """
     g = coeffs.grid
     if grid is not None and grid.shape != g.shape:
         raise ValueError("grid does not match the coefficient grid")
     Ft = _traj(F, g, "F")
     Gt = _traj(G, g, "G")
+    start = _start_pair(start, g)
 
-    def value_problem(u, m):
+    def value_problem(u, m):  # linear in m only: u is not read
         return HjbLinearProblem(
             g, coeffs.diffusion, drift=coeffs.d1, source=Ft + coeffs.d2 * m, terminal=h
         )
@@ -237,7 +266,7 @@ def solve_linearized_mfg(
             initial=m0,
         )
 
-    return _picard(g, cfg, value_problem, density_problem)
+    return _picard(g, cfg, _identity, value_problem, density_problem, start)
 
 
 def solve_nonlinear_mfg(
@@ -270,33 +299,43 @@ def solve_nonlinear_mfg(
         raise ValueError("grid does not match the coefficient grid")
     Ft = _traj(F, g, "F")
     Gt = _traj(G, g, "G")
-    if start is not None:
-        u_start, m_start = start
-        start = (_traj(u_start, g, "start u"), _traj(m_start, g, "start m"))
-    p = coeffs.p
+    start = _start_pair(start, g)
+    # time-invariant p and d stay one column: -p and p/2 are never full
+    # trajectories, and the products broadcast to the same doubles
+    (p,) = _time_columns(coeffs.p)
+    (d,) = _time_columns(coeffs.d)
+    half_p = 0.5 * p
 
-    def value_problem(u, m):
+    def value_terms(u):
+        """The drift -p u_x (also the density's convection), the density's
+        zeroth term (p u_x)_x and the m-free value source F - (p/2) u_x^2,
+        each from one u_x and one p u_x."""
         ux = _dx_array(u, g.h, "dirichlet")
+        pux = p * ux
+        zeroth = _dx_array(pux, g.h, "free")
+        drift = np.negative(pux, out=pux)  # bitwise (-p) * u_x: negation is exact
+        src = half_p * ux
+        src *= ux
+        return drift, zeroth, np.subtract(Ft, src, out=src)
+
+    def value_problem(terms, m):
+        drift, _, src = terms
         return HjbLinearProblem(
-            g,
-            coeffs.diffusion,
-            drift=-p * ux,
-            source=Ft - 0.5 * p * ux * ux - coeffs.d * m,
-            terminal=h,
+            g, coeffs.diffusion, drift=drift, source=src - d * m, terminal=h
         )
 
-    def density_problem(u):
-        pux = p * _dx_array(u, g.h, "dirichlet")
+    def density_problem(terms):
+        convection, zeroth, _ = terms
         return FpLinearProblem(
             g,
             coeffs.diffusion,
-            convection=-pux,
-            zeroth=_dx_array(pux, g.h, "free"),
+            convection=convection,
+            zeroth=zeroth,
             source=Gt,
             initial=m0,
         )
 
-    return _picard(g, cfg, value_problem, density_problem, start)
+    return _picard(g, cfg, value_terms, value_problem, density_problem, start)
 
 
 def form_difference_coefficients(

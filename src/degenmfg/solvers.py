@@ -41,7 +41,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -149,8 +149,8 @@ class HjbLinearProblem:
     """Backward value equation u_t + a u_xx + drift u_x = source, u(.,T) given.
 
     drift and source may be scalars, spatial profiles, or full trajectories.
-    The hypothesis ratio max |drift| / sqrt(a) over all nodes is recorded at
-    construction (the estimates assume it is bounded).
+    The hypothesis ratio max |drift| / sqrt(a) over all nodes (the estimates
+    assume it is bounded) is computed on first read.
     """
 
     grid: SpaceTimeGrid
@@ -158,22 +158,23 @@ class HjbLinearProblem:
     drift: FieldLike = 0.0
     source: FieldLike = 0.0
     terminal: FieldLike = 0.0
-    drift_ratio: float = field(init=False)
 
     def __post_init__(self):
         self.drift = _traj(self.drift, self.grid, "drift")
         self.source = _traj(self.source, self.grid, "source")
         self.terminal = _slice(self.terminal, self.grid, "terminal")
-        sqrt_a = self.coeff.sqrt_a(self.grid.x)
+
+    @cached_property
+    def drift_ratio(self) -> float:
         (drift,) = _time_columns(self.drift)
-        self.drift_ratio = float(np.max(np.abs(drift) / sqrt_a[:, None]))
+        return float(np.max(np.abs(drift) / self.coeff.sqrt_a(self.grid.x)[:, None]))
 
     @cached_property
     def _step_bands(self):
         """Bands of I - dt L_k, built once per problem (see _time_columns)."""
         g = self.grid
         (drift,) = _time_columns(self.drift)
-        bands = _band_fields(self.coeff.a(g.x)[:, None], drift, np.zeros(drift.shape), g.h)
+        bands = _band_fields(self.coeff.a(g.x)[:, None], drift, None, g.h)
         return _to_step_bands(*bands, g.dt)
 
 
@@ -183,7 +184,7 @@ class FpLinearProblem:
 
     Solved through v = a m; ``initial`` is the density slice m(., 0).  The
     hypothesis ratios max |convection| / sqrt(a) and max |a_x| / sqrt(a) are
-    recorded at construction.
+    computed on first read.
     """
 
     grid: SpaceTimeGrid
@@ -192,19 +193,22 @@ class FpLinearProblem:
     zeroth: FieldLike = 0.0
     source: FieldLike = 0.0
     initial: FieldLike = 0.0
-    convection_ratio: float = field(init=False)
-    slope_ratio: float = field(init=False)
 
     def __post_init__(self):
         self.convection = _traj(self.convection, self.grid, "convection")
         self.zeroth = _traj(self.zeroth, self.grid, "zeroth")
         self.source = _traj(self.source, self.grid, "source")
         self.initial = _slice(self.initial, self.grid, "initial")
-        x = self.grid.x
-        sqrt_a = self.coeff.sqrt_a(x)
+
+    @cached_property
+    def convection_ratio(self) -> float:
         (conv,) = _time_columns(self.convection)
-        self.convection_ratio = float(np.max(np.abs(conv) / sqrt_a[:, None]))
-        self.slope_ratio = float(np.max(np.abs(self.coeff.a_x(x)) / sqrt_a))
+        return float(np.max(np.abs(conv) / self.coeff.sqrt_a(self.grid.x)[:, None]))
+
+    @cached_property
+    def slope_ratio(self) -> float:
+        x = self.grid.x
+        return float(np.max(np.abs(self.coeff.a_x(x)) / self.coeff.sqrt_a(x)))
 
     @cached_property
     def _step_bands(self):
@@ -225,26 +229,33 @@ def _time_columns(*fields):
     return fields
 
 
-def _band_fields(a: np.ndarray, d: np.ndarray, q: np.ndarray, h: float):
+def _band_fields(a: np.ndarray, d: np.ndarray, q, h: float):
     """Tridiagonal coefficients of L = a d_xx + d d_x + q, all columns at once.
 
     Returns (sub, diag, sup) shaped like d; sub[0] and sup[-1] are zero
-    padding.  Boundary rows carry the ghost closure: extending the field by a
-    quadratic that vanishes at the endpoint gives ghost = -2 f0 + f1/3, which
-    folds into the row-0 weights below (mirrored on the right, where the
-    outward direction flips the sign of the drift part).
+    padding.  ``q`` None means q = 0, bit for bit (adding a zero changes no
+    nonzero double, and no diagonal entry here is -0.0).  Boundary rows carry
+    the ghost closure: extending the field by a quadratic that vanishes at the
+    endpoint gives ghost = -2 f0 + f1/3, which folds into the row-0 weights
+    below (mirrored on the right, where the outward direction flips the sign
+    of the drift part).
     """
     h2 = h * h
     a2 = a / h2
     dh = d / (2.0 * h)
-    diag = -2.0 * a2 + q
+    diag = np.multiply(-2.0, a2, out=np.empty(d.shape))
+    if q is not None:
+        diag += q
     sub = a2 - dh
     sup = np.add(a2, dh, out=dh)  # dh's memory: one full temporary fewer
     sub[0] = 0.0
     sup[-1] = 0.0
-    diag[0] = -4.0 * a2[0] + d[0] / h + q[0]
+    diag[0] = -4.0 * a2[0] + d[0] / h
+    diag[-1] = -4.0 * a2[-1] - d[-1] / h
+    if q is not None:
+        diag[0] += q[0]
+        diag[-1] += q[-1]
     sup[0] = (4.0 / 3.0) * a2[0] + d[0] / (3.0 * h)
-    diag[-1] = -4.0 * a2[-1] - d[-1] / h + q[-1]
     sub[-1] = (4.0 / 3.0) * a2[-1] - d[-1] / (3.0 * h)
     return sub, diag, sup
 

@@ -34,9 +34,10 @@ from degenmfg.mfg import (
     IterConfig,
     MfgCoefficients,
     MfgSolution,
+    _start_pair,
     solve_nonlinear_mfg,
 )
-from degenmfg.solvers import SolverError, _traj
+from degenmfg.solvers import SolverError
 
 __all__ = [
     "theoretical_theta",
@@ -257,8 +258,7 @@ def generate_pair(
     coeffs = spec.coefficients_on(g)
     Fv = _profile(spec.F, x, "F")
     Gv = _profile(spec.G, x, "G")
-    if start is not None:  # a wrong shape fails before any Picard work
-        start = (_traj(start[0], g, "start u"), _traj(start[1], g, "start m"))
+    start = _start_pair(start, g)  # a wrong shape fails before any Picard work
     if base_solution is None:
         sol1 = solve_nonlinear_mfg(coeffs, F=Fv, G=Gv, m0=m0, h=h, cfg=cfg)
         if not sol1.converged:
@@ -289,27 +289,21 @@ def build_ladder_pairs(
 
     Returns a tuple of (eps, (sol1, sol2)); reusable across experiments at
     different t0 since the pairs do not depend on the measurement time.
-    The perturbed solves are a continuation in eps: the first starts from
-    the base solution, and each later one from the secant prediction
-    base + (eps_k / eps_{k-1}) (sol2_{k-1} - base) through the previous
-    rung, for u and m alike (from the base again after an eps = 0 rung).
-    Every solve still stops on the residual tolerance, so the pairs agree
-    with cold-started ones to the accuracy that tolerance sets, in fewer
-    sweeps.
+    The perturbed solves are a continuation in eps, for u and m alike.  The
+    nodes are the last two rungs with distinct nonzero eps since the last
+    eps = 0 rung.  With no node the solve starts from the base solution,
+    with one from the secant base + (eps / e1) (sol2(e1) - base), and with
+    two from the Lagrange quadratic through (0, base), (e1, sol2(e1)) and
+    (e2, sol2(e2)); distinct nonzero nodes never divide by zero.  Every
+    solve still stops on the residual tolerance, so the pairs agree with
+    cold-started ones to the accuracy that tolerance sets, in fewer sweeps.
     """
     g = _experiment_grid(spec.problem, grid)
-    base = sol2 = None
-    prev_eps = 0.0  # no previous rung yet: start from the base
+    base = None
+    nodes: list = []  # (eps, sol2) of the last two distinct nonzero rungs
     out = []
     for eps in eps_ladder:
         eps = float(eps)
-        start = None
-        if prev_eps != 0.0:
-            r = eps / prev_eps
-            start = (
-                base.u.values + r * (sol2.u.values - base.u.values),
-                base.m.values + r * (sol2.m.values - base.m.values),
-            )
         sol1, sol2 = generate_pair(
             (spec.m0, spec.h),
             (spec.delta_m0, spec.delta_h),
@@ -318,12 +312,39 @@ def build_ladder_pairs(
             grid=g,
             cfg=cfg,
             base_solution=base,
-            start=start,
+            start=_predict(eps, base, nodes),
         )
         base = sol1
-        prev_eps = eps
+        nodes = [] if eps == 0.0 else [n for n in nodes if n[0] != eps][-1:] + [(eps, sol2)]
         out.append((eps, (sol1, sol2)))
     return tuple(out)
+
+
+def _predict(eps: float, base: Optional[MfgSolution], nodes: list):
+    """The (u, m) at eps of the polynomial through (0, base) and the
+    (e, sol2) nodes (distinct and nonzero), in the form
+    base + sum_e L_e(eps) (sol2(e) - base) with the Lagrange weights L_e;
+    None, the base itself, when there is no node."""
+    if not nodes:
+        return None
+    weights = []
+    for e, _ in nodes:
+        w = eps / e
+        for f, _ in nodes:
+            if f != e:
+                w *= (eps - f) / (e - f)
+        weights.append(w)
+
+    def along(b, fields):
+        out = b.copy()
+        for w, f in zip(weights, fields):
+            out += w * (f - b)
+        return out
+
+    return (
+        along(base.u.values, [sol.u.values for _, sol in nodes]),
+        along(base.m.values, [sol.m.values for _, sol in nodes]),
+    )
 
 
 def _pair_diff(pair):

@@ -339,10 +339,12 @@ def test_convergence_command_reports_order(tmp_path):
     order = doc["results"]["observed_order"]["value"]
     assert 1.7 <= order <= 2.3
     rows = _read_rows(out / "errors.csv")
-    assert rows[0] == ["n_x", "n_t", "h", "dt", "max_error"]
+    assert rows[0] == ["n_x", "n_t", "h", "dt", "max_error", "sweeps"]
+    assert rows[1][5] == "count"
     assert len(rows) >= 5
     errs = [float(r[4]) for r in rows[2:]]
     assert errs == sorted(errs, reverse=True)
+    assert [r[5] for r in rows[2:]] == ["0"] * len(errs)  # a scalar case: no Picard
 
 
 def test_carleman_sweep_csv(tmp_path):
@@ -366,18 +368,38 @@ def test_unknown_command_rejected():
         main(["frobnicate", "--config", "x.json"])
 
 
+_KEY_TABLE_HEADER = "| command | required keys | optional keys |"
+
+
+def _readme_key_table(section):
+    """The rows of the table under the key table's header row, in order."""
+    lines = section.splitlines()
+    start = lines.index(_KEY_TABLE_HEADER) + 2  # skip the header and its rule
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = line.strip().strip("|").split("|")
+        name, required, optional = (re.findall(r"`([^`]+)`", c) for c in cells)
+        table[name[0]] = (tuple(required), tuple(optional))
+    return list(table.items())
+
+
 def test_readme_key_table_matches_the_command_table():
     readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    table = {}
-    for line in section.splitlines():
-        cells = line.strip().strip("|").split("|")
-        if len(cells) == 3 and cells[0].strip().startswith("`"):
-            name, required, optional = (re.findall(r"`([^`]+)`", c) for c in cells)
-            table[name[0]] = (tuple(required), tuple(optional))
-    assert list(table.items()) == [
-        (name, (row.required, row.optional)) for name, row in _COMMANDS.items()
-    ]
+    want = [(name, (row.required, row.optional)) for name, row in _COMMANDS.items()]
+    assert _readme_key_table(section) == want
+    # another 3-column table in the section, before or after, is not read
+    other = "\n".join([
+        "",
+        "| kind | required | optional |",
+        "| --- | --- | --- |",
+        "| `sin` | `scale` | `omega` |",
+        "",
+    ])
+    assert _readme_key_table(other + section) == want
+    assert _readme_key_table(section + other) == want
 
 
 @pytest.mark.parametrize("lam_values, overflow, code", [
@@ -594,3 +616,23 @@ def test_solve_without_mallopt_gives_the_same_result(tmp_path, monkeypatch, libc
     for doc in docs:
         doc.pop("timestamp")
     assert docs[0] == docs[1]
+
+
+def test_coupled_convergence_writes_fewer_sweeps_than_cold_levels(tmp_path):
+    from degenmfg.domain import SpaceTimeGrid
+    from degenmfg.manufactured import _solve_case, make_case
+    from degenmfg.mfg import IterConfig
+
+    ladder = [[32, 8], [64, 32], [128, 128]]
+    cfg = {"command": "convergence", "case": "coupled-oil", "mode": "space", "ladder": ladder}
+    out = tmp_path / "o"
+    assert main(["convergence", "--config", _dump(cfg, tmp_path / "cfg.json"),
+                 "--out", str(out)]) == 0
+    rows = _read_rows(out / "errors.csv")
+    assert rows[0][5] == "sweeps" and rows[1][5] == "count"
+    sweeps = [int(r[5]) for r in rows[2:]]
+    case = make_case("coupled-oil")
+    cold = [_solve_case(case, SpaceTimeGrid(n_x, n_t, case.T), IterConfig())[4]
+            for n_x, n_t in ladder]
+    assert sweeps[0] == cold[0]
+    assert all(w < c for w, c in zip(sweeps[1:], cold[1:]))

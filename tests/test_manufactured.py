@@ -5,6 +5,9 @@ import pytest
 
 from degenmfg.domain import SpaceTimeGrid
 from degenmfg.manufactured import (
+    _prolong,
+    _solve_case,
+    case_error,
     catalog,
     convergence_study,
     make_case,
@@ -13,6 +16,7 @@ from degenmfg.manufactured import (
     smooth_power,
     solve_case,
 )
+from degenmfg.mfg import IterConfig
 
 TAGS = ("hjb", "fp", "mfg_linear", "mfg_nonlinear")
 
@@ -166,3 +170,48 @@ def test_in_place_sources_equal_out_of_place_reference(name):
         assert np.array_equal(c.G(x, t), G)
     assert np.array_equal(c.source_G(g).values, _sources_out_of_place(c, *points[0])[1])
     assert np.shape(c.F(0.3, 0.7)) == () and np.shape(c.G(0.3, 0.7)) == ()
+
+
+@pytest.mark.parametrize(
+    "name, mode, ladder",
+    [
+        ("wf-game", "space", ((32, 8), (64, 32), (128, 128))),
+        ("coupled-oil", "space", ((32, 8), (64, 32), (128, 128))),
+        ("coupled-oil", "time", ((96, 16), (96, 32), (96, 64))),
+    ],
+)
+def test_continued_study_matches_cold_levels_in_fewer_sweeps(name, mode, ladder):
+    c = make_case(name)
+    res = convergence_study(c, mode, ladder)
+    grids = [SpaceTimeGrid(n_x, n_t, c.T) for n_x, n_t in ladder]
+    cold_errors = [case_error(c, g) for g in grids]
+    cold_sweeps = [_solve_case(c, g, IterConfig())[4] for g in grids]
+    steps = [g.h if mode == "space" else g.dt for g in grids]
+    cold_order = float(np.polyfit(np.log(steps), np.log(cold_errors), 1)[0])
+    assert res.errors == pytest.approx(cold_errors, rel=1e-6, abs=0.0)
+    assert abs(res.observed_order - cold_order) <= 1e-6
+    assert res.sweeps[0] == cold_sweeps[0]  # the first level starts cold
+    assert sum(res.sweeps) < sum(cold_sweeps)
+
+
+def test_scalar_study_runs_no_picard_sweep():
+    res = convergence_study(make_case("wf-pulse"), "space", ((16, 4), (32, 16), (64, 64)))
+    assert res.sweeps == (0, 0, 0)
+
+
+def test_prolongation_is_exact_on_bilinear_fields():
+    old, new = SpaceTimeGrid(8, 4, 2.0), SpaceTimeGrid(17, 9, 2.0)
+
+    def field(g):
+        x, t = g.x[:, None], g.t[None, :]
+        return 0.3 - 1.7 * x + 0.4 * t + 2.1 * x * t
+
+    # new.x reaches past old.x at both ends: the end intervals extrapolate
+    assert new.x[0] < old.x[0] and new.x[-1] > old.x[-1]
+    u, m = _prolong((field(old), -field(old)), old, new)
+    assert u.shape == m.shape == new.shape
+    assert np.max(np.abs(u - field(new))) <= 1e-14
+    assert np.array_equal(m, -u)
+    # the same grid maps every trajectory to itself
+    v = np.random.default_rng(1).standard_normal(old.shape)
+    assert np.array_equal(_prolong((v,), old, old)[0], v)

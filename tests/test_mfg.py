@@ -272,3 +272,78 @@ def test_start_field_on_another_grid_raises_value_error():
     coeffs, m0, h = _stock_coeffs(g)
     with pytest.raises(ValueError, match=r"^start u: field grid"):
         solve_nonlinear_mfg(coeffs, m0=m0, h=h, start=(other.u, other.m))
+
+
+def _linear_coeffs(g):
+    x = g.x
+    a = WF.a(x)
+    coeffs = MfgCoefficients(
+        WF, g, d1=0.2 * x * (1 - x), d2=0.3 * a, c1=0.2 * x * (1 - x), b=0.25,
+        c2=0.2 * np.sin(x), rho=0.15 * a,
+    )
+    return coeffs, 6.0 * a, a
+
+
+def test_linearized_zero_start_is_the_default_bit_for_bit():
+    g = _grid()
+    coeffs, m0, h = _linear_coeffs(g)
+    cold = solve_linearized_mfg(coeffs, m0=m0, h=h)
+    zero = solve_linearized_mfg(coeffs, m0=m0, h=h, start=(0.0, np.zeros(g.shape)))
+    assert cold.sweeps > 1
+    assert zero.residual_log == cold.residual_log
+    assert np.array_equal(zero.u.values, cold.u.values)
+    assert np.array_equal(zero.m.values, cold.m.values)
+
+
+def test_linearized_solve_started_at_its_own_solution_takes_one_sweep():
+    g = _grid()
+    coeffs, m0, h = _linear_coeffs(g)
+    sol = solve_linearized_mfg(coeffs, m0=m0, h=h)
+    assert sol.converged and sol.sweeps > 1
+    again = solve_linearized_mfg(coeffs, m0=m0, h=h, start=(sol.u, sol.m.values))
+    assert again.converged and again.sweeps == 1
+    for f, ref in ((again.u, sol.u), (again.m, sol.m)):
+        scale = np.max(np.abs(ref.values))
+        assert np.max(np.abs(f.values - ref.values)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize(
+    "start, which",
+    [
+        ((np.zeros((48, 48)), 0.0), "u"),  # one time column short
+        ((0.0, np.zeros(47)), "m"),  # a profile one node short
+        ((SpaceTimeGrid(24, 48, 1.0).x, 0.0), "u"),  # a coarser grid's profile
+        (None, "u"),  # a field on another grid
+    ],
+)
+def test_linearized_wrong_start_raises_before_any_sweep(monkeypatch, start, which):
+    from degenmfg import mfg
+
+    g = _grid()
+    coeffs, m0, h = _linear_coeffs(g)
+    if start is None:
+        other = solve_linearized_mfg(MfgCoefficients(WF, _grid(48, 24)))
+        start = (other.u, other.m)
+    calls = []
+    monkeypatch.setattr(mfg, "solve_hjb_linear", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=rf"^start {which}: "):
+        solve_linearized_mfg(coeffs, m0=m0, h=h, start=start)
+    assert calls == []
+
+
+def test_value_problem_bands_are_dropped_after_its_solve(monkeypatch):
+    from degenmfg import mfg
+
+    solved = []
+    real = mfg.solve_hjb_linear
+
+    def recording(prob):
+        solved.append(prob)
+        return real(prob)
+
+    monkeypatch.setattr(mfg, "solve_hjb_linear", recording)
+    g = _grid()
+    coeffs, m0, h = _stock_coeffs(g)
+    sol = solve_nonlinear_mfg(coeffs, m0=m0, h=h)
+    assert sol.converged and len(solved) == sol.sweeps > 1
+    assert not any("_step_bands" in vars(prob) for prob in solved)

@@ -500,3 +500,44 @@ def test_lapack_loader_falls_back_to_public_module(monkeypatch, missing):
     monkeypatch.setattr(solvers, "lapack", loaded)
     for (bands, first, src, dt), want in zip(cases, direct):
         assert np.array_equal(solvers._march(bands, first, src, -dt, "value"), want)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("cols", [1, 9])  # one band column, and a full trajectory
+def test_bands_without_q_equal_bands_with_explicit_zeros_bitwise(cols):
+    g = SpaceTimeGrid(33, 8, 1.0)
+    rng = np.random.default_rng(3)
+    a = P22.a(g.x)[:, None]
+    d = rng.standard_normal((g.n_x, cols))
+    d[0] = -0.0  # signed zeros at the boundary rows, which fold d into diag
+    d[-1] = 0.0
+    free = _band_fields(a, d, None, g.h)
+    zeros = _band_fields(a, d, np.zeros(d.shape), g.h)
+    for got, want in zip(free, zeros):
+        assert got.shape == want.shape == d.shape
+        assert np.array_equal(_bits(got), _bits(want))
+    prob = HjbLinearProblem(g, P22, drift=d if cols > 1 else d[:, 0])
+    prob_d = prob.drift if cols > 1 else prob.drift[:, :1]
+    want = _to_step_bands(*_band_fields(a, prob_d, np.zeros(prob_d.shape), g.h), g.dt)
+    for got, ref in zip(prob._step_bands, want):
+        assert np.array_equal(_bits(got), _bits(ref))
+
+
+def test_ratios_are_computed_on_first_read_and_equal_the_eager_formulas():
+    g = SpaceTimeGrid(64, 48, 1.0)
+    x = g.x
+    coef = np.outer(np.cos(5.0 * x), 1.0 + g.t)
+    hjb = HjbLinearProblem(g, P22, drift=coef)
+    fp = FpLinearProblem(g, P22, convection=-coef)
+    assert not {"drift_ratio", "convection_ratio", "slope_ratio"} & (
+        set(vars(hjb)) | set(vars(fp))
+    )
+    sqrt_a = P22.sqrt_a(x)
+    assert hjb.drift_ratio == float(np.max(np.abs(coef) / sqrt_a[:, None]))
+    assert fp.convection_ratio == float(np.max(np.abs(-coef) / sqrt_a[:, None]))
+    assert fp.slope_ratio == float(np.max(np.abs(P22.a_x(x)) / sqrt_a))
+    assert {"drift_ratio"} <= set(vars(hjb))
+    assert {"convection_ratio", "slope_ratio"} <= set(vars(fp))

@@ -1,6 +1,7 @@
 """Backward-recovery exponents, perturbation ladders, and envelope fits."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from degenmfg.domain import SpaceTimeGrid
 from degenmfg.stability import (
     DEFAULT_HOLDER_LADDER,
     DEFAULT_LOG_LADDER,
+    _predict,
     build_ladder_pairs,
     compute_data_norm_D,
     default_backward_spec,
@@ -302,3 +304,47 @@ def test_end_norms_equal_full_trajectory_derivatives(order, col):
         want_u.append(weighted_norm(_dt_array(u, g.dt, k)[:, col], NormKind.H1_INV_A, coeff, g))
         want_m.append(weighted_norm(_dt_array(m, g.dt, k)[:, col], NormKind.H1A_DIV, coeff, g))
     assert _end_norms(u, m, coeff, g, order, col) == (want_u, want_m)
+
+
+@pytest.mark.parametrize(
+    "ladder",
+    [
+        (1e-2, 1e-3, 1e-3, 1e-4),  # a repeated eps: one node, not two
+        (1e-2, 1e-3, 0.0, 1e-3, 1e-4, 1e-5),  # eps = 0 drops every node
+        (1e-3, 1e-3, 1e-3),  # a single distinct eps: secant only
+    ],
+)
+def test_quadratic_predictor_ladders_stay_finite_and_match_cold_pairs(ladder):
+    bspec = default_backward_spec()
+    warm = build_ladder_pairs(bspec, ladder, grid=GRID)
+    cold = _cold_pairs(bspec, ladder)
+    for (eps_w, (_, s_w)), (eps_c, (_, s_c)) in zip(warm, cold):
+        assert eps_w == eps_c and s_w.converged
+        for f_w, f_c in ((s_w.u, s_c.u), (s_w.m, s_c.m)):
+            assert np.all(np.isfinite(f_w.values))
+            scale = np.max(np.abs(f_c.values))
+            assert np.max(np.abs(f_w.values - f_c.values)) <= 1e-8 * scale
+
+
+def _fake(u, m):
+    return SimpleNamespace(u=SimpleNamespace(values=u), m=SimpleNamespace(values=m))
+
+
+def test_predictor_is_the_lagrange_polynomial_through_zero_and_its_nodes():
+    rng = np.random.default_rng(5)
+    b, c1, c2 = (rng.standard_normal((6, 5)) for _ in range(3))
+
+    def curve(e):  # an exact quadratic in eps through the base at eps = 0
+        return b + e * c1 + e * e * c2
+
+    base = _fake(curve(0.0), 2.0 * curve(0.0))
+    e1, e2, eps = 1e-1, 1e-2, 1e-3
+    nodes = [(e1, _fake(curve(e1), 2.0 * curve(e1))), (e2, _fake(curve(e2), 2.0 * curve(e2)))]
+    u, m = _predict(eps, base, nodes)
+    assert np.max(np.abs(u - curve(eps))) <= 1e-14
+    assert np.max(np.abs(m - 2.0 * curve(eps))) <= 2e-14
+    # one node: the secant through the base, as written before the quadratic
+    u, _ = _predict(eps, base, nodes[1:])
+    b_u, s_u = base.u.values, nodes[1][1].u.values
+    assert np.array_equal(u, b_u + (eps / e2) * (s_u - b_u))
+    assert _predict(eps, base, []) is None
