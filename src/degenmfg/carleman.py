@@ -3,33 +3,39 @@
 Both sides of each weighted estimate carry the factor exp(2 s phi(t)) with
 phi(t) = exp(lam t), which overflows double precision long before interesting
 parameter ranges are exhausted.  Everything here is therefore computed with
-the scaled weight exp(2 s phi(t) - K), K = 2 s phi(T): every scaled factor
-lies in (0, 1], the left/right ratio is unchanged because the scaling cancels
-exactly, and the unscaled magnitudes are recovered in log form as
-log(scaled) + K.  Linear-scale fields of a report are exact when they fit in
-a double and overflow to inf (with the overflow flag set) when they do not;
-ratios and logs stay finite while phi(T) does (else inf, with a NaN ratio).
+the scaled weight exp(2 s phi(t) - K), K = 2 s phi(T), evaluated as
+exp(-2 s tau) with tau = phi(T) - phi(t) >= 0: every scaled factor lies in
+(0, 1] (0 only where exp underflows) whatever the size of K, the left/right
+ratio is unchanged because the scaling cancels exactly, and the unscaled
+magnitudes are recovered in log form as log(scaled) + K.  Linear-scale fields
+of a report are exact when they fit in a double and overflow to inf (with the
+overflow flag set) when they do not; ratios and logs stay finite while phi(T)
+does (else inf, with a NaN ratio).
 
 Time integration is a trapezoid between adjacent slices of the spatial
 integrals multiplied by the scaled weight at the midpoint, so the fast weight
 is sampled where it matters.  The slice integrals do not depend on the
 parameters and are computed once per estimate, and so are their trapezoids.
 For one lam, the scaled weight of every s is one table (a row per s, a column
-per midpoint), and every time integral of the estimate is a product of that
-table with a vector.  A sweep builds the table of each lam in turn into one
-reused buffer and gathers the time sums of every cell; the per-cell rest of
-the estimate (the s and lam factors, the data terms, the ratio) then runs
-once over all cells, on per-cell s, lam, phi(T) and K, so that arithmetic
-of a cell does not depend on the other cells evaluated with it (the time
-sums can, at rounding: a matrix product rounds by its shape).  A single
-evaluation is a sweep of its one cell.
+per midpoint), one product of -2 s with that lam's tau and one exp, and every
+time integral of the estimate is a product of that table with a vector.  A
+sweep builds the table of each lam in turn into one reused buffer and
+gathers the time sums of every cell; the per-cell rest of the estimate (the
+s and lam factors, the data terms, the ratio) then runs once over all cells,
+on per-cell s, lam, phi(T) and K, so that arithmetic of a cell does not
+depend on the other cells evaluated with it (the time sums can, at
+rounding: a matrix product rounds by its shape).  A single evaluation is a
+sweep of its one cell.
 
 The slice integrals walk the trajectory in blocks of time columns, each about
 one weight table in size: a block differentiates its own columns (in time
 through one halo column on each side) and sums them into the slice-integral
-rows, so no derivative of the whole trajectory is ever held.  The end-slice
-data norms read the first and last columns.  The sums are bit-identical to
-those of whole-trajectory derivative arrays.
+rows, so no derivative of the whole trajectory is ever held.  Each slice
+integral is one weighted sum-of-squares contraction per block,
+einsum("ij,ij,i->j", f, f, w) with w = h a, h / a or h, which forms no
+temporary of the block's size.  The end-slice data norms read the first and
+last columns.  The sums are bit-identical to the same contractions of
+whole-trajectory derivative arrays.
 """
 
 from __future__ import annotations
@@ -232,27 +238,29 @@ def _trapezoids(I: np.ndarray, dt: float) -> np.ndarray:
     return dt * (0.5 * (I[:-1] + I[1:]))
 
 
-def _scaled_cells(grid: SpaceTimeGrid, estimates, s, lam, live) -> list:
+def _scaled_cells(grid: SpaceTimeGrid, estimates, s, lam, phi_T, live) -> list:
     """The _Scaled totals of each estimate at the cells (s[i], lam[j]) with
-    live[i, j], taken lam by lam and in the order of s within a lam.
+    live[i, j], taken lam by lam and in the order of s within a lam; phi_T
+    holds phi(T) of each lam.
 
     estimates holds (scaled, ingredients, terms) triples, terms being the
     (slice integral, p) pairs of the estimate's time integrals against phi^p
     times the scaled weight.  The trapezoids of the slice integrals are
     computed once.  For each lam the scaled weight of its live s is built
     into one buffer, a table of at most _TABLE_DOUBLES entries at a time (a
-    row per s, a column per midpoint), and each estimate's time sums are one
-    product of a table with the matrix of its weighted trapezoids.  The
-    per-cell arithmetic of scaled then runs once over every cell.
+    row per s, a column per midpoint): one product and one exp,
+    exp(-2 s tau) with tau = phi(T) - phi(t_mid) >= 0, so every entry lies
+    in (0, 1] without reading K.  Each estimate's time sums are one product
+    of a table with the matrix of its weighted trapezoids.  The per-cell
+    arithmetic of scaled then runs once over every cell.
     """
     n_mid = grid.n_t
     rows = max(1, _TABLE_DOUBLES // n_mid)
     t_mid = 0.5 * (grid.t[:-1] + grid.t[1:])
-    phi_T = np.array([_phi_T(x, grid.T) for x in lam])
-    K = np.multiply.outer(2.0 * s, phi_T)
     # the cells lam-major: j indexes lam, i indexes s
     j, i = np.nonzero(live.T)
-    cells = _Cells(s[i], lam[j], phi_T[j], K[i, j])
+    cells = _Cells(s[i], lam[j], phi_T[j], 2.0 * s[i] * phi_T[j])
+    minus_two_s = -2.0 * cells.s
     trapezoids = [
         [(_trapezoids(getattr(ing, name), grid.dt), p) for name, p in terms]
         for _, ing, terms in estimates
@@ -261,18 +269,17 @@ def _scaled_cells(grid: SpaceTimeGrid, estimates, s, lam, live) -> list:
     per_lam = np.count_nonzero(live, axis=0)
     buf = np.empty(min(rows, int(per_lam.max(initial=0))) * n_mid)
     lo = 0
-    for lam_j, n in zip(lam, per_lam):
+    for lam_j, phi_T_j, n in zip(lam, phi_T, per_lam):
         if n == 0:
             continue
         phi_mid = np.exp(lam_j * t_mid)
+        tau = phi_T_j - phi_mid
         cols = [np.stack([tz * phi_mid**p for tz, p in tzs], axis=1) for tzs in trapezoids]
         for block in range(lo, lo + n, rows):
             idx = slice(block, min(block + rows, lo + n))
-            s_b = cells.s[idx]
-            table = buf[:s_b.size * n_mid].reshape(s_b.size, n_mid)
-            np.multiply.outer(2.0 * s_b, phi_mid, out=table)
-            table -= cells.K[idx, None]
-            np.exp(table, out=table)
+            w = minus_two_s[idx, None]
+            table = buf[:w.size * n_mid].reshape(w.size, n_mid)
+            np.exp(np.multiply(w, tau, out=table), out=table)
             for out, c in zip(sums, cols):
                 out[:, idx] = (table @ c).T
         lo += n
@@ -313,22 +320,31 @@ def _time_blocks(grid: SpaceTimeGrid):
         yield slice(lo, hi), slice(elo, min(hi + 1, n)), slice(lo - elo, hi - elo)
 
 
+# one weighted sum of squares per time column: sum over x of f^2 w
+_SQ_SUM = "ij,ij,i->j"
+
+
+def _quadrature_weights(a: np.ndarray, h: float):
+    """The slice integrals' weights h a, h / a and h, one per grid point."""
+    return h * a, h / a, np.full(a.shape, h)
+
+
 def hjb_ingredients(u, F, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> HjbIngredients:
     uv = _traj(u, grid, "u")
     Fv = _traj(F if F is not None else 0.0, grid, "F")
-    a = coeff.a(grid.x)[:, None]
     h = grid.h
+    h_a, h_inv_a, h_1 = _quadrature_weights(coeff.a(grid.x), h)
     I_ut, I_uxx, I_ux, I_u, I_F = np.empty((5, grid.n_t + 1))
     for cols, ext, inner in _time_blocks(grid):
         ub, Fb = uv[:, cols], Fv[:, cols]
         ut = _dt_array(uv[:, ext], grid.dt, 1)[:, inner]
         ux = _dx_array(ub, h, "dirichlet")
         uxx = _dxx_array(ub, h, "dirichlet")
-        I_ut[cols] = h * np.sum(ut * ut / a, axis=0)
-        I_uxx[cols] = h * np.sum(a * uxx * uxx, axis=0)
-        I_ux[cols] = h * np.sum(ux * ux, axis=0)
-        I_u[cols] = h * np.sum(ub * ub / a, axis=0)
-        I_F[cols] = h * np.sum(Fb * Fb / a, axis=0)
+        np.einsum(_SQ_SUM, ut, ut, h_inv_a, out=I_ut[cols])
+        np.einsum(_SQ_SUM, uxx, uxx, h_a, out=I_uxx[cols])
+        np.einsum(_SQ_SUM, ux, ux, h_1, out=I_ux[cols])
+        np.einsum(_SQ_SUM, ub, ub, h_inv_a, out=I_u[cols])
+        np.einsum(_SQ_SUM, Fb, Fb, h_inv_a, out=I_F[cols])
     return HjbIngredients(
         I_ut, I_uxx, I_ux, I_u, I_F,
         BT_0=weighted_norm(uv[:, -1], NormKind.L2_INV_A, coeff, grid) ** 2,
@@ -367,21 +383,23 @@ class FpIngredients:
 def fp_ingredients(m, G, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> FpIngredients:
     mv = _traj(m, grid, "m")
     Gv = _traj(G if G is not None else 0.0, grid, "G")
-    a = coeff.a(grid.x)[:, None]
+    a = coeff.a(grid.x)
     h = grid.h
+    h_a, h_inv_a, h_1 = _quadrature_weights(a, h)
     J_v2, J_vx, J_m, J_G = np.empty((4, grid.n_t + 1))
     for cols, ext, inner in _time_blocks(grid):
         mb, Gb = mv[:, cols], Gv[:, cols]
-        v_ext = a * mv[:, ext]
+        v_ext = a[:, None] * mv[:, ext]
         v = v_ext[:, inner]
         vx = _dx_array(v, h, "dirichlet")
         vxx = _dxx_array(v, h, "dirichlet")
         # int a m_t^2 = int v_t^2 / a, differentiating the product field in time
         vt = _dt_array(v_ext, grid.dt, 1)[:, inner]
-        J_v2[cols] = h * np.sum(a * vxx * vxx + vt * vt / a, axis=0)
-        J_vx[cols] = h * np.sum(vx * vx, axis=0)
-        J_m[cols] = h * np.sum(a * mb * mb, axis=0)
-        J_G[cols] = h * np.sum(a * Gb * Gb, axis=0)
+        np.einsum(_SQ_SUM, vxx, vxx, h_a, out=J_v2[cols])
+        J_v2[cols] += np.einsum(_SQ_SUM, vt, vt, h_inv_a)
+        np.einsum(_SQ_SUM, vx, vx, h_1, out=J_vx[cols])
+        np.einsum(_SQ_SUM, mb, mb, h_a, out=J_m[cols])
+        np.einsum(_SQ_SUM, Gb, Gb, h_a, out=J_G[cols])
         if cols.start == 0:
             vx_0 = vx[:, 0].copy()
     return FpIngredients(
@@ -408,7 +426,8 @@ def _fp_scaled(ing: FpIngredients, sums: np.ndarray, c: _Cells) -> _Scaled:
 def _at_point(grid: SpaceTimeGrid, estimates, params: CarlemanParams) -> list:
     """_scaled_cells at the one cell (params.s, params.lam)."""
     s, lam = np.array([float(params.s)]), np.array([float(params.lam)])
-    return _scaled_cells(grid, estimates, s, lam, np.ones((1, 1), dtype=bool))
+    phi_T = np.array([_phi_T(params.lam, grid.T)])
+    return _scaled_cells(grid, estimates, s, lam, phi_T, np.ones((1, 1), dtype=bool))
 
 
 def _resolve(problem, grid):
@@ -522,14 +541,16 @@ def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResul
     """Evaluate the bundle's estimate over an (s, lam) grid.
 
     Slice integrals and their trapezoids are computed once, in blocks of
-    time columns.  Each lam builds one table of the scaled weight over the
-    time midpoints, a row per s that does not overflow (in blocks of at most
-    _TABLE_DOUBLES = 64 x 1024 entries), into one buffer that every lam
-    reuses, and each time integral of the estimate is a product of that
-    table with a vector.  The rest of the estimate runs once per sweep over
-    the time sums of every live cell.  Cells whose weight cannot be
-    represented on a linear scale are recorded as NaN and counted in
-    overflow_cells.
+    time columns, each integral one weighted sum-of-squares contraction per
+    block.  Each lam builds one table of the scaled weight
+    exp(-2 s (phi(T) - phi(t))) over the time midpoints, a row per s that
+    does not overflow (in blocks of at most _TABLE_DOUBLES = 64 x 1024
+    entries), into one buffer that every lam reuses: one product and one
+    exp, every entry in (0, 1].  Each time integral of the estimate is a
+    product of that table with a vector.  The rest of the estimate runs once
+    per sweep over the time sums of every live cell.  Cells whose weight
+    cannot be represented on a linear scale are recorded as NaN and counted
+    in overflow_cells.
     """
     s_sorted = tuple(sorted(float(s) for s in s_values))
     lam_sorted = tuple(sorted(float(x) for x in lam_values))
@@ -551,7 +572,7 @@ def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResul
     phi_T = np.array([_phi_T(lam, g.T) for lam in lam_sorted])
     live = ~(np.multiply.outer(2.0 * s_arr, phi_T) > OVERFLOW_LOG_LIMIT)
     overflow = int(np.count_nonzero(~live))
-    sc = _scaled_cells(g, estimates, s_arr, lam_arr, live)
+    sc = _scaled_cells(g, estimates, s_arr, lam_arr, phi_T, live)
     ratios = np.full((len(s_sorted), len(lam_sorted)), np.nan)
     # the cells come lam by lam, as the transpose's mask lists them
     ratios.T[live.T] = sum(sc[1:], sc[0]).ratio()

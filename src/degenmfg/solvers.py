@@ -213,12 +213,13 @@ class FpLinearProblem:
     @cached_property
     def _step_bands(self):
         """Bands of I - dt L_v, L_v = a d_xx - c1 d_x + (c1 a_x/a + b), built
-        once per problem."""
+        once per problem; the step -h carries the drift's sign, so no -c1
+        field is formed."""
         g = self.grid
         x = g.x
         conv, zeroth = _time_columns(self.convection, self.zeroth)
         q = conv * self.coeff.log_derivative(x)[:, None] + zeroth
-        bands = _band_fields(self.coeff.a(x)[:, None], -conv, q, g.h)
+        bands = _band_fields(self.coeff.a(x)[:, None], conv, q, -g.h)
         return _to_step_bands(*bands, g.dt)
 
 
@@ -238,7 +239,9 @@ def _band_fields(a: np.ndarray, d: np.ndarray, q, h: float):
     the ghost closure: extending the field by a quadratic that vanishes at the
     endpoint gives ghost = -2 f0 + f1/3, which folds into the row-0 weights
     below (mirrored on the right, where the outward direction flips the sign
-    of the drift part).
+    of the drift part).  A negative step -h gives the bands of
+    a d_xx - d d_x + q, bit for bit those of -d: a / h^2 is even in h, and
+    every drift quotient flips its sign exactly.
     """
     h2 = h * h
     a2 = a / h2

@@ -342,6 +342,11 @@ def test_sweep_infinite_s_is_overflow_cell():
     assert np.isfinite(sw.ratios[0, 0]) and math.isnan(sw.ratios[1, 0])
 
 
+def _sq_sum(f, w):
+    """sum over x of f^2 w, per time column: the slice integrals' contraction."""
+    return np.einsum("ij,ij,i->j", f, f, w)
+
+
 def _full_hjb_ingredients(u, F, coeff, grid):
     """The slice integrals from whole-trajectory derivative arrays."""
     from degenmfg.domain import NormKind, _dt_array, _dx_array, _dxx_array, weighted_norm
@@ -349,17 +354,17 @@ def _full_hjb_ingredients(u, F, coeff, grid):
 
     uv = _traj(u, grid, "u")
     Fv = _traj(F if F is not None else 0.0, grid, "F")
-    a = coeff.a(grid.x)[:, None]
+    a = coeff.a(grid.x)
     h = grid.h
     ut = _dt_array(uv, grid.dt, 1)
     ux = _dx_array(uv, h, "dirichlet")
     uxx = _dxx_array(uv, h, "dirichlet")
     return carleman.HjbIngredients(
-        I_ut=h * np.sum(ut * ut / a, axis=0),
-        I_uxx=h * np.sum(a * uxx * uxx, axis=0),
-        I_ux=h * np.sum(ux * ux, axis=0),
-        I_u=h * np.sum(uv * uv / a, axis=0),
-        I_F=h * np.sum(Fv * Fv / a, axis=0),
+        I_ut=_sq_sum(ut, h / a),
+        I_uxx=_sq_sum(uxx, h * a),
+        I_ux=_sq_sum(ux, np.full(a.shape, h)),
+        I_u=_sq_sum(uv, h / a),
+        I_F=_sq_sum(Fv, h / a),
         BT_0=weighted_norm(uv[:, -1], NormKind.L2_INV_A, coeff, grid) ** 2,
         BT_1=weighted_norm(uv[:, -1], NormKind.H1_INV_A, coeff, grid) ** 2,
         B0_0=weighted_norm(uv[:, 0], NormKind.L2_INV_A, coeff, grid) ** 2,
@@ -374,22 +379,79 @@ def _full_fp_ingredients(m, G, coeff, grid):
 
     mv = _traj(m, grid, "m")
     Gv = _traj(G if G is not None else 0.0, grid, "G")
-    a = coeff.a(grid.x)[:, None]
+    a = coeff.a(grid.x)
     h = grid.h
-    v = a * mv
+    v = a[:, None] * mv
     vx = _dx_array(v, h, "dirichlet")
     vxx = _dxx_array(v, h, "dirichlet")
     vt = _dt_array(v, grid.dt, 1)
     return carleman.FpIngredients(
-        J_v2=h * np.sum(a * vxx * vxx + vt * vt / a, axis=0),
-        J_vx=h * np.sum(vx * vx, axis=0),
-        J_m=h * np.sum(a * mv * mv, axis=0),
-        J_G=h * np.sum(a * Gv * Gv, axis=0),
+        J_v2=_sq_sum(vxx, h * a) + _sq_sum(vt, h / a),
+        J_vx=_sq_sum(vx, np.full(a.shape, h)),
+        J_m=_sq_sum(mv, h * a),
+        J_G=_sq_sum(Gv, h * a),
         BT_m=weighted_norm(mv[:, -1], NormKind.L2_A, coeff, grid) ** 2,
         BT_vx=weighted_norm(vx[:, -1], NormKind.L2_PLAIN, coeff, grid) ** 2,
         B0_m=weighted_norm(mv[:, 0], NormKind.L2_A, coeff, grid) ** 2,
         B0_vx=weighted_norm(vx[:, 0], NormKind.L2_PLAIN, coeff, grid) ** 2,
     )
+
+
+def _written_out_slices(bundle, F, G):
+    """Each slice integral as a plain sum of its written-out integrand."""
+    from degenmfg.domain import _dt_array, _dx_array, _dxx_array
+    from degenmfg.solvers import _traj
+
+    g = bundle.grid
+    a = bundle.coeff.a(g.x)[:, None]
+    h = g.h
+    out = []
+    if bundle.u is not None:
+        uv = _traj(bundle.u, g, "u")
+        Fv = _traj(F if F is not None else 0.0, g, "F")
+        ut = _dt_array(uv, g.dt, 1)
+        ux = _dx_array(uv, h, "dirichlet")
+        uxx = _dxx_array(uv, h, "dirichlet")
+        out.append((hjb_ingredients(bundle.u, F, bundle.coeff, g), {
+            "I_ut": h * np.sum(ut * ut / a, axis=0),
+            "I_uxx": h * np.sum(a * uxx * uxx, axis=0),
+            "I_ux": h * np.sum(ux * ux, axis=0),
+            "I_u": h * np.sum(uv * uv / a, axis=0),
+            "I_F": h * np.sum(Fv * Fv / a, axis=0),
+        }))
+    if bundle.m is not None:
+        mv = _traj(bundle.m, g, "m")
+        Gv = _traj(G if G is not None else 0.0, g, "G")
+        v = a * mv
+        vx = _dx_array(v, h, "dirichlet")
+        vxx = _dxx_array(v, h, "dirichlet")
+        vt = _dt_array(v, g.dt, 1)
+        out.append((fp_ingredients(bundle.m, G, bundle.coeff, g), {
+            "J_v2": h * np.sum(a * vxx * vxx + vt * vt / a, axis=0),
+            "J_vx": h * np.sum(vx * vx, axis=0),
+            "J_m": h * np.sum(a * mv * mv, axis=0),
+            "J_G": h * np.sum(a * Gv * Gv, axis=0),
+        }))
+    return out
+
+
+@pytest.mark.parametrize("case", ["drifted-well", "wf-pulse", "coupled-mild"])
+@pytest.mark.parametrize("with_data", [True, False])
+def test_contracted_slice_integrals_match_written_out_sums(monkeypatch, case, with_data):
+    bundle = _bundle(case, 40, 64)
+    g = bundle.grid
+    monkeypatch.setattr(carleman, "_TABLE_DOUBLES", 16 * g.n_x)  # several blocks
+    F, G = (bundle.F, bundle.G) if with_data else (None, None)
+    checks = _written_out_slices(bundle, F, G)
+    assert len(checks) == (2 if case == "coupled-mild" else 1)
+    for ing, written in checks:
+        for name, want in written.items():
+            got = getattr(ing, name)
+            nonzero = want != 0.0
+            assert np.all(got[~nonzero] == 0.0), name
+            assert nonzero.any() == (with_data or name not in ("I_F", "J_G")), name
+            rel = np.abs(got[nonzero] - want[nonzero]) / want[nonzero]
+            assert np.all(rel <= 1e-13), (name, rel.max())
 
 
 def _assert_same_bits(got, want):

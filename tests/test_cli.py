@@ -424,6 +424,32 @@ def test_unrepresentable_lam_counts_overflow_cells(tmp_path, capsys, lam_values,
         assert (ratio == "NaN") == big
 
 
+# ratios.csv tables frozen from an earlier version, whose weight tables and
+# slice integrals round in another order; each config sits beside its table
+FROZEN_RATIOS = Path(__file__).resolve().parent / "data" / "parent_ratios"
+
+
+@pytest.mark.parametrize("case", ["drifted-well", "wf-pulse"])
+def test_carleman_ratios_match_frozen_tables(tmp_path, case):
+    out = tmp_path / "o"
+    rc = main(["verify-carleman", "--config", str(FROZEN_RATIOS / f"{case}.json"),
+               "--out", str(out)])
+    assert rc == 0
+    got = _read_rows(out / "ratios.csv")
+    want = _read_rows(FROZEN_RATIOS / f"{case}.csv")
+    assert len(got) == len(want) == 2 + 16 * 8 and got[:2] == want[:2]
+    overflow = 0
+    for (s, lam, ratio, flag), (s_w, lam_w, ratio_w, flag_w) in zip(got[2:], want[2:]):
+        assert (s, lam, flag) == (s_w, lam_w, flag_w)
+        if flag_w == "1":
+            assert ratio == ratio_w == "NaN"
+            overflow += 1
+        else:
+            r, r_w = float(ratio), float(ratio_w)
+            assert math.isfinite(r_w) and abs(r - r_w) <= 1e-12 * abs(r_w), (s, lam)
+    assert 0 < overflow < 16 * 8  # the tables straddle 2 s e^(lam T) = 700
+
+
 def test_csv_rows_match_the_csv_module(tmp_path):
     rows = [
         [1, 0.1, np.float64(2.5e-300), math.nan, np.float64("nan")],

@@ -526,6 +526,28 @@ def test_bands_without_q_equal_bands_with_explicit_zeros_bitwise(cols):
         assert np.array_equal(_bits(got), _bits(ref))
 
 
+@pytest.mark.parametrize("cols", [1, 9])  # one band column, and a full trajectory
+def test_density_bands_with_signed_step_equal_explicit_negation_bitwise(cols):
+    g = SpaceTimeGrid(33, 8, 1.0)
+    rng = np.random.default_rng(5)
+    a = P22.a(g.x)[:, None]
+    c = rng.standard_normal((g.n_x, cols))
+    c[0] = 0.0  # signed zeros at the boundary rows, which fold c into diag
+    c[-1] = -0.0
+    q = rng.standard_normal((g.n_x, cols))
+    for got, want in zip(_band_fields(a, c, q, -g.h), _band_fields(a, -c, q, g.h)):
+        assert got.shape == want.shape == c.shape
+        assert np.array_equal(_bits(got), _bits(want))
+    zeroth = rng.standard_normal((g.n_x, cols))
+    prob = FpLinearProblem(g, P22, convection=c if cols > 1 else c[:, 0],
+                           zeroth=zeroth if cols > 1 else zeroth[:, 0])
+    conv = prob.convection if cols > 1 else prob.convection[:, :1]
+    q = conv * P22.log_derivative(g.x)[:, None] + zeroth
+    want = _to_step_bands(*_band_fields(a, -conv, q, g.h), g.dt)
+    for got, ref in zip(prob._step_bands, want):
+        assert np.array_equal(_bits(got), _bits(ref))
+
+
 def test_ratios_are_computed_on_first_read_and_equal_the_eager_formulas():
     g = SpaceTimeGrid(64, 48, 1.0)
     x = g.x
