@@ -24,8 +24,10 @@ gathers the time sums of every cell; the per-cell rest of the estimate (the
 s and lam factors, the data terms, the ratio) then runs once over all cells,
 on per-cell s, lam, phi(T) and K, so that arithmetic of a cell does not
 depend on the other cells evaluated with it (the time sums can, at
-rounding: a matrix product rounds by its shape).  A single evaluation is a
-sweep of its one cell.
+rounding: a matrix product rounds by its shape).  Sweeps and single
+evaluations share one path: _estimates builds the estimates of a
+CarlemanBundle (mfg is hjb plus fp) and _scaled_cells evaluates them, a
+single evaluation at its one cell.
 
 The slice integrals walk the trajectory in blocks of time columns, each about
 one weight table in size: a block differentiates its own columns (in time
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -196,26 +197,8 @@ def _report_from_scaled(kind: str, params: CarlemanParams, sc: _Scaled, parts=()
     rhs_total = rhs_source + rhs_T + rhs_0
     fields = [_exp_clip(_safe_log(v) + K) for v in (lhs, rhs_source, rhs_T, rhs_0)]
     overflow = K > OVERFLOW_LOG_LIMIT or any(math.isinf(f) for f in fields)
-    return CarlemanReport(
-        estimate=kind,
-        params=params,
-        lhs=fields[0],
-        rhs_source=fields[1],
-        rhs_T=fields[2],
-        rhs_0=fields[3],
-        ratio=float(sc.ratio()[0]),
-        lhs_log=_safe_log(lhs) + K,
-        rhs_log=_safe_log(rhs_total) + K,
-        overflow=overflow,
-        parts=tuple(parts),
-    )
-
-
-def _unrepresentable(kind: str, params: CarlemanParams, grid: SpaceTimeGrid, parts=()):
-    """The all-inf report with a NaN ratio (as in a sweep) if phi(T) overflows."""
-    if math.isinf(_phi_T(params.lam, grid.T)):
-        return CarlemanReport(kind, params, *[math.inf] * 4, math.nan, math.inf, math.inf,
-                              True, parts)
+    return CarlemanReport(kind, params, *fields, float(sc.ratio()[0]), _safe_log(lhs) + K,
+                          _safe_log(rhs_total) + K, overflow, parts)
 
 
 @dataclass(frozen=True)
@@ -423,43 +406,55 @@ def _fp_scaled(ing: FpIngredients, sums: np.ndarray, c: _Cells) -> _Scaled:
     return _Scaled(lhs, G, rhs_T, rhs_0, c.K)
 
 
-def _at_point(grid: SpaceTimeGrid, estimates, params: CarlemanParams) -> list:
-    """_scaled_cells at the one cell (params.s, params.lam)."""
-    s, lam = np.array([float(params.s)]), np.array([float(params.lam)])
-    phi_T = np.array([_phi_T(params.lam, grid.T)])
-    return _scaled_cells(grid, estimates, s, lam, phi_T, np.ones((1, 1), dtype=bool))
+def _estimates(bundle: CarlemanBundle) -> list:
+    """The (scaled, ingredients, terms) triple of each estimate of the
+    bundle, hjb first."""
+    b, out = bundle, []
+    if b.kind in ("hjb", "mfg"):
+        out.append((_hjb_scaled, hjb_ingredients(b.u, b.F, b.coeff, b.grid), _HJB_TERMS))
+    if b.kind in ("fp", "mfg"):
+        out.append((_fp_scaled, fp_ingredients(b.m, b.G, b.coeff, b.grid), _FP_TERMS))
+    return out
 
 
-def _resolve(problem, grid):
-    """Accept a problem object, a coefficients bundle, or a bare coefficient."""
+def _evaluate(bundle: CarlemanBundle, params: CarlemanParams) -> CarlemanReport:
+    """The report of the bundle's estimate at the one cell (s, lam), through
+    _scaled_cells as in a sweep; an mfg report carries the hjb and fp
+    reports in parts.  Where phi(T) overflows every field is inf and the
+    ratio NaN, as a sweep reports the cell."""
+    kinds = ("hjb", "fp") if bundle.kind == "mfg" else ()
+    phi_T = _phi_T(params.lam, bundle.grid.T)
+    if math.isinf(phi_T):
+        inf = (math.inf,) * 4 + (math.nan, math.inf, math.inf, True)
+        parts = tuple(CarlemanReport(k, params, *inf) for k in kinds)
+        return CarlemanReport(bundle.kind, params, *inf, parts)
+    cell = np.array([float(params.s)]), np.array([float(params.lam)]), np.array([phi_T])
+    sc = _scaled_cells(bundle.grid, _estimates(bundle), *cell, np.ones((1, 1), dtype=bool))
+    parts = tuple(_report_from_scaled(k, params, x) for k, x in zip(kinds, sc))
+    return _report_from_scaled(bundle.kind, params, sum(sc[1:], sc[0]), parts)
+
+
+def _bundle(kind: str, problem, **fields) -> CarlemanBundle:
+    """The fields on the coefficient and grid of a problem object or a
+    coefficients bundle."""
     if isinstance(problem, (HjbLinearProblem, FpLinearProblem)):
-        return problem.coeff, problem.grid
+        return CarlemanBundle(kind, problem.coeff, problem.grid, **fields)
     if hasattr(problem, "diffusion") and hasattr(problem, "grid"):
-        return problem.diffusion, problem.grid
-    if isinstance(problem, DegenerateCoefficient):
-        if grid is None:
-            raise ValueError("a bare coefficient needs an explicit grid")
-        return problem, grid
+        return CarlemanBundle(kind, problem.diffusion, problem.grid, **fields)
     raise TypeError(f"cannot extract coefficient and grid from {type(problem).__name__}")
 
 
-def evaluate_hjb_carleman(u, F, params: CarlemanParams, problem,
-                          grid: Optional[SpaceTimeGrid] = None) -> CarlemanReport:
+def evaluate_hjb_carleman(u, F, params: CarlemanParams, problem) -> CarlemanReport:
     """Weighted energy estimate for a backward value trajectory.
 
     LHS: time-weighted integrals of u_t^2/a, a u_xx^2, s lam phi u_x^2 and
     (s lam phi)^2 u^2/a.  RHS: the weighted source integral s int phi F^2/a
     plus weighted H1(1/a) data norms at the final and initial times.
     """
-    coeff, g = _resolve(problem, grid)
-    if over := _unrepresentable("hjb", params, g):
-        return over
-    est = (_hjb_scaled, hjb_ingredients(u, F, coeff, g), _HJB_TERMS)
-    return _report_from_scaled("hjb", params, *_at_point(g, [est], params))
+    return _evaluate(_bundle("hjb", problem, u=u, F=F), params)
 
 
-def evaluate_fp_carleman(m, G, params: CarlemanParams, problem,
-                         grid: Optional[SpaceTimeGrid] = None) -> CarlemanReport:
+def evaluate_fp_carleman(m, G, params: CarlemanParams, problem) -> CarlemanReport:
     """Weighted energy estimate for a forward density trajectory.
 
     Works through the product field v = a m: LHS integrates
@@ -467,39 +462,22 @@ def evaluate_fp_carleman(m, G, params: CarlemanParams, problem,
     weight; RHS is the weighted source integral of a G^2 plus data norms of
     m and (am)_x at both ends.
     """
-    coeff, g = _resolve(problem, grid)
-    if over := _unrepresentable("fp", params, g):
-        return over
-    est = (_fp_scaled, fp_ingredients(m, G, coeff, g), _FP_TERMS)
-    return _report_from_scaled("fp", params, *_at_point(g, [est], params))
+    return _evaluate(_bundle("fp", problem, m=m, G=G), params)
 
 
-def evaluate_mfg_carleman(u, m, F, G, params: CarlemanParams, coeffs,
-                          grid: Optional[SpaceTimeGrid] = None) -> CarlemanReport:
+def evaluate_mfg_carleman(u, m, F, G, params: CarlemanParams, coeffs) -> CarlemanReport:
     """Combined estimate of a coupled pair: the exact sum of the two scalar ones.
 
     Computed in shared scaled arithmetic, so lhs and every rhs block equal the
     sums of the corresponding blocks of the per-equation reports (returned in
     parts) and the ratio is their joint lhs over joint rhs.
     """
-    coeff, g = _resolve(coeffs, grid)
-    parts = tuple(_unrepresentable(k, params, g) for k in ("hjb", "fp"))
-    if all(parts):
-        return _unrepresentable("mfg", params, g, parts)
-    sc_h, sc_f = _at_point(g, [
-        (_hjb_scaled, hjb_ingredients(u, F, coeff, g), _HJB_TERMS),
-        (_fp_scaled, fp_ingredients(m, G, coeff, g), _FP_TERMS),
-    ], params)
-    parts = (
-        _report_from_scaled("hjb", params, sc_h),
-        _report_from_scaled("fp", params, sc_f),
-    )
-    return _report_from_scaled("mfg", params, sc_h + sc_f, parts=parts)
+    return _evaluate(_bundle("mfg", coeffs, u=u, m=m, F=F, G=G), params)
 
 
 @dataclass(frozen=True)
 class CarlemanBundle:
-    """Fields and data of one estimate, packaged for parameter sweeps."""
+    """Fields and data of one estimate, packaged for its evaluation."""
 
     kind: str
     coeff: DegenerateCoefficient
@@ -562,13 +540,7 @@ def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResul
         raise ValueError("lam must be positive")
     s_arr, lam_arr = np.array(s_sorted), np.array(lam_sorted)
     g = bundle.grid
-    estimates = []
-    if bundle.kind in ("hjb", "mfg"):
-        estimates.append(
-            (_hjb_scaled, hjb_ingredients(bundle.u, bundle.F, bundle.coeff, g), _HJB_TERMS))
-    if bundle.kind in ("fp", "mfg"):
-        estimates.append(
-            (_fp_scaled, fp_ingredients(bundle.m, bundle.G, bundle.coeff, g), _FP_TERMS))
+    estimates = _estimates(bundle)
     phi_T = np.array([_phi_T(lam, g.T) for lam in lam_sorted])
     live = ~(np.multiply.outer(2.0 * s_arr, phi_T) > OVERFLOW_LOG_LIMIT)
     overflow = int(np.count_nonzero(~live))
@@ -603,14 +575,14 @@ def _row_max(ratios: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(ratios).any(axis=1), rows_max, np.nan)
 
 
-def s0_estimate(sweep: SweepResult, variation: float = 0.5):
-    """Smallest swept s after which the per-s max ratio varies less than
-    ``variation`` relatively, step to step, through the end of the range.
+def s0_estimate(sweep: SweepResult):
+    """Smallest swept s after which the per-s max ratio varies by at most
+    half relatively, step to step, through the end of the range.
     Returns None when no such s exists (including all-overflow sweeps)."""
     curve = _row_max(sweep.ratios)
     prev, nxt = curve[:-1], curve[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        steady = np.where(prev == 0.0, nxt == 0.0, np.abs(nxt - prev) / np.abs(prev) <= variation)
+        steady = np.where(prev == 0.0, nxt == 0.0, np.abs(nxt - prev) / np.abs(prev) <= 0.5)
     # a start is blocked by a NaN or an unsteady step at or after it
     blocked = np.isnan(curve)
     blocked[:-1] |= ~steady

@@ -596,7 +596,10 @@ def _run_convergence(cfg):
     ladder = cfg.get("ladder")
     if ladder is not None:
         ladder = tuple((int(a), int(b)) for a, b in ladder)
-    res = convergence_study(case, cfg["mode"], ladder, icfg)
+    try:
+        res = convergence_study(case, cfg["mode"], ladder, icfg)
+    except ValueError as exc:
+        raise ConfigError([f"ladder: {exc}"]) from exc
     results = {
         "case": res.case_name,
         "mode": res.mode,
@@ -631,9 +634,8 @@ def _run_coeff_check(cfg):
         "nonnegative_on_samples": bool(np.all(coeff.a(xs) >= 0.0)),
         "bounds": _bounds_doc(report),
     }
-    rows = [[e.name, e.value, e.x, e.t] for e in report.entries]
     csvs = [("bounds.csv", ["name", "value", "x", "t"],
-             ["tag", "ratio", "x", "t"], rows)]
+             ["tag", "ratio", "x", "t"], report.as_rows())]
     return results, csvs, 0
 
 

@@ -635,7 +635,9 @@ def convergence_study(
     mode="space" fits against h (the ladder refines dt like h^2 so the fit
     isolates the spatial order); mode="time" fits against dt on a fixed fine
     mesh.  An exactly reproduced solution (all errors at rounding level)
-    short-circuits to observed_order = inf with the exact flag set.
+    short-circuits to observed_order = inf with the exact flag set.  Adjacent
+    levels with the same fitted step (n_x in space mode, n_t in time mode)
+    have no rate: they raise ValueError before any solve.
 
     The levels are solved in ladder order.  A coupled level after the first
     starts from the previous level's (u, m), linearly interpolated to its
@@ -647,6 +649,11 @@ def convergence_study(
     if ladder is None:
         ladder = SPACE_LADDER if mode == "space" else TIME_LADDER
     grids = [SpaceTimeGrid(n_x, n_t, case.T) for n_x, n_t in ladder]
+    fitted = "n_x" if mode == "space" else "n_t"
+    for i, (a, b) in enumerate(zip(grids, grids[1:])):
+        if getattr(a, fitted) == getattr(b, fitted):
+            raise ValueError(f"levels {i} and {i + 1} share {fitted} = {getattr(a, fitted)}; "
+                             f"a {mode} ladder must change {fitted} between adjacent levels")
     errors, sweeps = [], []
     start = None
     for i, g in enumerate(grids):

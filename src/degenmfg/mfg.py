@@ -452,11 +452,7 @@ class BoundReport:
         return [(e.name, e.value, e.x, e.t) for e in self.entries]
 
 
-def check_coefficient_bounds(
-    coeffs: MfgCoefficients,
-    c: Optional[DegenerateCoefficient] = None,
-    grid: Optional[SpaceTimeGrid] = None,
-) -> BoundReport:
+def check_coefficient_bounds(coeffs: MfgCoefficients) -> BoundReport:
     """Evaluate every hypothesis ratio on the grid nodes.
 
     Reports max |p|/sqrt(a), |d|/a, |d1|/sqrt(a), |c1|/sqrt(a), |d2|/a, the
@@ -465,20 +461,14 @@ def check_coefficient_bounds(
     construction (nodes are interior); whether they stay bounded under
     refinement is a property of the chosen coefficients, not checked here.
     """
-    c = coeffs.diffusion if c is None else c
-    g = coeffs.grid if grid is None else grid
+    c, g = coeffs.diffusion, coeffs.grid
     x = g.x
     sqrt_a = c.sqrt_a(x)[:, None]
     a = c.a(x)[:, None]
     entries = []
 
-    def ratio(name, num, den):
+    def ratio(name, num, den=1.0):
         r = np.abs(num) / den
-        i, k = np.unravel_index(int(np.argmax(r)), r.shape)
-        entries.append(BoundEntry(name, float(r[i, k]), float(x[i]), float(g.t[k])))
-
-    def sup(name, num):
-        r = np.abs(num)
         i, k = np.unravel_index(int(np.argmax(r)), r.shape)
         entries.append(BoundEntry(name, float(r[i, k]), float(x[i]), float(g.t[k])))
 
@@ -487,10 +477,8 @@ def check_coefficient_bounds(
     ratio("d1_over_sqrt_a", coeffs.d1, sqrt_a)
     ratio("c1_over_sqrt_a", coeffs.c1, sqrt_a)
     ratio("d2_over_a", coeffs.d2, a)
-    ax_ratio = np.abs(c.a_x(x)) / c.sqrt_a(x)
-    i = int(np.argmax(ax_ratio))
-    entries.append(BoundEntry("ax_over_sqrt_a", float(ax_ratio[i]), float(x[i]), 0.0))
-    sup("b_sup", coeffs.b)
-    sup("c2_sup", coeffs.c2)
-    sup("rho_sup", coeffs.rho)
+    ratio("ax_over_sqrt_a", c.a_x(x)[:, None], sqrt_a)
+    ratio("b_sup", coeffs.b)
+    ratio("c2_sup", coeffs.c2)
+    ratio("rho_sup", coeffs.rho)
     return BoundReport(tuple(entries))

@@ -113,6 +113,8 @@ __all__ = [
 ]
 
 FieldLike = Union[SpaceTimeField, np.ndarray, float]
+# unit probes per block of isomorphism_residual
+_PROBE_BLOCK = 256
 
 
 class SolverError(RuntimeError):
@@ -431,9 +433,7 @@ def fp_scheme_residual(m: FieldLike, prob: FpLinearProblem) -> float:
     return float(np.max(np.abs(Sv, out=Sv)))
 
 
-def isomorphism_residual(
-    coeff, grid: SpaceTimeGrid, chunk: int = 256
-) -> float:
+def isomorphism_residual(coeff, grid: SpaceTimeGrid) -> float:
     """Max-norm defect of the conjugation identity between the two forms.
 
     Multiplication by a carries the density unknown to v = a m, and it must
@@ -456,8 +456,8 @@ def isomorphism_residual(
     zeros = np.zeros((n, 1))
     sub, diag, sup = _band_fields(ones, zeros, zeros, grid.h)
     worst = 0.0
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, _PROBE_BLOCK):
+        hi = min(lo + _PROBE_BLOCK, n)
         probes = np.zeros((n, hi - lo))
         probes[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
         w = a[:, None] * probes

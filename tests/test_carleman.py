@@ -216,6 +216,50 @@ def test_single_cell_sweep_matches_pointwise_evaluation():
     assert sw.ratios[0, 0] == pytest.approx(rep.ratio, rel=1e-14)
 
 
+@pytest.mark.parametrize("name", ["drifted-well", "wf-pulse", "coupled-mild"])
+@pytest.mark.parametrize("s, lam", [(2.0, 2.0), (0.7, 0.3), (5.0, 1.0), (1.0, 800.0)])
+def test_each_evaluator_is_a_one_cell_sweep(name, s, lam):
+    b = _bundle(name, 40, 48)
+    coeffs = make_case(name).coefficients_on(b.grid)
+    params = CarlemanParams(s=s, lam=lam)
+    rep = {
+        "hjb": lambda: evaluate_hjb_carleman(b.u, b.F, params, coeffs),
+        "fp": lambda: evaluate_fp_carleman(b.m, b.G, params, coeffs),
+        "mfg": lambda: evaluate_mfg_carleman(b.u, b.m, b.F, b.G, params, coeffs),
+    }[b.kind]()
+    sw = sweep_parameters(b, [s], [lam])
+    assert rep.estimate == b.kind
+    assert [p.estimate for p in rep.parts] == (["hjb", "fp"] if b.kind == "mfg" else [])
+    if math.isnan(sw.ratios[0, 0]):  # phi(T) overflows: both report the cell as such
+        assert sw.overflow_cells == 1 and rep.overflow and math.isnan(rep.ratio)
+    else:
+        assert sw.overflow_cells == 0
+        assert rep.ratio == sw.ratios[0, 0]
+
+
+def test_evaluators_without_their_trajectory_raise_the_bundle_error():
+    b = _bundle("coupled-mild", 16, 16)
+    coeffs = make_case("coupled-mild").coefficients_on(b.grid)
+    params = CarlemanParams(s=2.0, lam=2.0)
+    with pytest.raises(ValueError, match="kind 'hjb' needs a value trajectory u"):
+        evaluate_hjb_carleman(None, b.F, params, coeffs)
+    with pytest.raises(ValueError, match="kind 'fp' needs a density trajectory m"):
+        evaluate_fp_carleman(None, b.G, params, coeffs)
+    with pytest.raises(ValueError, match="kind 'mfg' needs a value trajectory u"):
+        evaluate_mfg_carleman(None, b.m, b.F, b.G, params, coeffs)
+    with pytest.raises(ValueError, match="kind 'mfg' needs a density trajectory m"):
+        evaluate_mfg_carleman(b.u, None, b.F, b.G, params, coeffs)
+    # also where phi(T) overflows, which reads no trajectory
+    with pytest.raises(ValueError, match="kind 'hjb' needs a value trajectory u"):
+        evaluate_hjb_carleman(None, b.F, CarlemanParams(s=1.0, lam=800.0), coeffs)
+
+
+def test_evaluators_reject_a_bare_coefficient():
+    b = _bundle("drifted-well", 16, 16)
+    with pytest.raises(TypeError, match="DegenerateCoefficient"):
+        evaluate_hjb_carleman(b.u, b.F, CarlemanParams(s=2.0, lam=2.0), b.coeff)
+
+
 def test_sweep_marks_overflow_cells_absent():
     sw = sweep_parameters(_bundle("drifted-well"), [2.0, 400.0], [2.0])
     assert sw.total_cells == 2

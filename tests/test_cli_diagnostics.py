@@ -217,6 +217,15 @@ case("convergence", "ladder-levels",
      {"ladder": [[8, 8], [3, 8], [8, 2], [8], [8.0, 8], "x", [4097, 8], [8, 8193],
                  [True, 8]]},
      [f"ladder[{i}]: {LADDER_LEVEL}" for i in range(1, 9)])
+# rejected by convergence_study itself, before any solve: no rate between
+# two levels with the same fitted step
+case("convergence", "ladder-repeated-n_x", {"ladder": [[8, 8], [8, 16], [8, 32]]},
+     ["ladder: levels 0 and 1 share n_x = 8; "
+      "a space ladder must change n_x between adjacent levels"])
+case("convergence", "ladder-repeated-n_t",
+     {"mode": "time", "ladder": [[8, 8], [16, 8], [32, 8]]},
+     ["ladder: levels 0 and 1 share n_t = 8; "
+      "a time ladder must change n_t between adjacent levels"])
 
 # several sections at once: the checks report in a fixed order
 case("solve", "combined",

@@ -215,3 +215,27 @@ def test_prolongation_is_exact_on_bilinear_fields():
     # the same grid maps every trajectory to itself
     v = np.random.default_rng(1).standard_normal(old.shape)
     assert np.array_equal(_prolong((v,), old, old)[0], v)
+
+
+@pytest.mark.parametrize(
+    "mode, ladder, message",
+    [
+        ("space", ((8, 8), (16, 8), (16, 32)), "levels 1 and 2 share n_x = 16"),
+        ("time", ((8, 8), (16, 8), (32, 16)), "levels 0 and 1 share n_t = 8"),
+    ],
+)
+def test_study_rejects_a_repeated_fitted_step_before_any_solve(
+    mode, ladder, message, monkeypatch
+):
+    def no_solve(*args):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr("degenmfg.manufactured._solve_case", no_solve)
+    with pytest.raises(ValueError, match=message):
+        convergence_study(make_case("drifted-well"), mode, ladder)
+
+
+def test_study_accepts_a_repeated_step_that_is_not_fitted():
+    # space mode fits against h only: the repeated n_t levels have rates
+    res = convergence_study(make_case("drifted-well"), "space", ((8, 16), (16, 16), (32, 16)))
+    assert len(res.rates) == 2 and all(np.isfinite(res.rates))

@@ -211,6 +211,18 @@ def test_bound_report_all_zero():
         assert report.value(name) == 0.0
 
 
+def test_bound_report_rows_in_order_with_the_slope_at_t0():
+    g = _grid()
+    rows = check_coefficient_bounds(MfgCoefficients(WF, g)).as_rows()
+    assert [r[0] for r in rows] == [
+        "p_over_sqrt_a", "d_over_a", "d1_over_sqrt_a", "c1_over_sqrt_a", "d2_over_a",
+        "ax_over_sqrt_a", "b_sup", "c2_sup", "rho_sup",
+    ]
+    slope = np.abs(WF.a_x(g.x)) / WF.sqrt_a(g.x)
+    i = int(np.argmax(slope))
+    assert rows[5] == ("ax_over_sqrt_a", slope[i], g.x[i], 0.0)
+
+
 def test_iter_config_validation():
     with pytest.raises(ValueError):
         IterConfig(max_sweeps=0)
