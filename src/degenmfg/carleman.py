@@ -30,10 +30,12 @@ CarlemanBundle (mfg is hjb plus fp) and _scaled_cells evaluates them, a
 single evaluation at its one cell.
 
 The slice integrals walk the trajectory in blocks of time columns, each about
-one weight table in size: a block differentiates its own columns (in time
-through one halo column on each side) and sums them into the slice-integral
-rows, so no derivative of the whole trajectory is ever held.  Each slice
-integral is one weighted sum-of-squares contraction per block,
+one weight table in size, and, trajectories being time-major, one contiguous
+piece of memory: a block differentiates its own columns (in time through one
+halo column on each side, with the one-sided stencils only at t = 0 and
+t = T) and sums them into the slice-integral rows, so no derivative of the
+whole trajectory is ever held.  Each slice integral is one weighted
+sum-of-squares contraction per block,
 einsum("ij,ij,i->j", f, f, w) with w = h a, h / a or h, which forms no
 temporary of the block's size.  The end-slice data norms read the first and
 last columns.  The sums are bit-identical to the same contractions of
@@ -51,7 +53,7 @@ from degenmfg.domain import (
     DegenerateCoefficient,
     NormKind,
     SpaceTimeGrid,
-    _dt_array,
+    _dt1_columns,
     _dx_array,
     _dxx_array,
     weighted_norm,
@@ -221,6 +223,17 @@ def _trapezoids(I: np.ndarray, dt: float) -> np.ndarray:
     return dt * (0.5 * (I[:-1] + I[1:]))
 
 
+def _weight_exponents(minus_two_s, tau, buf) -> np.ndarray:
+    """The table -2 s tau, a row per s and a column per midpoint, in the
+    front of ``buf``: tau copied to every row, then each row scaled by its
+    -2 s in place, bitwise np.multiply(minus_two_s[:, None], tau) (products
+    commute) and faster than that broadcast product."""
+    table = buf[:minus_two_s.size * tau.size].reshape(minus_two_s.size, tau.size)
+    table[...] = tau
+    table *= minus_two_s[:, None]
+    return table
+
+
 def _scaled_cells(grid: SpaceTimeGrid, estimates, s, lam, phi_T, live) -> list:
     """The _Scaled totals of each estimate at the cells (s[i], lam[j]) with
     live[i, j], taken lam by lam and in the order of s within a lam; phi_T
@@ -260,9 +273,8 @@ def _scaled_cells(grid: SpaceTimeGrid, estimates, s, lam, phi_T, live) -> list:
         cols = [np.stack([tz * phi_mid**p for tz, p in tzs], axis=1) for tzs in trapezoids]
         for block in range(lo, lo + n, rows):
             idx = slice(block, min(block + rows, lo + n))
-            w = minus_two_s[idx, None]
-            table = buf[:w.size * n_mid].reshape(w.size, n_mid)
-            np.exp(np.multiply(w, tau, out=table), out=table)
+            table = _weight_exponents(minus_two_s[idx], tau, buf)
+            np.exp(table, out=table)
             for out, c in zip(sums, cols):
                 out[:, idx] = (table @ c).T
         lo += n
@@ -290,9 +302,9 @@ def _time_blocks(grid: SpaceTimeGrid):
     has, and the block's place in ext.
 
     Blocks hold at least three columns (a shorter remainder joins the last
-    block): _dt_array needs four in a widened block, where its central
-    stencil is that of the whole trajectory, and numpy would sum a
-    one-column block in another order than the whole array's columns.
+    block): the one-sided end stencils read three columns of a widened
+    block, and numpy would sum a one-column block in another order than the
+    whole array's columns.
     """
     n = grid.n_t + 1
     starts = list(range(0, n, max(3, _TABLE_DOUBLES // grid.n_x)))
@@ -320,7 +332,7 @@ def hjb_ingredients(u, F, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> 
     I_ut, I_uxx, I_ux, I_u, I_F = np.empty((5, grid.n_t + 1))
     for cols, ext, inner in _time_blocks(grid):
         ub, Fb = uv[:, cols], Fv[:, cols]
-        ut = _dt_array(uv[:, ext], grid.dt, 1)[:, inner]
+        ut = _dt1_columns(uv[:, ext], grid.dt, inner)
         ux = _dx_array(ub, h, "dirichlet")
         uxx = _dxx_array(ub, h, "dirichlet")
         np.einsum(_SQ_SUM, ut, ut, h_inv_a, out=I_ut[cols])
@@ -377,7 +389,7 @@ def fp_ingredients(m, G, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> F
         vx = _dx_array(v, h, "dirichlet")
         vxx = _dxx_array(v, h, "dirichlet")
         # int a m_t^2 = int v_t^2 / a, differentiating the product field in time
-        vt = _dt_array(v_ext, grid.dt, 1)[:, inner]
+        vt = _dt1_columns(v_ext, grid.dt, inner)
         np.einsum(_SQ_SUM, vxx, vxx, h_a, out=J_v2[cols])
         J_v2[cols] += np.einsum(_SQ_SUM, vt, vt, h_inv_a)
         np.einsum(_SQ_SUM, vx, vx, h_1, out=J_vx[cols])

@@ -164,20 +164,57 @@ class DegenerateCoefficient:
         return 2.0 / x
 
 
+# ---------------------------------------------------------------------------
+# trajectory layout
+#
+# Every space-time trajectory is stored time-major: shape (n_x, n_t + 1), each
+# time level (a column) one contiguous vector, i.e. Fortran order.  The
+# implicit march solves level by level, and LAPACK wants each level
+# contiguous; the time stencils and the blocks of time columns that the
+# Carleman slice integrals walk are then contiguous too.  This is the one
+# place that decides the layout: fields, solver outputs, stencil outputs,
+# band fields and Picard starts are all allocated through the helpers below.
+# ---------------------------------------------------------------------------
+
+
+def _empty(shape) -> np.ndarray:
+    """An uninitialised float trajectory (or band field) in time-major layout."""
+    return np.empty(shape, order="F")
+
+
+def _zeros(shape) -> np.ndarray:
+    """A zero trajectory in time-major layout."""
+    return np.zeros(shape, order="F")
+
+
+def _time_major(values) -> np.ndarray:
+    """values as a float array with contiguous columns: itself when it has
+    them already, else a time-major copy."""
+    return np.asarray(values, dtype=float, order="F")
+
+
+def _flat(v: np.ndarray) -> np.ndarray:
+    """The buffer of a time-major array as one vector, a view: entry (i, k)
+    sits at i + k n_x, so the neighbours of an interior row i are the
+    neighbouring entries of the vector."""
+    return v.ravel(order="F")
+
+
 @dataclass
 class SpaceTimeField:
-    """Scalar samples on the tensor grid, shape (n_x, n_t + 1).
+    """Scalar samples on the tensor grid, shape (n_x, n_t + 1), time-major.
 
-    The array is copied and frozen at construction; fields are values, not
-    buffers, everywhere in the package.  The one exception is a solver's
-    fresh output, which no one else holds: it is frozen without a copy.
+    The array is copied into time-major layout and frozen at construction;
+    fields are values, not buffers, everywhere in the package.  The one
+    exception is a solver's fresh output, which no one else holds: it is
+    frozen without a copy.
     """
 
     values: np.ndarray
     grid: SpaceTimeGrid
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = np.array(self.values, dtype=float, order="F")
         if v.shape != self.grid.shape:
             raise ValueError(
                 f"field shape {v.shape} does not match grid shape {self.grid.shape}"
@@ -187,7 +224,8 @@ class SpaceTimeField:
 
     @classmethod
     def _adopt(cls, values: np.ndarray, grid: SpaceTimeGrid) -> "SpaceTimeField":
-        """Wrap a fresh float array of the grid's shape without copying it.
+        """Wrap a fresh time-major float array of the grid's shape without
+        copying it.
 
         The array is frozen in place, so the caller must hold no other
         reference that it still writes through.
@@ -219,16 +257,22 @@ class SpaceTimeField:
 #     boundary point (second order).
 #   * "free": no boundary information, plain one-sided second-order stencils.
 #
-# The spatial stencils compute their interior straight into out[1:-1], one
-# contiguous block of rows, with no temporaries.  The time stencils keep
-# theirs: their interior out[:, 1:-1] is strided, and numpy loops over a
-# strided view row by row, which costs more than a temporary and one copy.
+# Both kinds of stencil compute their interior straight into the output, with
+# no temporary of the array's size.  A time stencil's interior out[:, 1:-1] is
+# one contiguous block of columns.  A spatial stencil's interior out[1:-1] is
+# strided, one run per column, and numpy loops over such a view run by run,
+# about twice the cost of one contiguous pass; so the spatial interior is
+# computed over the whole buffer as one vector (see _flat), where it also
+# lands on the two boundary rows of every column (differences across a column
+# seam), and the closures then overwrite those rows.
 # ---------------------------------------------------------------------------
 
 
 def _dx_array(f: np.ndarray, h: float, closure: str) -> np.ndarray:
-    out = np.empty_like(f, dtype=float)
-    mid = np.subtract(f[2:], f[:-2], out=out[1:-1])
+    f = _time_major(f)
+    out = _empty(f.shape)
+    ff = _flat(f)
+    mid = np.subtract(ff[2:], ff[:-2], out=_flat(out)[1:-1])
     mid /= 2.0 * h
     if closure == "dirichlet":
         out[0] = f[0] / h + f[1] / (3.0 * h)
@@ -242,12 +286,14 @@ def _dx_array(f: np.ndarray, h: float, closure: str) -> np.ndarray:
 
 
 def _dxx_array(f: np.ndarray, h: float, closure: str) -> np.ndarray:
-    out = np.empty_like(f, dtype=float)
+    f = _time_major(f)
+    out = _empty(f.shape)
+    ff = _flat(f)
     h2 = h * h
     # (f[2:] - 2 f[1:-1] + f[:-2]) / h2
-    mid = np.multiply(f[1:-1], 2.0, out=out[1:-1])
-    np.subtract(f[2:], mid, out=mid)
-    mid += f[:-2]
+    mid = np.multiply(ff[1:-1], 2.0, out=_flat(out)[1:-1])
+    np.subtract(ff[2:], mid, out=mid)
+    mid += ff[:-2]
     mid /= h2
     if closure == "dirichlet":
         out[0] = (-5.0 * f[0] + 2.0 * f[1] - 0.2 * f[2]) / h2
@@ -273,6 +319,26 @@ def spatial_derivatives(
 _D3_FWD = np.array([-2.5, 9.0, -12.0, 7.0, -1.5])
 
 
+def _dt1_columns(v: np.ndarray, dt: float, cols: slice) -> np.ndarray:
+    """First time derivative of v at its columns ``cols`` only (a step-1
+    slice): central where a column has both neighbours in v, one-sided at
+    v's first and last column.  Bitwise those columns of _dt_array(v, dt, 1).
+    """
+    n = v.shape[1]
+    lo, hi, _ = cols.indices(n)
+    out = _empty((v.shape[0], hi - lo))
+    c_lo, c_hi = max(lo, 1), min(hi, n - 1)  # the central columns
+    if c_lo < c_hi:
+        mid = np.subtract(v[:, c_lo + 1 : c_hi + 1], v[:, c_lo - 1 : c_hi - 1],
+                          out=out[:, c_lo - lo : c_hi - lo])
+        mid /= 2.0 * dt
+    if lo == 0:
+        out[:, 0] = (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2.0 * dt)
+    if hi == n:
+        out[:, -1] = (3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]) / (2.0 * dt)
+    return out
+
+
 def _dt_array(v: np.ndarray, dt: float, order: int) -> np.ndarray:
     """k-th time derivative of a trajectory array along its columns."""
     if order not in (1, 2, 3):
@@ -280,12 +346,10 @@ def _dt_array(v: np.ndarray, dt: float, order: int) -> np.ndarray:
     n_t = v.shape[1] - 1
     if n_t < order + 2:
         raise ValueError(f"n_t={n_t} too coarse for order-{order} time derivative")
-    out = np.empty(v.shape)
     if order == 1:
-        out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * dt)
-        out[:, 0] = (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2.0 * dt)
-        out[:, -1] = (3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]) / (2.0 * dt)
-    elif order == 2:
+        return _dt1_columns(v, dt, slice(None))
+    out = _empty(v.shape)
+    if order == 2:
         t2 = dt * dt
         out[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / t2
         out[:, 0] = (2.0 * v[:, 0] - 5.0 * v[:, 1] + 4.0 * v[:, 2] - v[:, 3]) / t2

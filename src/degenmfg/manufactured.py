@@ -7,6 +7,12 @@ exactly, which turns every solver into a measurable approximation of a known
 function.  Space factors always carry the diffusion coefficient (or vanish at
 an end where the diffusion does not), so the fields respect the boundary
 closures of the schemes.
+
+Each field of a case (u, m and the sources F, G) is one list of separable
+terms, (time profile) x (space profile), grouped by time profile: a source
+has at most four.  Point evaluation sums the products term by term; grid
+sampling evaluates each profile once on the nodes or levels and sums the
+outer products into one time-major array, bitwise the same numbers.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from degenmfg.domain import (
     DegenerateCoefficient,
     SpaceTimeField,
     SpaceTimeGrid,
+    _empty,
 )
 from degenmfg.mfg import (
     IterConfig,
@@ -193,17 +200,28 @@ def coeff_smooth(coeff: DegenerateCoefficient) -> Smooth:
 _TAGS = ("hjb", "fp", "mfg_linear", "mfg_nonlinear")
 
 
-def _scaled(term, factor, *more):
-    """term * factor * more[0] * ..., left to right, in place in ``term``.
+def _evaluate_terms(terms, x, t):
+    """The sum of time(t) * space(x) over separable terms, left to right;
+    x and t may be scalars or broadcastable arrays."""
+    (time, space), *rest = terms
+    out = time(t) * space(x)
+    for time, space in rest:
+        out = out + time(t) * space(x)
+    return out
 
-    ``term`` must be a fresh result that no caller holds, e.g. a field
-    evaluation.  Products commute, so this is bitwise
-    factor * term * more[0] * ....  Scalar points rebind instead of writing.
-    """
-    term *= factor
-    for f in more:
-        term *= f
-    return term
+
+def _sample_terms(terms, grid: SpaceTimeGrid) -> np.ndarray:
+    """The sum of separable terms on the grid, each term the outer product of
+    its space profile at the nodes and its time profile at the levels,
+    written straight into a time-major array.  Bitwise _evaluate_terms at
+    (x[:, None], t[None, :]): the same products, summed in the same order."""
+    (time, space), *rest = terms
+    out = np.multiply.outer(space(grid.x), time(grid.t), out=_empty(grid.shape))
+    if rest:
+        term = _empty(grid.shape)
+        for time, space in rest:
+            out += np.multiply.outer(space(grid.x), time(grid.t), out=term)
+    return out
 
 
 @dataclass
@@ -217,6 +235,12 @@ class ManufacturedCase:
     |a_x| / sqrt(a) stays bounded near the boundary for this diffusion (the
     square-root degeneracy fails it), which downstream weighted estimates
     assume.
+
+    ``terms`` holds, for each of u, m, F and G, its one formula: a list of
+    separable terms (time profile, space profile), each a function of one
+    variable, whose products sum to the field.  A source has at most four
+    terms, one per distinct time profile.  The point evaluators and the grid
+    samplers both read these lists.
     """
 
     name: str
@@ -238,6 +262,7 @@ class ManufacturedCase:
     hypotheses_ok: bool = True
     A: Smooth = field(init=False)
     W: Smooth = field(init=False)
+    terms: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.tag not in _TAGS:
@@ -245,10 +270,51 @@ class ManufacturedCase:
         self.A = coeff_smooth(self.coeff)
         # product field a(x) V(x); its second derivative is exactly (am)_xx / Tm
         self.W = self.A * self.V
+        self.terms = {"u": [(self.Tu.f, self.U.f)], "m": [(self.Tm.f, self.V.f)],
+                      "F": self._F_terms(), "G": self._G_terms()}
+
+    def _F_terms(self):
+        """F = u_t + a u_xx + d1 u_x - d2 m (the d2 term for mfg_linear only),
+        or u_t + a u_xx - (p/2) u_x^2 + d m for mfg_nonlinear."""
+        Tu, U, Tm, V, A = self.Tu, self.U, self.Tm, self.V, self.A
+        terms = [(Tu.f1, U.f)]
+        if self.tag == "mfg_nonlinear":
+            p, d = self.p, self.d
+            return terms + [
+                (Tu.f, lambda x: A.f(x) * U.f2(x)),
+                (lambda t: Tu.f(t) ** 2, lambda x: -0.5 * p.f(x) * U.f1(x) ** 2),
+                (Tm.f, lambda x: d.f(x) * V.f(x)),
+            ]
+        d1, d2 = self.d1, self.d2
+        terms.append((Tu.f, lambda x: A.f(x) * U.f2(x) + d1.f(x) * U.f1(x)))
+        if self.tag == "mfg_linear":
+            terms.append((Tm.f, lambda x: -d2.f(x) * V.f(x)))
+        return terms
+
+    def _G_terms(self):
+        """G = m_t - (am)_xx + c1 m_x - b m - c2 u_x - rho u_xx (the u terms
+        for mfg_linear only), or m_t - (am)_xx - (p m u_x)_x for
+        mfg_nonlinear."""
+        Tu, U, Tm, V, W = self.Tu, self.U, self.Tm, self.V, self.W
+        terms = [(Tm.f1, V.f)]
+        if self.tag == "mfg_nonlinear":
+            p = self.p
+            return terms + [
+                (Tm.f, lambda x: -W.f2(x)),
+                (lambda t: Tm.f(t) * Tu.f(t),
+                 lambda x: -(p.f1(x) * V.f(x) * U.f1(x) + p.f(x) * V.f1(x) * U.f1(x)
+                             + p.f(x) * V.f(x) * U.f2(x))),
+            ]
+        c1, b = self.c1, self.b
+        terms.append((Tm.f, lambda x: c1.f(x) * V.f1(x) - b.f(x) * V.f(x) - W.f2(x)))
+        if self.tag == "mfg_linear":
+            c2, rho = self.c2, self.rho
+            terms.append((Tu.f, lambda x: -(c2.f(x) * U.f1(x) + rho.f(x) * U.f2(x))))
+        return terms
 
     # point evaluators; x and t may be scalars or broadcastable arrays
     def u(self, x, t):
-        return self.Tu.f(t) * self.U.f(x)
+        return _evaluate_terms(self.terms["u"], x, t)
 
     def u_x(self, x, t):
         return self.Tu.f(t) * self.U.f1(x)
@@ -260,7 +326,7 @@ class ManufacturedCase:
         return self.Tu.f1(t) * self.U.f(x)
 
     def m(self, x, t):
-        return self.Tm.f(t) * self.V.f(x)
+        return _evaluate_terms(self.terms["m"], x, t)
 
     def m_x(self, x, t):
         return self.Tm.f(t) * self.V.f1(x)
@@ -272,56 +338,25 @@ class ManufacturedCase:
         return self.Tm.f(t) * self.W.f2(x)
 
     def F(self, x, t):
-        """Value-equation source making the exact fields solve the system.
-
-        Terms accumulate left to right into the first one, in place.  Each
-        term is built as one temporary and scaled in place by its spatial
-        factor (products commute, so the sums are bitwise those of the
-        written-out expression): a grid sample holds the running sum and one
-        term at a time.
-        """
-        out = self.u_t(x, t)
-        out += _scaled(self.u_xx(x, t), self.A.f(x))
-        if self.tag == "mfg_nonlinear":
-            ux = self.u_x(x, t)
-            out -= _scaled(0.5 * self.p.f(x) * ux, ux)
-            out += _scaled(self.m(x, t), self.d.f(x))
-            return out
-        out += _scaled(self.u_x(x, t), self.d1.f(x))
-        if self.tag in ("mfg_linear",):
-            out -= _scaled(self.m(x, t), self.d2.f(x))
-        return out
+        """Value-equation source making the exact fields solve the system."""
+        return _evaluate_terms(self.terms["F"], x, t)
 
     def G(self, x, t):
-        """Density-equation source for the exact fields, accumulated as in F."""
-        out = self.m_t(x, t)
-        out -= self.am_xx(x, t)
-        if self.tag == "mfg_nonlinear":
-            ux = self.u_x(x, t)
-            flux_x = _scaled(self.m(x, t), self.p.f1(x), ux)
-            flux_x += _scaled(self.m_x(x, t), self.p.f(x), ux)
-            flux_x += _scaled(self.m(x, t), self.p.f(x), self.u_xx(x, t))
-            out -= flux_x
-            return out
-        out += _scaled(self.m_x(x, t), self.c1.f(x))
-        out -= _scaled(self.m(x, t), self.b.f(x))
-        if self.tag in ("mfg_linear",):
-            out -= _scaled(self.u_x(x, t), self.c2.f(x))
-            out -= _scaled(self.u_xx(x, t), self.rho.f(x))
-        return out
+        """Density-equation source for the exact fields."""
+        return _evaluate_terms(self.terms["G"], x, t)
 
     # grid samplers
     def exact_u(self, grid: SpaceTimeGrid) -> SpaceTimeField:
-        return SpaceTimeField.from_function(grid, self.u)
+        return SpaceTimeField(_sample_terms(self.terms["u"], grid), grid)
 
     def exact_m(self, grid: SpaceTimeGrid) -> SpaceTimeField:
-        return SpaceTimeField.from_function(grid, self.m)
+        return SpaceTimeField(_sample_terms(self.terms["m"], grid), grid)
 
     def source_F(self, grid: SpaceTimeGrid) -> SpaceTimeField:
-        return SpaceTimeField.from_function(grid, self.F)
+        return SpaceTimeField(_sample_terms(self.terms["F"], grid), grid)
 
     def source_G(self, grid: SpaceTimeGrid) -> SpaceTimeField:
-        return SpaceTimeField.from_function(grid, self.G)
+        return SpaceTimeField(_sample_terms(self.terms["G"], grid), grid)
 
     def terminal(self, grid: SpaceTimeGrid) -> np.ndarray:
         return np.asarray(self.u(grid.x, self.T), dtype=float)
@@ -617,9 +652,13 @@ def _prolong(fields, old: SpaceTimeGrid, new: SpaceTimeGrid) -> tuple:
         nodes.append((j, (dst - src[j]) / (src[j + 1] - src[j])))
     (jx, wx), (jt, wt) = nodes
     wx = wx[:, None]
+
+    def rows(v, j):  # a row gather keeps the time-major layout
+        return np.take(v, j, axis=0, out=_empty((j.size, v.shape[1])))
+
     out = []
     for v in fields:
-        v = v[jx] * (1.0 - wx) + v[jx + 1] * wx
+        v = rows(v, jx) * (1.0 - wx) + rows(v, jx + 1) * wx
         out.append(v[:, jt] * (1.0 - wt) + v[:, jt + 1] * wt)
     return tuple(out)
 

@@ -42,6 +42,7 @@ from degenmfg.domain import (
     SpaceTimeGrid,
     _dx_array,
     _dxx_array,
+    _zeros,
     weighted_norm,
 )
 from degenmfg.solvers import (
@@ -167,7 +168,7 @@ def _picard(
     it is also the next sweep's value equation.  The iteration starts from
     the array pair ``start`` (only read), and from zeros when it is None.
     """
-    u, m = (np.zeros(g.shape), np.zeros(g.shape)) if start is None else start
+    u, m = (_zeros(g.shape), _zeros(g.shape)) if start is None else start
     hjb = value_problem(value_terms(u), m)
     best = (np.inf, u, m, hjb)
     damping = cfg.damping

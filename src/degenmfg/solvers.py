@@ -3,15 +3,15 @@
 Both equations advance by backward Euler steps with one tridiagonal solve per
 time level: each problem builds the step bands of I - dt L once, shared by its
 sweep and its scheme residual.  A sweep marches through one time-major buffer
-whose rows are the time levels, and LAPACK solves each row in place.  Bands
-constant in time (scalar and profile coefficients) are one column, factored
-once per sweep (gttrf, then a gttrs per level); otherwise each level is one
-gtsv call on a per-sweep transposed copy of the bands.  The solvers return a
-fresh C-ordered array wrapped without a further copy.  The
-spatial operator L = a d_xx + d d_x + q uses central stencils at interior
-cells and a ghost-cell closure at the two boundary cells: the unknown is
-extended by a quadratic that vanishes at the endpoint, the discrete form of
-the homogeneous Dirichlet condition carried by u and by a*m.
+(see domain: each time level a contiguous column), and LAPACK solves each
+level in place.  Bands constant in time (scalar and profile coefficients) are
+one column, factored once per sweep (gttrf, then a gttrs per level); otherwise
+each level is one gtsv call on a per-sweep copy of the bands with the levels
+as rows.  The solvers return that buffer, a fresh time-major array, wrapped
+without a copy.  The spatial operator L = a d_xx + d d_x + q uses central
+stencils at interior cells and a ghost-cell closure at the two boundary cells:
+the unknown is extended by a quadratic that vanishes at the endpoint, the
+discrete form of the homogeneous Dirichlet condition carried by u and by a*m.
 
 The density equation is not discretized in m directly.  Its divergence-form
 principal part (a m)_xx makes v = a m the natural unknown: in v the equation
@@ -54,6 +54,8 @@ from degenmfg.domain import (
     _dt_array,
     _dx_array,
     _dxx_array,
+    _empty,
+    _flat,
 )
 
 
@@ -248,7 +250,7 @@ def _band_fields(a: np.ndarray, d: np.ndarray, q, h: float):
     h2 = h * h
     a2 = a / h2
     dh = d / (2.0 * h)
-    diag = np.multiply(-2.0, a2, out=np.empty(d.shape))
+    diag = np.multiply(-2.0, a2, out=_empty(d.shape))
     if q is not None:
         diag += q
     sub = a2 - dh
@@ -266,9 +268,23 @@ def _band_fields(a: np.ndarray, d: np.ndarray, q, h: float):
 
 
 def _apply_bands(sub, diag, sup, f):
+    """sub f[i-1] + diag f[i] + sup f[i+1] in every row of f, with bands of
+    f's shape or one band column.
+
+    Each neighbour field is f shifted by one entry along the time-major
+    buffer (see domain._flat), with its row that wraps across a column seam
+    set to zero, so every product is one contiguous pass: a shifted row view
+    of a time-major array is strided.  Row 0 adds sub[0] * 0 and the last row
+    sup[-1] * 0, which changes at most the sign of a zero.
+    """
     out = diag * f
-    out[1:] += sub[1:] * f[:-1]
-    out[:-1] += sup[:-1] * f[1:]
+    nb = _empty(f.shape)
+    for band, dst, src, edge in ((sub, slice(1, None), slice(None, -1), 0),
+                                 (sup, slice(None, -1), slice(1, None), -1)):
+        _flat(nb)[dst] = _flat(f)[src]
+        nb[edge] = 0.0
+        nb *= band
+        out += nb
     return out
 
 
@@ -300,43 +316,41 @@ def _march(bands, first, src, scale, what, weight=None):
     (j = k - 1, from t = 0).  With a ``weight`` column the source term is
     scale (weight src^k), rounded in that order.
 
-    Level k is row k of one C-ordered (n_t+1, n_x) buffer filled once with
-    the source term; each step adds the previous row and solves in place.
-    One band column is factored once (gttrf) and each row back-substitutes
-    (gttrs); else each row is one gtsv on a transposed copy of the bands, so
-    the problem's bands stay intact.  Returns a fresh C-ordered (n_x, n_t+1)
-    array.
+    Level k is column k of one time-major (n_x, n_t+1) buffer, contiguous,
+    filled once with the source term; each step adds the previous column and
+    solves in place.  One band column is factored once (gttrf) and each
+    level back-substitutes (gttrs); else each level is one gtsv on a per-sweep
+    copy of the bands with the levels as rows, so the problem's bands stay
+    intact.  Returns the buffer itself: a fresh time-major array.
     """
     backward = scale < 0.0
     levels = range(src.shape[1] - 2, -1, -1) if backward else range(1, src.shape[1])
     prev = 1 if backward else -1
-    f = np.empty(src.shape[::-1])
-    # read src through its transpose so f is written row by row; storing
-    # through f.T strides across rows and is about 5x slower
+    f = _empty(src.shape)
     if weight is None:
-        np.multiply(scale, src.T, out=f)
+        np.multiply(scale, src, out=f)
     else:
-        np.multiply(weight.T, src.T, out=f)
+        np.multiply(weight, src, out=f)
         f *= scale
-    f[levels[0] + prev] = first
+    f[:, levels[0] + prev] = first
     if bands[1].shape[1] == 1:
         sub, diag, sup = (band[:, 0] for band in bands)
         *lu, info = lapack.dgttrf(sub[1:], diag, sup[:-1])
         if info != 0:
             raise SolverError(f"singular tridiagonal system at time index {levels[0]}")
         for k in levels:
-            b = f[k]
-            b += f[k + prev]
+            b = f[:, k]
+            b += f[:, k + prev]
             lapack.dgttrs(*lu, b, overwrite_b=1)
     else:
         sub, diag, sup = (band.T.copy() for band in bands)
         for k in levels:
-            b = f[k]
-            b += f[k + prev]
+            b = f[:, k]
+            b += f[:, k + prev]
             _implicit_step(sub[k], diag[k], sup[k], b, k)
     if not np.all(np.isfinite(f)):
         raise SolverError(f"{what} sweep produced non-finite entries")
-    return f.T.copy()
+    return f
 
 
 def solve_hjb_linear(prob: HjbLinearProblem) -> SpaceTimeField:

@@ -336,7 +336,7 @@ def _predict(eps: float, base: Optional[MfgSolution], nodes: list):
         weights.append(w)
 
     def along(b, fields):
-        out = b.copy()
+        out = np.copy(b)  # keeps b's time-major layout
         for w, f in zip(weights, fields):
             out += w * (f - b)
         return out

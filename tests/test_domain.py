@@ -246,10 +246,11 @@ def _ref_dt1(v, dt):
 
 
 def _stencil_inputs():
-    """Trajectory arrays in the layouts the callers pass: C-ordered, a
-    column block of a wider array, and stride-0 broadcasts of a profile and
-    of a scalar; values over many decades, so any reordering of an
-    operation changes the last bits."""
+    """Trajectory arrays in the layouts the callers pass: time-major (the
+    package's own layout), a time-major column block of a wider array,
+    C-ordered, a column block of a wider C-ordered array, and stride-0
+    broadcasts of a profile and of a scalar; values over many decades, so
+    any reordering of an operation changes the last bits."""
     from degenmfg.solvers import _traj
 
     g = SpaceTimeGrid(13, 10, 0.7)
@@ -260,6 +261,8 @@ def _stencil_inputs():
 
     wide = noisy((g.n_x, 3 * (g.n_t + 1)))
     return g, {
+        "time-major": np.asfortranarray(noisy(g.shape)),
+        "time-major-block": np.asfortranarray(wide)[:, 4:4 + g.n_t + 1],
         "c-ordered": noisy(g.shape),
         "column-block": wide[:, 5:5 + g.n_t + 1],
         "profile-broadcast": _traj(noisy(g.n_x), g, "u"),
@@ -268,16 +271,24 @@ def _stencil_inputs():
 
 
 def test_stencils_match_their_written_out_formulas_bitwise():
-    from degenmfg.domain import _dt_array, _dx_array, _dxx_array
+    from degenmfg.domain import _dt1_columns, _dt_array, _dx_array, _dxx_array
 
     g, inputs = _stencil_inputs()
+    assert all(inputs[k].flags.f_contiguous for k in ("time-major", "time-major-block"))
     assert inputs["column-block"].strides[1] == 8 and not inputs["column-block"].flags.c_contiguous
     assert inputs["profile-broadcast"].strides[1] == 0
     for name, v in inputs.items():
         for closure in ("dirichlet", "free"):
             got, want = _dx_array(v, g.h, closure), _ref_dx(v, g.h, closure)
             assert got.tobytes() == want.tobytes(), (name, "dx", closure)
+            assert got.flags.f_contiguous, (name, "dx", closure)
             got, want = _dxx_array(v, g.h, closure), _ref_dxx(v, g.h, closure)
             assert got.tobytes() == want.tobytes(), (name, "dxx", closure)
+            assert got.flags.f_contiguous, (name, "dxx", closure)
         got, want = _dt_array(v, g.dt, 1), _ref_dt1(v, g.dt)
         assert got.tobytes() == want.tobytes(), (name, "dt")
+        assert got.flags.f_contiguous, (name, "dt")
+        # a block's own columns: one-sided stencils at the ends of v alone
+        for cols in (slice(0, 3), slice(1, 2), slice(3, 8), slice(7, None)):
+            block = _dt1_columns(v, g.dt, cols)
+            assert block.tobytes() == want[:, cols].tobytes(), (name, "dt", cols)

@@ -377,7 +377,9 @@ def test_time_major_march_equals_column_march(n_x, n_t, columns, backward):
     kept = [b.copy() for b in bands]
     got = solvers._march(bands, first, src, scale, "value")
     assert np.array_equal(got, _column_march(bands, first, src, scale))
-    assert got.flags.c_contiguous and got.shape == src.shape
+    # the march's buffer is the result: time-major, fresh
+    assert got.flags.f_contiguous and got.flags.writeable and got.shape == src.shape
+    assert not any(np.shares_memory(got, v) for v in (src, first, *bands))
     assert all(np.array_equal(b, k) for b, k in zip(bands, kept))
     # a stride-0 source, as _traj makes for scalars and profiles
     flat = np.broadcast_to(src[:, :1], src.shape)
@@ -390,20 +392,24 @@ def test_time_major_march_equals_column_march(n_x, n_t, columns, backward):
 
 
 def _owns_its_memory(field, *others):
+    """The field contract: time-major, frozen, fresh, sharing no memory with
+    the given inputs."""
     v = field.values
-    return (v.flags.c_contiguous and not v.flags.writeable
+    return (v.flags.f_contiguous and not v.flags.writeable and v.flags.owndata
             and not any(np.shares_memory(v, o) for o in others))
 
 
+# the names keep "c_arrays" from the C-ordered contract they replaced; they
+# pin the time-major one
 @pytest.mark.parametrize("kind", ["static", "time-varying", "fortran-ordered"])
 def test_solver_outputs_are_fresh_frozen_c_arrays(kind):
     g = SpaceTimeGrid(24, 20, 1.0)
     if kind == "static":
         hjb, fp = _static_problems(g, np.random.default_rng(5))
     else:
-        hjb, fp = _random_problems(g)
+        hjb, fp = _random_problems(g)  # C-ordered coefficients
     if kind == "fortran-ordered":
-        # column-major coefficients give column-major bands, whose levels are
+        # time-major coefficients give time-major bands, whose levels are
         # contiguous: a gtsv on them in place would overwrite the cache
         hjb = HjbLinearProblem(g, WF, drift=np.asfortranarray(hjb.drift),
                                source=hjb.source, terminal=hjb.terminal)
@@ -563,3 +569,37 @@ def test_ratios_are_computed_on_first_read_and_equal_the_eager_formulas():
     assert fp.slope_ratio == float(np.max(np.abs(P22.a_x(x)) / sqrt_a))
     assert {"drift_ratio"} <= set(vars(hjb))
     assert {"convection_ratio", "slope_ratio"} <= set(vars(fp))
+
+
+def _rel_close(got, want, rtol=1e-13):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    both_nan = np.isnan(got) & np.isnan(want)
+    scale = np.maximum(np.abs(want), np.finfo(float).tiny)
+    assert np.all(both_nan | (np.abs(got - want) <= rtol * scale))
+
+
+def test_c_ordered_and_time_major_inputs_give_the_same_results():
+    from degenmfg.carleman import CarlemanBundle, sweep_parameters
+
+    g = SpaceTimeGrid(40, 32, 1.0)
+    results = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        hjb_c, fp_c = _random_problems(g)
+        hjb = HjbLinearProblem(g, WF, drift=layout(hjb_c.drift), source=layout(hjb_c.source),
+                               terminal=hjb_c.terminal)
+        fp = FpLinearProblem(g, P22, convection=layout(fp_c.convection),
+                             zeroth=layout(fp_c.zeroth), source=layout(fp_c.source),
+                             initial=fp_c.initial)
+        u, m = solve_hjb_linear(hjb), solve_fp_linear(fp)
+        u_in, m_in = layout(u.values), layout(m.values)
+        sweeps = [sweep_parameters(CarlemanBundle(kind, coeff, g, **fields),
+                                   [0.5, 3.0, 40.0, 400.0], [0.3, 1.0, 2.5]).ratios
+                  for kind, coeff, fields in (
+                      ("hjb", WF, {"u": u_in, "F": layout(hjb.source)}),
+                      ("fp", P22, {"m": m_in, "G": layout(fp.source)}))]
+        residuals = [hjb_scheme_residual(u_in, hjb), fp_scheme_residual(m_in, fp)]
+        results.append((u.values, m.values, *sweeps, residuals))
+    assert results[0][0].flags.f_contiguous  # solver outputs are time-major either way
+    for got, want in zip(results[1], results[0]):
+        _rel_close(got, want)
