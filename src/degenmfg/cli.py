@@ -45,6 +45,7 @@ import numpy as np
 from degenmfg import __version__
 from degenmfg.carleman import CarlemanBundle, s0_estimate, sweep_parameters
 from degenmfg.domain import (
+    _FAMILIES,
     DegenerateCoefficient,
     NormKind,
     SpaceTimeGrid,
@@ -58,6 +59,8 @@ from degenmfg.manufactured import (
     make_case,
 )
 from degenmfg.mfg import (
+    _LINEAR_KEYS,
+    _NONLINEAR_KEYS,
     MfgCoefficients,
     check_coefficient_bounds,
     solve_linearized_mfg,
@@ -77,8 +80,6 @@ __all__ = ["main"]
 N_X_CAP = 4096
 N_T_CAP = 8192
 
-_LINEAR_COEFF_KEYS = ("d1", "d2", "c1", "c2", "b", "rho")
-_NONLINEAR_COEFF_KEYS = ("p", "d")
 _DATA_KEYS = ("m0", "h", "F", "G")
 _ITER_KEYS = tuple(f.name for f in fields(IterConfig))
 
@@ -147,10 +148,8 @@ def _validate_problem(cfg, errors):
         errors.append("problem: must be an object")
         return
     fam = prob.get("family")
-    if fam not in ("power", "wright_fischer", "quadratic_oil"):
-        errors.append(
-            "problem.family: must be one of power, wright_fischer, quadratic_oil"
-        )
+    if fam not in _FAMILIES:
+        errors.append(f"problem.family: must be one of {', '.join(_FAMILIES)}")
         return
     if fam == "power":
         _keys(prob, "problem", ("family", "T", "beta", "delta"), (), errors)
@@ -236,7 +235,7 @@ def _validate_system(cfg, errors):
     if system not in ("linear", "nonlinear"):
         errors.append("system: must be 'linear' or 'nonlinear'")
     else:
-        allowed = _LINEAR_COEFF_KEYS if system == "linear" else _NONLINEAR_COEFF_KEYS
+        allowed = _LINEAR_KEYS if system == "linear" else _NONLINEAR_KEYS
         _validate_profile_map(cfg, "coefficients", allowed, errors)
 
 
@@ -388,19 +387,16 @@ def _profile_values(spec: dict, coeff: DegenerateCoefficient, x: np.ndarray):
     return s * coeff.a(x) * np.sin(w * x)
 
 
-def _resolve_profiles(block, keys, coeff, x):
-    block = block or {}
-    return {
-        k: _profile_values(block[k], coeff, x) if k in block else np.zeros_like(x)
-        for k in keys
-    }
+def _resolve_profiles(block, coeff, x):
+    """The profiles a block gives, on the nodes; a key left out takes the
+    zero default of the solver or of MfgCoefficients."""
+    return {k: _profile_values(v, coeff, x) for k, v in (block or {}).items()}
 
 
 def _build_coeffs(
     cfg: dict, coeff: DegenerateCoefficient, grid: SpaceTimeGrid
 ) -> MfgCoefficients:
-    keys = _LINEAR_COEFF_KEYS if cfg["system"] == "linear" else _NONLINEAR_COEFF_KEYS
-    profs = _resolve_profiles(cfg.get("coefficients"), keys, coeff, grid.x)
+    profs = _resolve_profiles(cfg.get("coefficients"), coeff, grid.x)
     return MfgCoefficients(coeff, grid, **profs)
 
 
@@ -453,7 +449,7 @@ def _run_solve(cfg):
     grid = _build_grid(cfg, cfg["problem"]["T"])
     icfg = _build_iter(cfg)
     x = grid.x
-    data = _resolve_profiles(cfg.get("data"), _DATA_KEYS, coeff, x)
+    data = _resolve_profiles(cfg.get("data"), coeff, x)
     coeffs = _build_coeffs(cfg, coeff, grid)
     solver = solve_linearized_mfg if cfg["system"] == "linear" else solve_nonlinear_mfg
     sol = solver(coeffs, **data, cfg=icfg)

@@ -30,6 +30,8 @@ from degenmfg.domain import (
     _empty,
 )
 from degenmfg.mfg import (
+    _LINEAR_KEYS,
+    _NONLINEAR_KEYS,
     IterConfig,
     MfgCoefficients,
     solve_linearized_mfg,
@@ -68,7 +70,7 @@ __all__ = [
 class Smooth:
     """A scalar function bundled with its first two derivatives.
 
-    Supports +, -, * (product rule) and scalar multiples, so composite
+    Supports + and * (product rule) and scalar multiples, so composite
     profiles keep exact derivatives without symbolic machinery.
     """
 
@@ -82,14 +84,6 @@ class Smooth:
             lambda x: s.f(x) + o.f(x),
             lambda x: s.f1(x) + o.f1(x),
             lambda x: s.f2(x) + o.f2(x),
-        )
-
-    def __sub__(self, other: "Smooth") -> "Smooth":
-        s, o = self, other
-        return Smooth(
-            lambda x: s.f(x) - o.f(x),
-            lambda x: s.f1(x) - o.f1(x),
-            lambda x: s.f2(x) - o.f2(x),
         )
 
     def __mul__(self, other):
@@ -187,14 +181,9 @@ _ZERO = smooth_const(0.0)
 
 
 def coeff_smooth(coeff: DegenerateCoefficient) -> Smooth:
-    """The diffusion coefficient as a Smooth (exact derivatives)."""
-    if coeff.family == "power":
-        return smooth_power(coeff.beta, coeff.delta)
-    if coeff.family == "wright_fischer":
-        return smooth_power(1.0, 1.0)
-    if coeff.family == "quadratic_oil":
-        return (0.5 * coeff.gamma ** 2) * smooth_power(2.0, 0.0)
-    raise ValueError(f"unknown coefficient family: {coeff.family}")
+    """The diffusion coefficient as a Smooth: its own closed forms a, a_x and
+    a_xx, so the manufactured sources use the a(x) the solvers use."""
+    return Smooth(coeff.a, coeff.a_x, coeff.a_xx)
 
 
 _TAGS = ("hjb", "fp", "mfg_linear", "mfg_nonlinear")
@@ -365,19 +354,8 @@ class ManufacturedCase:
         return np.asarray(self.m(grid.x, 0.0), dtype=float)
 
     def coefficients_on(self, grid: SpaceTimeGrid) -> MfgCoefficients:
-        x = grid.x
-        return MfgCoefficients(
-            self.coeff,
-            grid,
-            p=self.p.f(x),
-            d=self.d.f(x),
-            d1=self.d1.f(x),
-            d2=self.d2.f(x),
-            c1=self.c1.f(x),
-            c2=self.c2.f(x),
-            b=self.b.f(x),
-            rho=self.rho.f(x),
-        )
+        layers = {k: getattr(self, k).f for k in _NONLINEAR_KEYS + _LINEAR_KEYS}
+        return MfgCoefficients(self.coeff, grid, **layers)
 
 
 def _power22():
@@ -583,14 +561,13 @@ def _solve_case(
     """solve_case, plus the sources it sampled and the Picard sweeps:
     (u, m, F, G, sweeps), None where unused and 0 sweeps for scalar cases.
     A coupled solve starts from ``start`` (zeros when None)."""
-    x = grid.x
     F = case.source_F(grid) if case.tag != "fp" else None
     G = case.source_G(grid) if case.tag != "hjb" else None
     if case.tag == "hjb":
         prob = HjbLinearProblem(
             grid,
             case.coeff,
-            drift=case.d1.f(x),
+            drift=case.d1.f,
             source=F,
             terminal=case.terminal(grid),
         )
@@ -599,8 +576,8 @@ def _solve_case(
         prob = FpLinearProblem(
             grid,
             case.coeff,
-            convection=case.c1.f(x),
-            zeroth=case.b.f(x),
+            convection=case.c1.f,
+            zeroth=case.b.f,
             source=G,
             initial=case.initial(grid),
         )
@@ -630,10 +607,10 @@ def case_error(case: ManufacturedCase, grid: SpaceTimeGrid, cfg: IterConfig = It
 
 def _max_error(case: ManufacturedCase, grid: SpaceTimeGrid, u, m) -> float:
     err = 0.0
-    if u is not None:
-        err = max(err, float(np.max(np.abs(u.values - case.exact_u(grid).values))))
-    if m is not None:
-        err = max(err, float(np.max(np.abs(m.values - case.exact_m(grid).values))))
+    for got, key in ((u, "u"), (m, "m")):
+        if got is not None:
+            exact = _sample_terms(case.terms[key], grid)
+            err = max(err, float(np.max(np.abs(got.values - exact))))
     return err
 
 

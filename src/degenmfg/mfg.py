@@ -49,6 +49,7 @@ from degenmfg.solvers import (
     FieldLike,
     FpLinearProblem,
     HjbLinearProblem,
+    _slice,
     _time_columns,
     _traj,
     apply_fp_operator,
@@ -75,6 +76,11 @@ __all__ = [
 
 # backtracking gives up once the damping would fall below this step
 DAMPING_FLOOR = 1.0 / 64.0
+
+# the coefficient layers of MfgCoefficients: the quadratic-Hamiltonian
+# system reads the nonlinear one, the linearized system the linear one
+_NONLINEAR_KEYS = ("p", "d")
+_LINEAR_KEYS = ("d1", "d2", "c1", "c2", "b", "rho")
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,9 @@ class MfgCoefficients:
 
     Nonlinear layer: p (Hamiltonian weight) and d (density-to-value coupling).
     Linearized layer: d1, d2 (value equation) and c1, c2, b, rho (density
-    equation).  All entries broadcast to full space-time trajectories at
-    construction.
+    equation).  Each entry is coerced to a space-time trajectory at
+    construction, as solvers._traj does: a scalar, a spatial profile or a
+    callable of x becomes a time-constant view.
     """
 
     diffusion: DegenerateCoefficient
@@ -123,7 +130,7 @@ class MfgCoefficients:
     rho: FieldLike = 0.0
 
     def __post_init__(self):
-        for name in ("p", "d", "d1", "d2", "c1", "c2", "b", "rho"):
+        for name in _NONLINEAR_KEYS + _LINEAR_KEYS:
             setattr(self, name, _traj(getattr(self, name), self.grid, name))
 
 
@@ -229,7 +236,6 @@ def solve_linearized_mfg(
     G: FieldLike = 0.0,
     m0: FieldLike = 0.0,
     h: FieldLike = 0.0,
-    grid: Optional[SpaceTimeGrid] = None,
     cfg: IterConfig = IterConfig(),
     start: Optional[tuple] = None,
 ) -> MfgSolution:
@@ -244,10 +250,9 @@ def solve_linearized_mfg(
     iteration starts from, as for solve_nonlinear_mfg (zeros when None).
     """
     g = coeffs.grid
-    if grid is not None and grid.shape != g.shape:
-        raise ValueError("grid does not match the coefficient grid")
     Ft = _traj(F, g, "F")
     Gt = _traj(G, g, "G")
+    m0, h = _slice(m0, g, "m0"), _slice(h, g, "h")
     start = _start_pair(start, g)
 
     def value_problem(u, m):  # linear in m only: u is not read
@@ -276,7 +281,6 @@ def solve_nonlinear_mfg(
     G: FieldLike = 0.0,
     m0: FieldLike = 0.0,
     h: FieldLike = 0.0,
-    grid: Optional[SpaceTimeGrid] = None,
     cfg: IterConfig = IterConfig(),
     start: Optional[tuple] = None,
 ) -> MfgSolution:
@@ -296,10 +300,9 @@ def solve_nonlinear_mfg(
     still stops on the same residual tolerance.
     """
     g = coeffs.grid
-    if grid is not None and grid.shape != g.shape:
-        raise ValueError("grid does not match the coefficient grid")
     Ft = _traj(F, g, "F")
     Gt = _traj(G, g, "G")
+    m0, h = _slice(m0, g, "m0"), _slice(h, g, "h")
     start = _start_pair(start, g)
     # time-invariant p and d stay one column: -p and p/2 are never full
     # trajectories, and the products broadcast to the same doubles

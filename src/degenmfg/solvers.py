@@ -43,7 +43,7 @@ import importlib.util
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -114,7 +114,8 @@ __all__ = [
     "isomorphism_residual",
 ]
 
-FieldLike = Union[SpaceTimeField, np.ndarray, float]
+# a scalar, a spatial profile, a callable of x or a trajectory (see _traj)
+FieldLike = Union[SpaceTimeField, np.ndarray, float, Callable]
 # unit probes per block of isomorphism_residual
 _PROBE_BLOCK = 256
 
@@ -124,11 +125,20 @@ class SolverError(RuntimeError):
 
 
 def _traj(data: FieldLike, grid: SpaceTimeGrid, name: str) -> np.ndarray:
-    """Coerce scalars, spatial profiles, or trajectories to shape (n_x, n_t+1)."""
+    """Coerce a coefficient or datum to a trajectory of shape (n_x, n_t+1).
+
+    With _slice, the one coercion rule of the package.  A scalar, a spatial
+    profile of shape (n_x,) or a callable of x (see _slice) is constant in
+    time: a read-only broadcast view whose time stride is 0.  A trajectory,
+    or a field on a grid of the same shape, is returned as it is.  Any other
+    shape raises ValueError naming the field.
+    """
     if isinstance(data, SpaceTimeField):
         if data.grid.shape != grid.shape:
             raise ValueError(f"{name}: field grid {data.grid.shape} != {grid.shape}")
         return data.values
+    if callable(data):
+        data = _slice(data, grid, name)
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 0:
         return np.broadcast_to(arr, grid.shape)
@@ -139,8 +149,12 @@ def _traj(data: FieldLike, grid: SpaceTimeGrid, name: str) -> np.ndarray:
     raise ValueError(f"{name}: cannot broadcast shape {arr.shape} to {grid.shape}")
 
 
-def _slice(data, grid: SpaceTimeGrid, name: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+def _slice(data: FieldLike, grid: SpaceTimeGrid, name: str) -> np.ndarray:
+    """Coerce a scalar, a profile of shape (n_x,) or a callable of x to one
+    spatial slice of shape (n_x,).  A callable is evaluated at the nodes
+    grid.x, the only place one is; its result is coerced like a value.  Any
+    other shape raises ValueError naming the field."""
+    arr = np.asarray(data(grid.x) if callable(data) else data, dtype=float)
     if arr.ndim == 0:
         return np.full(grid.n_x, float(arr))
     if arr.shape != (grid.n_x,):
@@ -152,9 +166,8 @@ def _slice(data, grid: SpaceTimeGrid, name: str) -> np.ndarray:
 class HjbLinearProblem:
     """Backward value equation u_t + a u_xx + drift u_x = source, u(.,T) given.
 
-    drift and source may be scalars, spatial profiles, or full trajectories.
-    The hypothesis ratio max |drift| / sqrt(a) over all nodes (the estimates
-    assume it is bounded) is computed on first read.
+    drift and source may be scalars, spatial profiles, callables of x or
+    full trajectories; terminal is a slice (see _traj and _slice).
     """
 
     grid: SpaceTimeGrid
@@ -167,11 +180,6 @@ class HjbLinearProblem:
         self.drift = _traj(self.drift, self.grid, "drift")
         self.source = _traj(self.source, self.grid, "source")
         self.terminal = _slice(self.terminal, self.grid, "terminal")
-
-    @cached_property
-    def drift_ratio(self) -> float:
-        (drift,) = _time_columns(self.drift)
-        return float(np.max(np.abs(drift) / self.coeff.sqrt_a(self.grid.x)[:, None]))
 
     @cached_property
     def _step_bands(self):
@@ -187,8 +195,7 @@ class FpLinearProblem:
     """Forward density equation m_t - (a m)_xx + convection m_x = zeroth m + source.
 
     Solved through v = a m; ``initial`` is the density slice m(., 0).  The
-    hypothesis ratios max |convection| / sqrt(a) and max |a_x| / sqrt(a) are
-    computed on first read.
+    coefficients and data are coerced as for HjbLinearProblem.
     """
 
     grid: SpaceTimeGrid
@@ -203,16 +210,6 @@ class FpLinearProblem:
         self.zeroth = _traj(self.zeroth, self.grid, "zeroth")
         self.source = _traj(self.source, self.grid, "source")
         self.initial = _slice(self.initial, self.grid, "initial")
-
-    @cached_property
-    def convection_ratio(self) -> float:
-        (conv,) = _time_columns(self.convection)
-        return float(np.max(np.abs(conv) / self.coeff.sqrt_a(self.grid.x)[:, None]))
-
-    @cached_property
-    def slope_ratio(self) -> float:
-        x = self.grid.x
-        return float(np.max(np.abs(self.coeff.a_x(x)) / self.coeff.sqrt_a(x)))
 
     @cached_property
     def _step_bands(self):

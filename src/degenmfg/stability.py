@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from degenmfg.mfg import (
     _start_pair,
     solve_nonlinear_mfg,
 )
-from degenmfg.solvers import SolverError
+from degenmfg.solvers import FieldLike, SolverError, _slice
 
 __all__ = [
     "theoretical_theta",
@@ -142,46 +142,26 @@ class StabilityResult:
     warnings: tuple = ()
 
 
-ProfileLike = Union[float, np.ndarray, Callable]
-
-
-def _profile(value: ProfileLike, x: np.ndarray, name: str) -> np.ndarray:
-    if callable(value):
-        out = np.asarray(value(x), dtype=float)
-    else:
-        out = np.asarray(value, dtype=float)
-        if out.ndim == 0:
-            out = np.full_like(x, float(out))
-    if out.shape != x.shape:
-        raise ValueError(f"{name}: profile shape {out.shape} != {x.shape}")
-    return out
-
-
 @dataclass(frozen=True)
 class NonlinearProblemSpec:
     """Grid-free description of one quadratic-Hamiltonian system.
 
-    p, p_x, d are spatial profiles given as callables of x (or constants);
-    lam is the weight rate the stability formulas use.
+    p, p_x, d and the sources F, G are spatial profiles: callables of x,
+    arrays on the nodes or constants, coerced as solvers._traj does.  lam is
+    the weight rate the stability formulas use.
     """
 
     coeff: DegenerateCoefficient
-    p: ProfileLike
-    p_x: ProfileLike
-    d: ProfileLike
+    p: FieldLike
+    p_x: FieldLike
+    d: FieldLike
     T: float = 1.0
-    F: ProfileLike = 0.0
-    G: ProfileLike = 0.0
+    F: FieldLike = 0.0
+    G: FieldLike = 0.0
     lam: float = 1.0
 
     def coefficients_on(self, grid: SpaceTimeGrid) -> MfgCoefficients:
-        x = grid.x
-        return MfgCoefficients(
-            self.coeff,
-            grid,
-            p=_profile(self.p, x, "p"),
-            d=_profile(self.d, x, "d"),
-        )
+        return MfgCoefficients(self.coeff, grid, p=self.p, d=self.d)
 
 
 @dataclass(frozen=True)
@@ -189,10 +169,10 @@ class BackwardExperimentSpec:
     """A problem plus base data and the perturbation shapes applied to it."""
 
     problem: NonlinearProblemSpec
-    m0: ProfileLike
-    h: ProfileLike
-    delta_m0: ProfileLike
-    delta_h: ProfileLike
+    m0: FieldLike
+    h: FieldLike
+    delta_m0: FieldLike
+    delta_h: FieldLike
 
 
 def default_backward_spec() -> BackwardExperimentSpec:
@@ -250,25 +230,22 @@ def generate_pair(
     tolerance.  Raises SolverError when either solve fails to converge.
     """
     g = _experiment_grid(spec, grid)
-    x = g.x
-    m0 = _profile(base_data[0], x, "m0")
-    h = _profile(base_data[1], x, "h")
-    dm0 = _profile(perturbation[0], x, "delta_m0")
-    dh = _profile(perturbation[1], x, "delta_h")
+    m0 = _slice(base_data[0], g, "m0")
+    h = _slice(base_data[1], g, "h")
+    dm0 = _slice(perturbation[0], g, "delta_m0")
+    dh = _slice(perturbation[1], g, "delta_h")
     coeffs = spec.coefficients_on(g)
-    Fv = _profile(spec.F, x, "F")
-    Gv = _profile(spec.G, x, "G")
     start = _start_pair(start, g)  # a wrong shape fails before any Picard work
     if base_solution is None:
-        sol1 = solve_nonlinear_mfg(coeffs, F=Fv, G=Gv, m0=m0, h=h, cfg=cfg)
+        sol1 = solve_nonlinear_mfg(coeffs, F=spec.F, G=spec.G, m0=m0, h=h, cfg=cfg)
         if not sol1.converged:
             raise SolverError("base solve did not converge")
     else:
         sol1 = base_solution
     sol2 = solve_nonlinear_mfg(
         coeffs,
-        F=Fv,
-        G=Gv,
+        F=spec.F,
+        G=spec.G,
         m0=m0 + eps * dm0,
         h=h + eps * dh,
         cfg=cfg,

@@ -1,12 +1,19 @@
 """Linear backward and forward solvers on degenerate diffusions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
 from degenmfg import solvers
 from degenmfg.domain import DegenerateCoefficient, SpaceTimeField, SpaceTimeGrid
-from degenmfg.mfg import MfgCoefficients, solve_linearized_mfg
+from degenmfg.mfg import (
+    MfgCoefficients,
+    check_coefficient_bounds,
+    solve_linearized_mfg,
+    solve_nonlinear_mfg,
+)
 from degenmfg.solvers import (
     FpLinearProblem,
     HjbLinearProblem,
@@ -21,6 +28,7 @@ from degenmfg.solvers import (
     solve_fp_linear,
     solve_hjb_linear,
 )
+from degenmfg.stability import NonlinearProblemSpec, generate_pair
 
 WF = DegenerateCoefficient.wright_fischer()
 P22 = DegenerateCoefficient.power(2.0, 2.0)
@@ -96,10 +104,63 @@ def test_isomorphism_residual_families():
 
 def test_recorded_bound_ratios():
     g = SpaceTimeGrid(64, 16, 1.0)
-    prob = HjbLinearProblem(g, WF, drift=WF.sqrt_a(g.x))
-    assert prob.drift_ratio == pytest.approx(1.0, rel=1e-12)
-    fp = FpLinearProblem(g, WF, convection=2.0 * WF.sqrt_a(g.x))
-    assert fp.convection_ratio == pytest.approx(2.0, rel=1e-12)
+    sqrt_a = WF.sqrt_a(g.x)
+    report = check_coefficient_bounds(MfgCoefficients(WF, g, d1=sqrt_a, c1=2.0 * sqrt_a))
+    assert report.value("d1_over_sqrt_a") == pytest.approx(1.0, rel=1e-12)
+    assert report.value("c1_over_sqrt_a") == pytest.approx(2.0, rel=1e-12)
+    assert report.value("ax_over_sqrt_a") == float(np.max(np.abs(WF.a_x(g.x)) / sqrt_a))
+
+
+def _coerced_runs(form, g):
+    """What every coefficient-taking entry point makes of one coefficient or
+    datum ``form``, given for every slot it has: MfgCoefficients' arrays,
+    both linear solves, both coupled solves and a generate_pair."""
+    keys = ("p", "d", "d1", "d2", "c1", "c2", "b", "rho")
+    coeffs = MfgCoefficients(P22, g, **{k: form for k in keys})
+    data = dict(F=form, G=form, m0=form, h=form)
+    hjb = HjbLinearProblem(g, P22, drift=form, source=form, terminal=form)
+    fp = FpLinearProblem(g, P22, convection=form, zeroth=form, source=form, initial=form)
+    spec = NonlinearProblemSpec(P22, p=form, p_x=form, d=form, F=form, G=form)
+    pair = generate_pair((form, form), (form, form), 0.1, spec, grid=g)
+    coupled = (solve_linearized_mfg(coeffs, **data), solve_nonlinear_mfg(coeffs, **data)) + pair
+    return ([getattr(coeffs, k) for k in keys]
+            + [solve_hjb_linear(hjb).values, solve_fp_linear(fp).values]
+            + [f.values for sol in coupled for f in (sol.u, sol.m)])
+
+
+@pytest.mark.parametrize("fn, scalar", [
+    (lambda x: 0.5 * x * (1.0 - x), None),
+    (lambda x: np.full_like(x, 0.01), 0.01),
+], ids=["profile", "constant"])
+def test_callable_sample_and_scalar_coerce_alike(fn, scalar):
+    g = SpaceTimeGrid(24, 16, 1.0)
+    want = _coerced_runs(fn, g)
+    for form in [fn(g.x)] + ([] if scalar is None else [scalar]):
+        for got, ref in zip(_coerced_runs(form, g), want, strict=True):
+            assert got.shape == ref.shape
+            assert np.array_equal(_bits(got), _bits(ref))
+
+
+def test_callable_of_the_wrong_shape_raises_naming_the_field():
+    g = SpaceTimeGrid(24, 16, 1.0)
+    bad = lambda x: np.zeros(x.size + 1)  # noqa: E731
+    spec = NonlinearProblemSpec(P22, p=0.0, p_x=0.0, d=0.0)
+    coeffs = MfgCoefficients(P22, g)
+    cases = [
+        ("c1", lambda: MfgCoefficients(P22, g, c1=bad)),
+        ("drift", lambda: HjbLinearProblem(g, P22, drift=bad)),
+        ("terminal", lambda: HjbLinearProblem(g, P22, terminal=bad)),
+        ("zeroth", lambda: FpLinearProblem(g, P22, zeroth=bad)),
+        ("initial", lambda: FpLinearProblem(g, P22, initial=bad)),
+        ("G", lambda: solve_linearized_mfg(coeffs, G=bad)),
+        ("h", lambda: solve_nonlinear_mfg(coeffs, h=bad)),
+        ("p", lambda: generate_pair((0.0, 0.0), (0.0, 0.0), 0.1, replace(spec, p=bad), grid=g)),
+        ("F", lambda: generate_pair((0.0, 0.0), (0.0, 0.0), 0.1, replace(spec, F=bad), grid=g)),
+        ("delta_m0", lambda: generate_pair((0.0, 0.0), (bad, 0.0), 0.1, spec, grid=g)),
+    ]
+    for name, build in cases:
+        with pytest.raises(ValueError, match=rf"^{name}: expected shape \(24,\), got \(25,\)"):
+            build()
 
 
 def test_hjb_recovers_separable_solution():
@@ -321,21 +382,6 @@ def test_singular_static_operator_names_time_index(scale, first_level):
         solvers._march(bands, np.ones(n), np.ones((n, 11)), scale, "value")
 
 
-@pytest.mark.parametrize("kind", ["scalar", "profile", "trajectory"])
-def test_hypothesis_ratios_equal_full_array_ratios(kind):
-    g = SpaceTimeGrid(64, 48, 1.0)
-    x = g.x
-    coef = {
-        "scalar": -2.5,
-        "profile": np.sin(7.0 * x) - 0.3,
-        "trajectory": np.outer(np.cos(5.0 * x), 1.0 + g.t),
-    }[kind]
-    full = np.array(solvers._traj(coef, g, "coef"))  # materialised, every column
-    want = float(np.max(np.abs(full) / WF.sqrt_a(x)[:, None]))
-    assert HjbLinearProblem(g, WF, drift=coef).drift_ratio == want
-    assert FpLinearProblem(g, WF, convection=coef).convection_ratio == want
-
-
 def _column_march(bands, first, src, scale):
     """Reference: the column-by-column march that preceded the time-major
     buffer (a fresh right-hand side per level, copied into column k)."""
@@ -552,23 +598,6 @@ def test_density_bands_with_signed_step_equal_explicit_negation_bitwise(cols):
     want = _to_step_bands(*_band_fields(a, -conv, q, g.h), g.dt)
     for got, ref in zip(prob._step_bands, want):
         assert np.array_equal(_bits(got), _bits(ref))
-
-
-def test_ratios_are_computed_on_first_read_and_equal_the_eager_formulas():
-    g = SpaceTimeGrid(64, 48, 1.0)
-    x = g.x
-    coef = np.outer(np.cos(5.0 * x), 1.0 + g.t)
-    hjb = HjbLinearProblem(g, P22, drift=coef)
-    fp = FpLinearProblem(g, P22, convection=-coef)
-    assert not {"drift_ratio", "convection_ratio", "slope_ratio"} & (
-        set(vars(hjb)) | set(vars(fp))
-    )
-    sqrt_a = P22.sqrt_a(x)
-    assert hjb.drift_ratio == float(np.max(np.abs(coef) / sqrt_a[:, None]))
-    assert fp.convection_ratio == float(np.max(np.abs(-coef) / sqrt_a[:, None]))
-    assert fp.slope_ratio == float(np.max(np.abs(P22.a_x(x)) / sqrt_a))
-    assert {"drift_ratio"} <= set(vars(hjb))
-    assert {"convection_ratio", "slope_ratio"} <= set(vars(fp))
 
 
 def _rel_close(got, want, rtol=1e-13):
