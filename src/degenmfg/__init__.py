@@ -19,22 +19,17 @@ from degenmfg.carleman import (
     evaluate_mfg_carleman,
     s0_estimate,
     sweep_parameters,
-    weight_at,
 )
 from degenmfg.domain import (
     DegenerateCoefficient,
     NormKind,
     SpaceTimeField,
     SpaceTimeGrid,
-    build_grid,
-    spatial_derivatives,
-    time_derivative,
     weighted_norm,
 )
 from degenmfg.manufactured import (
     ConvergenceResult,
     ManufacturedCase,
-    case_error,
     catalog,
     convergence_study,
     make_case,
@@ -65,7 +60,6 @@ from degenmfg.stability import (
     BackwardExperimentSpec,
     NonlinearProblemSpec,
     StabilityResult,
-    compute_data_norm_D,
     default_backward_spec,
     generate_pair,
     optimal_s,
@@ -97,11 +91,8 @@ __all__ = [
     "SweepResult",
     "apply_fp_operator",
     "apply_hjb_operator",
-    "build_grid",
-    "case_error",
     "catalog",
     "check_coefficient_bounds",
-    "compute_data_norm_D",
     "convergence_study",
     "default_backward_spec",
     "difference_residuals",
@@ -121,11 +112,8 @@ __all__ = [
     "solve_hjb_linear",
     "solve_linearized_mfg",
     "solve_nonlinear_mfg",
-    "spatial_derivatives",
     "sweep_parameters",
     "theoretical_theta",
-    "time_derivative",
-    "weight_at",
     "weighted_norm",
     "__version__",
 ]

@@ -63,8 +63,6 @@ from degenmfg.solvers import FpLinearProblem, HjbLinearProblem, _traj
 __all__ = [
     "OVERFLOW_LOG_LIMIT",
     "CarlemanParams",
-    "WeightValue",
-    "weight_at",
     "CarlemanReport",
     "evaluate_hjb_carleman",
     "evaluate_fp_carleman",
@@ -75,7 +73,8 @@ __all__ = [
     "s0_estimate",
 ]
 
-# beyond this log-weight the linear-scale value of exp() is not representable
+# beyond this log-weight a cell counts as overflow: a margin below
+# log(DBL_MAX) = 709.78, past which exp() is not representable at all
 OVERFLOW_LOG_LIMIT = 700.0
 # largest weight table a sweep builds at once: 64 s values x 1024 midpoints;
 # also the size of a time-column block of the slice integrals
@@ -95,40 +94,11 @@ class CarlemanParams:
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
 
-    def phi(self, t):
-        return np.exp(self.lam * np.asarray(t, dtype=float))
 
-    def alpha(self, t0: float) -> float:
-        """phi(t0) - 1, the weight gap between t0 and the initial time."""
-        return float(math.expm1(self.lam * t0))
-
-    def log_weight(self, t):
-        return 2.0 * self.s * self.phi(t)
-
-
-@dataclass(frozen=True)
-class WeightValue:
-    phi: float
-    weight: float
-    log_weight: float
-    overflow: bool
-
-
-def weight_at(params: CarlemanParams, t: float) -> WeightValue:
-    """The weight at one time, with its log and an overflow marker."""
-    phi = float(params.phi(t))
-    lw = 2.0 * params.s * phi
-    over = lw > OVERFLOW_LOG_LIMIT
-    return WeightValue(phi=phi, weight=_exp_clip(lw), log_weight=lw, overflow=over)
-
-
-def _exp_clip(logv: float) -> float:
-    return math.inf if logv > 709.0 else math.exp(logv)
-
-
-def _phi_T(lam: float, T: float) -> float:
-    try:  # phi(T), inf past the double range: every s overflows there
-        return math.exp(lam * T)
+def _exp(x: float) -> float:
+    """exp(x), inf past the double range."""
+    try:
+        return math.exp(x)
     except OverflowError:
         return math.inf
 
@@ -197,7 +167,7 @@ def _report_from_scaled(kind: str, params: CarlemanParams, sc: _Scaled, parts=()
         float(v[0]) for v in (sc.lhs, sc.rhs_source, sc.rhs_T, sc.rhs_0, sc.K)
     )
     rhs_total = rhs_source + rhs_T + rhs_0
-    fields = [_exp_clip(_safe_log(v) + K) for v in (lhs, rhs_source, rhs_T, rhs_0)]
+    fields = [_exp(_safe_log(v) + K) for v in (lhs, rhs_source, rhs_T, rhs_0)]
     overflow = K > OVERFLOW_LOG_LIMIT or any(math.isinf(f) for f in fields)
     return CarlemanReport(kind, params, *fields, float(sc.ratio()[0]), _safe_log(lhs) + K,
                           _safe_log(rhs_total) + K, overflow, parts)
@@ -435,7 +405,7 @@ def _evaluate(bundle: CarlemanBundle, params: CarlemanParams) -> CarlemanReport:
     reports in parts.  Where phi(T) overflows every field is inf and the
     ratio NaN, as a sweep reports the cell."""
     kinds = ("hjb", "fp") if bundle.kind == "mfg" else ()
-    phi_T = _phi_T(params.lam, bundle.grid.T)
+    phi_T = _exp(params.lam * bundle.grid.T)
     if math.isinf(phi_T):
         inf = (math.inf,) * 4 + (math.nan, math.inf, math.inf, True)
         parts = tuple(CarlemanReport(k, params, *inf) for k in kinds)
@@ -553,7 +523,7 @@ def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResul
     s_arr, lam_arr = np.array(s_sorted), np.array(lam_sorted)
     g = bundle.grid
     estimates = _estimates(bundle)
-    phi_T = np.array([_phi_T(lam, g.T) for lam in lam_sorted])
+    phi_T = np.array([_exp(lam * g.T) for lam in lam_sorted])
     live = ~(np.multiply.outer(2.0 * s_arr, phi_T) > OVERFLOW_LOG_LIMIT)
     overflow = int(np.count_nonzero(~live))
     sc = _scaled_cells(g, estimates, s_arr, lam_arr, phi_T, live)

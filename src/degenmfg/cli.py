@@ -173,14 +173,18 @@ def _validate_grid(cfg, errors, n_t_min=3):
     _int_field(grid, "grid", "n_t", errors, n_t_min, N_T_CAP)
 
 
-_PROFILE_PARAMS = {
-    "zero": (),
-    "const": ("value",),
-    "bubble": ("scale",),
-    "a": ("scale",),
-    "sqrt_a": ("scale",),
-    "sin": ("scale", "k"),
-    "a_sin": ("scale", "k"),
+# each profile kind: its parameter keys, and its values on the nodes x for a
+# spec (already validated) and the problem's coefficient
+_PROFILES = {
+    "zero": ((), lambda p, c, x: np.zeros_like(x)),
+    "const": (("value",), lambda p, c, x: np.full_like(x, float(p["value"]))),
+    "bubble": (("scale",), lambda p, c, x: float(p["scale"]) * x * (1.0 - x)),
+    "a": (("scale",), lambda p, c, x: float(p["scale"]) * c.a(x)),
+    "sqrt_a": (("scale",), lambda p, c, x: float(p["scale"]) * c.sqrt_a(x)),
+    "sin": (("scale", "k"),
+            lambda p, c, x: float(p["scale"]) * np.sin(float(p["k"]) * math.pi * x)),
+    "a_sin": (("scale", "k"),
+              lambda p, c, x: float(p["scale"]) * c.a(x) * np.sin(float(p["k"]) * math.pi * x)),
 }
 
 
@@ -189,12 +193,12 @@ def _validate_profile(obj, path, errors):
         errors.append(f"{path}: must be an object with a 'kind' field")
         return
     kind = obj.get("kind")
-    if kind not in _PROFILE_PARAMS:
+    if kind not in _PROFILES:
         errors.append(
-            f"{path}.kind: must be one of {', '.join(sorted(_PROFILE_PARAMS))}"
+            f"{path}.kind: must be one of {', '.join(sorted(_PROFILES))}"
         )
         return
-    params = _PROFILE_PARAMS[kind]
+    params = _PROFILES[kind][0]
     _keys(obj, path, ("kind",) + params, (), errors)
     for p in params:
         if p == "k":
@@ -366,31 +370,10 @@ def _build_iter(cfg: dict) -> IterConfig:
     return replace(base, **{k: type(getattr(base, k))(v) for k, v in it.items()})
 
 
-def _profile_values(spec: dict, coeff: DegenerateCoefficient, x: np.ndarray):
-    """Resolve a profile spec to its values on the nodes."""
-    kind = spec["kind"]
-    if kind == "zero":
-        return np.zeros_like(x)
-    if kind == "const":
-        return np.full_like(x, float(spec["value"]))
-    s = float(spec["scale"])
-    if kind == "bubble":
-        return s * x * (1.0 - x)
-    if kind == "a":
-        return s * coeff.a(x)
-    if kind == "sqrt_a":
-        return s * coeff.sqrt_a(x)
-    w = float(spec["k"]) * math.pi
-    if kind == "sin":
-        return s * np.sin(w * x)
-    # a_sin
-    return s * coeff.a(x) * np.sin(w * x)
-
-
 def _resolve_profiles(block, coeff, x):
     """The profiles a block gives, on the nodes; a key left out takes the
     zero default of the solver or of MfgCoefficients."""
-    return {k: _profile_values(v, coeff, x) for k, v in (block or {}).items()}
+    return {k: _PROFILES[v["kind"]][1](v, coeff, x) for k, v in (block or {}).items()}
 
 
 def _build_coeffs(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -20,9 +19,6 @@ __all__ = [
     "DegenerateCoefficient",
     "SpaceTimeField",
     "NormKind",
-    "build_grid",
-    "spatial_derivatives",
-    "time_derivative",
     "weighted_norm",
 ]
 
@@ -33,7 +29,8 @@ class SpaceTimeGrid:
 
     Spatial nodes are the cell centers x_i = (i + 1/2) h with h = 1/n_x, so no
     node touches the degeneracy points x = 0, 1.  Time levels are t_k = k T/n_t
-    for k = 0..n_t; trajectories therefore hold n_t + 1 columns.
+    for k = 0..n_t; trajectories therefore hold n_t + 1 columns.  The sizes
+    n_x and n_t must be integers (Python or numpy).
     """
 
     n_x: int
@@ -41,6 +38,9 @@ class SpaceTimeGrid:
     T: float
 
     def __post_init__(self):
+        for name in ("n_x", "n_t"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_x < 4:
             raise ValueError(f"n_x must be >= 4, got {self.n_x}")
         if self.n_t < 2:
@@ -71,11 +71,6 @@ class SpaceTimeGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_x, self.n_t + 1)
-
-
-def build_grid(n_x: int, n_t: int, T: float) -> SpaceTimeGrid:
-    """Validated constructor for :class:`SpaceTimeGrid`."""
-    return SpaceTimeGrid(int(n_x), int(n_t), float(T))
 
 
 _FAMILIES = ("power", "wright_fischer", "quadratic_oil")
@@ -236,14 +231,6 @@ class SpaceTimeField:
         field.grid = grid
         return field
 
-    @classmethod
-    def from_function(cls, grid: SpaceTimeGrid, fn: Callable) -> "SpaceTimeField":
-        """Sample fn(x, t) with x broadcast down columns and t across rows."""
-        vals = np.broadcast_to(
-            np.asarray(fn(grid.x[:, None], grid.t[None, :]), dtype=float), grid.shape
-        )
-        return cls(vals, grid)
-
 
 # ---------------------------------------------------------------------------
 # stencils
@@ -306,19 +293,6 @@ def _dxx_array(f: np.ndarray, h: float, closure: str) -> np.ndarray:
     return out
 
 
-def spatial_derivatives(
-    field: SpaceTimeField, closure: str = "dirichlet"
-) -> tuple[SpaceTimeField, SpaceTimeField]:
-    """(f_x, f_xx) of a trajectory, second order including the closures."""
-    g = field.grid
-    fx = _dx_array(field.values, g.h, closure)
-    fxx = _dxx_array(field.values, g.h, closure)
-    return SpaceTimeField(fx, g), SpaceTimeField(fxx, g)
-
-
-_D3_FWD = np.array([-2.5, 9.0, -12.0, 7.0, -1.5])
-
-
 def _dt1_columns(v: np.ndarray, dt: float, cols: slice) -> np.ndarray:
     """First time derivative of v at its columns ``cols`` only (a step-1
     slice): central where a column has both neighbours in v, one-sided at
@@ -340,41 +314,23 @@ def _dt1_columns(v: np.ndarray, dt: float, cols: slice) -> np.ndarray:
 
 
 def _dt_array(v: np.ndarray, dt: float, order: int) -> np.ndarray:
-    """k-th time derivative of a trajectory array along its columns."""
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order}")
+    """First or second time derivative of a trajectory array along its
+    columns, second order everywhere: central stencils at interior time
+    levels, one-sided ones at t = 0 and t = T.  Requires n_t >= order + 2.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
     n_t = v.shape[1] - 1
     if n_t < order + 2:
         raise ValueError(f"n_t={n_t} too coarse for order-{order} time derivative")
     if order == 1:
         return _dt1_columns(v, dt, slice(None))
     out = _empty(v.shape)
-    if order == 2:
-        t2 = dt * dt
-        out[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / t2
-        out[:, 0] = (2.0 * v[:, 0] - 5.0 * v[:, 1] + 4.0 * v[:, 2] - v[:, 3]) / t2
-        out[:, -1] = (2.0 * v[:, -1] - 5.0 * v[:, -2] + 4.0 * v[:, -3] - v[:, -4]) / t2
-    else:
-        t3 = dt**3
-        out[:, 2:-2] = (
-            -v[:, :-4] + 2.0 * v[:, 1:-3] - 2.0 * v[:, 3:-1] + v[:, 4:]
-        ) / (2.0 * t3)
-        w = _D3_FWD / t3
-        for j in (0, 1):
-            out[:, j] = v[:, j : j + 5] @ w
-        wb = -_D3_FWD / t3  # mirrored stencil, odd order flips sign
-        for j in (n_t - 1, n_t):
-            out[:, j] = v[:, j - 4 : j + 1] @ wb[::-1]
+    t2 = dt * dt
+    out[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / t2
+    out[:, 0] = (2.0 * v[:, 0] - 5.0 * v[:, 1] + 4.0 * v[:, 2] - v[:, 3]) / t2
+    out[:, -1] = (2.0 * v[:, -1] - 5.0 * v[:, -2] + 4.0 * v[:, -3] - v[:, -4]) / t2
     return out
-
-
-def time_derivative(field: SpaceTimeField, order: int = 1) -> SpaceTimeField:
-    """k-th time derivative along rows, second order everywhere.
-
-    Central stencils at interior time levels, one-sided second-order stencils
-    at t = 0 and t = T.  Requires n_t >= order + 2.
-    """
-    return SpaceTimeField(_dt_array(field.values, field.grid.dt, order), field.grid)
 
 
 class NormKind(enum.Enum):
@@ -382,7 +338,6 @@ class NormKind(enum.Enum):
 
     L2_INV_A = "L2_inv_a"
     H1_INV_A = "H1_inv_a"
-    H2_INV_A = "H2_inv_a"
     L2_A = "L2_a"
     H1A_DIV = "H1a_div"
     L2_PLAIN = "L2_plain"
@@ -396,7 +351,6 @@ def weighted_norm(
     Kinds:
         L2_INV_A:  ( int f^2 / a )^(1/2)
         H1_INV_A:  ( int f^2 / a + int f_x^2 )^(1/2)          f = 0 on boundary
-        H2_INV_A:  ( int a f_xx^2 )^(1/2)                      seminorm
         L2_A:      ( int a f^2 )^(1/2)
         H1A_DIV:   ( int a f^2 + int ((a f)_x)^2 )^(1/2)       a f = 0 on boundary
         L2_PLAIN:  ( int f^2 )^(1/2)
@@ -413,9 +367,6 @@ def weighted_norm(
     elif kind is NormKind.H1_INV_A:
         fx = _dx_array(v, h, "dirichlet")
         sq = h * np.sum(v * v / a) + h * np.sum(fx * fx)
-    elif kind is NormKind.H2_INV_A:
-        fxx = _dxx_array(v, h, "dirichlet")
-        sq = h * np.sum(a * fxx * fxx)
     elif kind is NormKind.L2_A:
         sq = h * np.sum(a * v * v)
     elif kind is NormKind.H1A_DIV:

@@ -58,7 +58,6 @@ __all__ = [
     "make_case",
     "catalog",
     "solve_case",
-    "case_error",
     "ConvergenceResult",
     "convergence_study",
     "SPACE_LADDER",
@@ -220,10 +219,7 @@ class ManufacturedCase:
     The value field is u(x,t) = Tu(t) U(x) and the density m(x,t) = Tm(t) V(x);
     time and space factors are Smooths, as are all spatial coefficients.  The
     sources F and G are derived so the pair solves the system named by ``tag``
-    exactly.  ``hypotheses_ok`` marks whether the intrinsic slope ratio
-    |a_x| / sqrt(a) stays bounded near the boundary for this diffusion (the
-    square-root degeneracy fails it), which downstream weighted estimates
-    assume.
+    exactly.
 
     ``terms`` holds, for each of u, m, F and G, its one formula: a list of
     separable terms (time profile, space profile), each a function of one
@@ -248,7 +244,6 @@ class ManufacturedCase:
     p: Smooth = _ZERO
     d: Smooth = _ZERO
     T: float = 1.0
-    hypotheses_ok: bool = True
     A: Smooth = field(init=False)
     W: Smooth = field(init=False)
     terms: dict = field(init=False, repr=False)
@@ -261,6 +256,14 @@ class ManufacturedCase:
         self.W = self.A * self.V
         self.terms = {"u": [(self.Tu.f, self.U.f)], "m": [(self.Tm.f, self.V.f)],
                       "F": self._F_terms(), "G": self._G_terms()}
+
+    @property
+    def hypotheses_ok(self) -> bool:
+        """Whether the intrinsic slope ratio |a_x| / sqrt(a) stays bounded
+        near the boundary, as downstream weighted estimates assume: false
+        only for the Wright-Fischer diffusion, whose square-root degeneracy
+        fails it."""
+        return self.coeff.family != "wright_fischer"
 
     def _F_terms(self):
         """F = u_t + a u_xx + d1 u_x - d2 m (the d2 term for mfg_linear only),
@@ -374,7 +377,6 @@ _CATALOG = {
         coeff=_wf(),
         Tu=smooth_exp(-1.0),
         U=smooth_power(1.0, 1.0),
-        hypotheses_ok=False,
     ),
     "drifted-well": lambda: ManufacturedCase(
         name="drifted-well",
@@ -411,7 +413,6 @@ _CATALOG = {
         V=smooth_power(2.0, 2.0),
         c1=0.3 * smooth_power(1.0, 1.0),
         b=smooth_const(0.4),
-        hypotheses_ok=False,
     ),
     "oil-drift": lambda: ManufacturedCase(
         name="oil-drift",
@@ -452,7 +453,6 @@ _CATALOG = {
         b=smooth_const(0.25),
         c2=0.2 * smooth_sin(1.0),
         rho=0.15 * smooth_power(1.0, 1.0),
-        hypotheses_ok=False,
     ),
     "coupled-oil": lambda: ManufacturedCase(
         name="coupled-oil",
@@ -491,7 +491,6 @@ _CATALOG = {
         V=smooth_power(1.0, 1.0) * smooth_linear(1.0, 1.0),
         p=0.3 * smooth_power(1.0, 1.0),
         d=0.3 * smooth_power(1.0, 1.0),
-        hypotheses_ok=False,
     ),
     "oil-game": lambda: ManufacturedCase(
         name="oil-game",
@@ -509,7 +508,6 @@ _CATALOG = {
         name="zero",
         tag="mfg_linear",
         coeff=_wf(),
-        hypotheses_ok=False,
     ),
 }
 
@@ -598,11 +596,6 @@ def _solve_case(
             f"case {case.name}: coupled sweep did not converge on grid {grid.shape}"
         )
     return sol.u, sol.m, F, G, sol.sweeps
-
-
-def case_error(case: ManufacturedCase, grid: SpaceTimeGrid, cfg: IterConfig = IterConfig()) -> float:
-    """Max-node error of the matching solver against the exact fields."""
-    return _max_error(case, grid, *solve_case(case, grid, cfg))
 
 
 def _max_error(case: ManufacturedCase, grid: SpaceTimeGrid, u, m) -> float:

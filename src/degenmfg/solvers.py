@@ -444,7 +444,7 @@ def fp_scheme_residual(m: FieldLike, prob: FpLinearProblem) -> float:
     return float(np.max(np.abs(Sv, out=Sv)))
 
 
-def isomorphism_residual(coeff, grid: SpaceTimeGrid) -> float:
+def isomorphism_residual(coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> float:
     """Max-norm defect of the conjugation identity between the two forms.
 
     Multiplication by a carries the density unknown to v = a m, and it must
@@ -453,16 +453,10 @@ def isomorphism_residual(coeff, grid: SpaceTimeGrid) -> float:
     A e = a * Dxx e, A~ e = Dxx(a e), T e = a e.  Both sides go through
     separate arithmetic paths (no algebraic cancellation), so the returned
     max-norm is honest floating-point roundoff, not a tautology by
-    construction.  ``coeff`` may also be a plain array of a-values (used for
-    non-degenerate sanity checks).
+    construction.
     """
     n = grid.n_x
-    if isinstance(coeff, DegenerateCoefficient):
-        a = coeff.a(grid.x)
-    else:
-        a = np.asarray(coeff, dtype=float)
-        if a.shape != (n,):
-            raise ValueError(f"coefficient array must have shape ({n},)")
+    a = coeff.a(grid.x)
     ones = np.ones((n, 1))
     zeros = np.zeros((n, 1))
     sub, diag, sup = _band_fields(ones, zeros, zeros, grid.h)

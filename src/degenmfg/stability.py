@@ -52,7 +52,6 @@ __all__ = [
     "build_ladder_pairs",
     "run_holder_experiment",
     "run_log_experiment",
-    "compute_data_norm_D",
     "DEFAULT_HOLDER_LADDER",
     "DEFAULT_LOG_LADDER",
     "DEFAULT_EXPERIMENT_SHAPE",
@@ -347,13 +346,6 @@ def _end_norms(u, m, coeff: DegenerateCoefficient, g: SpaceTimeGrid, order: int,
         nu.append(weighted_norm(_dt_array(u, g.dt, k)[:, col], NormKind.H1_INV_A, coeff, g))
         nm.append(weighted_norm(_dt_array(m, g.dt, k)[:, col], NormKind.H1A_DIV, coeff, g))
     return nu, nm
-
-
-def compute_data_norm_D(pair, coeff: DegenerateCoefficient, order: int = 2) -> float:
-    """The log-estimate data discrepancy D of a solution pair's difference:
-    final-time norms of time derivatives up to ``order`` of both fields."""
-    nu, nm = _end_norms(*_pair_diff(pair), coeff, pair[0].u.grid, order, -1)
-    return sum(nu) + sum(nm)
 
 
 def _clean_ladder(eps_ladder, warnings: list):

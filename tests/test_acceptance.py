@@ -22,7 +22,6 @@ from degenmfg import (
     NormKind,
     SpaceTimeField,
     SpaceTimeGrid,
-    build_grid,
     catalog,
     evaluate_fp_carleman,
     evaluate_hjb_carleman,
@@ -121,7 +120,7 @@ def test_criterion_02_manufactured_convergence():
 def test_criterion_03_weighted_norm_oracle():
     """Singular-weight quadrature hits the closed form; invariants hold."""
     coeff = DegenerateCoefficient.wright_fischer()
-    grid = build_grid(256, 8, 1.0)
+    grid = SpaceTimeGrid(256, 8, 1.0)
     f = grid.x * (1.0 - grid.x)
     val = weighted_norm(f, NormKind.L2_INV_A, coeff, grid) ** 2
     assert abs(val - 1.0 / 6.0) < 1e-4

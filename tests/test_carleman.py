@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from mpmath import mp
 
 from degenmfg import carleman
 from degenmfg.carleman import (
@@ -18,13 +17,10 @@ from degenmfg.carleman import (
     hjb_ingredients,
     s0_estimate,
     sweep_parameters,
-    weight_at,
 )
 from degenmfg.domain import DegenerateCoefficient, SpaceTimeGrid, SpaceTimeField
 from degenmfg.manufactured import make_case, solve_case
 from degenmfg.solvers import HjbLinearProblem, apply_hjb_operator
-
-mp.dps = 40
 
 WF = DegenerateCoefficient.wright_fischer()
 
@@ -35,37 +31,6 @@ def _rel(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def test_weight_at_unit_values():
-    w = weight_at(CarlemanParams(s=1.0, lam=1.0), 0.0)
-    assert w.phi == pytest.approx(1.0, rel=1e-15)
-    assert w.weight == pytest.approx(math.e**2, rel=1e-14)
-    assert not w.overflow
-
-
-def test_weight_at_arbitrary_precision_oracle():
-    # 2 s phi(1) = 4e for s=2, lam=1
-    w = weight_at(CarlemanParams(s=2.0, lam=1.0), 1.0)
-    oracle = float(mp.e ** (4 * mp.e))
-    assert w.phi == pytest.approx(math.e, rel=1e-14)
-    assert w.log_weight == pytest.approx(4 * math.e, rel=1e-14)
-    assert w.weight == pytest.approx(oracle, rel=1e-12)
-    assert w.weight == pytest.approx(52739.886816331808, rel=1e-12)
-
-
-def test_weight_overflow_flagged_not_clamped():
-    w = weight_at(CarlemanParams(s=200.0, lam=2.0), 1.0)
-    assert w.overflow
-    assert w.log_weight == pytest.approx(400.0 * math.e**2, rel=1e-13)
-    assert math.isinf(w.weight)
-
-
-def test_weight_monotone_in_each_argument():
-    base = weight_at(CarlemanParams(s=2.0, lam=1.0), 0.5).log_weight
-    assert weight_at(CarlemanParams(s=3.0, lam=1.0), 0.5).log_weight > base
-    assert weight_at(CarlemanParams(s=2.0, lam=2.0), 0.5).log_weight > base
-    assert weight_at(CarlemanParams(s=2.0, lam=1.0), 0.7).log_weight > base
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         CarlemanParams(s=0.0, lam=1.0)
@@ -73,15 +38,10 @@ def test_params_validation():
         CarlemanParams(s=1.0, lam=-2.0)
 
 
-def test_alpha_vanishes_only_at_zero():
-    p = CarlemanParams(s=1.0, lam=1.3)
-    assert p.alpha(0.0) == 0.0
-    assert p.alpha(0.4) > 0.0
-
-
 def _wf_anchor_report(n):
     g = SpaceTimeGrid(n, n, 1.0)
-    u = SpaceTimeField.from_function(g, lambda x, t: np.exp(-t) * x * (1.0 - x))
+    x, t = g.x[:, None], g.t[None, :]
+    u = SpaceTimeField(np.exp(-t) * x * (1.0 - x), g)
     prob = HjbLinearProblem(g, WF)
     F = apply_hjb_operator(u, prob)
     return evaluate_hjb_carleman(u, F.values, CarlemanParams(s=2.0, lam=2.0), prob)
@@ -187,6 +147,17 @@ def test_unrepresentable_lam_reports_overflow_without_warnings():
     bundle = CarlemanBundle("mfg", c.coeff, g, u=u, m=m, F=F, G=G)
     sw = sweep_parameters(bundle, [params.s], [params.lam])
     assert sw.overflow_cells == 1 and math.isnan(sw.ratios[0, 0])
+
+
+@pytest.mark.parametrize("K, want", [(709.5, math.exp(709.5)), (709.9, math.inf)])
+def test_report_fields_are_exact_up_to_the_double_range(K, want):
+    # log(DBL_MAX) = 709.78: below it a linear-scale field is the double it
+    # names, above it inf; the overflow flag follows OVERFLOW_LOG_LIMIT alone
+    one = np.array([1.0])
+    sc = carleman._Scaled(one, one, one, one, np.array([K]))
+    rep = carleman._report_from_scaled("hjb", CarlemanParams(s=1.0, lam=1.0), sc)
+    assert rep.lhs == rep.rhs_source == rep.rhs_T == rep.rhs_0 == want
+    assert rep.lhs_log == K and rep.overflow
 
 
 def _bundle(name, n_x=64, n_t=64):

@@ -17,7 +17,7 @@ import pytest
 
 from degenmfg.carleman import SweepResult
 from degenmfg import cli
-from degenmfg.cli import _COMMANDS, _PROFILE_PARAMS, _ratio_rows, _write_csv, main
+from degenmfg.cli import _COMMANDS, _PROFILES, _ratio_rows, _write_csv, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -523,7 +523,7 @@ def test_readme_profile_table_matches_the_profile_kinds():
         cells = line.strip().strip("|").split("|")
         if len(cells) == 3 and re.fullmatch(r"`[a-z_]+`", cells[0].strip()):
             table[cells[0].strip().strip("`")] = tuple(re.findall(r"`([^`]+)`", cells[1]))
-    assert table == _PROFILE_PARAMS
+    assert table == {kind: keys for kind, (keys, _) in _PROFILES.items()}
 
 
 def test_parser_reuse_keeps_no_state_between_calls(tmp_path):

@@ -7,10 +7,10 @@ from scipy.integrate import quad
 from degenmfg.domain import (
     DegenerateCoefficient,
     NormKind,
-    SpaceTimeField,
     SpaceTimeGrid,
-    spatial_derivatives,
-    time_derivative,
+    _dt_array,
+    _dx_array,
+    _dxx_array,
     weighted_norm,
 )
 
@@ -32,6 +32,19 @@ def test_grid_validation():
         SpaceTimeGrid(8, 0, 1.0)
     with pytest.raises(ValueError):
         SpaceTimeGrid(8, 4, -1.0)
+
+
+@pytest.mark.parametrize(
+    "n_x, n_t, bad", [(64.0, 8, "n_x"), (8.5, 4, "n_x"), (8, 4.0, "n_t"), (8, "4", "n_t")]
+)
+def test_grid_rejects_non_integer_sizes(n_x, n_t, bad):
+    with pytest.raises(ValueError, match=f"^{bad} must be an integer"):
+        SpaceTimeGrid(n_x, n_t, 1.0)
+
+
+def test_grid_accepts_numpy_integer_sizes():
+    g = SpaceTimeGrid(np.int64(8), np.int32(4), 1.0)
+    assert g.shape == (8, 5)
 
 
 def test_coefficient_families_values():
@@ -79,27 +92,27 @@ def test_coefficient_derivatives_match_finite_differences(coeff):
 def test_dirichlet_stencils_exact_on_wall_quadratic():
     # x(1-x) vanishes at both walls; the boundary closures reproduce it exactly
     g = SpaceTimeGrid(32, 2, 1.0)
-    f = SpaceTimeField(np.tile(g.x * (1 - g.x), (3, 1)).T, g)
-    fx, fxx = spatial_derivatives(f, closure="dirichlet")
-    assert np.allclose(fx.values[:, 0], 1 - 2 * g.x, atol=1e-12)
-    assert np.allclose(fxx.values[:, 0], -2.0, atol=1e-10)
+    f = np.tile(g.x * (1 - g.x), (3, 1)).T
+    fx, fxx = _dx_array(f, g.h, "dirichlet"), _dxx_array(f, g.h, "dirichlet")
+    assert np.allclose(fx[:, 0], 1 - 2 * g.x, atol=1e-12)
+    assert np.allclose(fxx[:, 0], -2.0, atol=1e-10)
 
 
 def test_free_closure_exact_on_quadratic():
     g = SpaceTimeGrid(16, 2, 1.0)
-    f = SpaceTimeField(np.tile(1 + 2 * g.x + 3 * g.x**2, (3, 1)).T, g)
-    fx, _ = spatial_derivatives(f, closure="free")
-    assert np.allclose(fx.values[:, 0], 2 + 6 * g.x, atol=1e-11)
+    f = np.tile(1 + 2 * g.x + 3 * g.x**2, (3, 1)).T
+    fx = _dx_array(f, g.h, "free")
+    assert np.allclose(fx[:, 0], 2 + 6 * g.x, atol=1e-11)
 
 
 def test_stencil_second_order_convergence():
     errs = []
     for n in (64, 128):
         g = SpaceTimeGrid(n, 2, 1.0)
-        f = SpaceTimeField(np.tile(np.sin(np.pi * g.x), (3, 1)).T, g)
-        _, fxx = spatial_derivatives(f, closure="free")
+        f = np.tile(np.sin(np.pi * g.x), (3, 1)).T
+        fxx = _dxx_array(f, g.h, "free")
         exact = -np.pi**2 * np.sin(np.pi * g.x)
-        errs.append(np.max(np.abs(fxx.values[1:-1, 0] - exact[1:-1])))
+        errs.append(np.max(np.abs(fxx[1:-1, 0] - exact[1:-1])))
     ratio = errs[0] / errs[1]
     assert 3.2 < ratio < 4.8
 
@@ -107,27 +120,17 @@ def test_stencil_second_order_convergence():
 def test_time_derivative_polynomial_exactness():
     g = SpaceTimeGrid(4, 16, 2.0)
     t = g.t
-    quad_t = SpaceTimeField(np.tile(3 + 2 * t - 1.5 * t**2, (4, 1)), g)
-    cubic_t = SpaceTimeField(np.tile(t**3, (4, 1)), g)
-    assert np.allclose(
-        time_derivative(quad_t, order=1).values[0], 2 - 3 * t, atol=1e-12
-    )
-    assert np.allclose(
-        time_derivative(quad_t, order=2).values[0], -3.0, atol=1e-12
-    )
-    assert np.allclose(
-        time_derivative(cubic_t, order=2).values[0], 6 * t, atol=1e-10
-    )
-    assert np.allclose(
-        time_derivative(cubic_t, order=3).values[0], 6.0, atol=1e-9
-    )
+    quad_t = np.tile(3 + 2 * t - 1.5 * t**2, (4, 1))
+    cubic_t = np.tile(t**3, (4, 1))
+    assert np.allclose(_dt_array(quad_t, g.dt, 1)[0], 2 - 3 * t, atol=1e-12)
+    assert np.allclose(_dt_array(quad_t, g.dt, 2)[0], -3.0, atol=1e-12)
+    assert np.allclose(_dt_array(cubic_t, g.dt, 2)[0], 6 * t, atol=1e-10)
 
 
 def test_time_derivative_needs_enough_levels():
     g = SpaceTimeGrid(4, 3, 1.0)
-    f = SpaceTimeField(np.zeros((4, 4)), g)
     with pytest.raises(ValueError):
-        time_derivative(f, order=2)
+        _dt_array(np.zeros(g.shape), g.dt, 2)
 
 
 def test_weighted_norm_square_oracle():
@@ -151,7 +154,6 @@ def test_weighted_norm_scipy_crosscheck():
 ALL_KINDS = [
     NormKind.L2_INV_A,
     NormKind.H1_INV_A,
-    NormKind.H2_INV_A,
     NormKind.L2_A,
     NormKind.H1A_DIV,
     NormKind.L2_PLAIN,
@@ -271,7 +273,7 @@ def _stencil_inputs():
 
 
 def test_stencils_match_their_written_out_formulas_bitwise():
-    from degenmfg.domain import _dt1_columns, _dt_array, _dx_array, _dxx_array
+    from degenmfg.domain import _dt1_columns
 
     g, inputs = _stencil_inputs()
     assert all(inputs[k].flags.f_contiguous for k in ("time-major", "time-major-block"))

@@ -5,9 +5,9 @@ import pytest
 
 from degenmfg.domain import SpaceTimeGrid
 from degenmfg.manufactured import (
+    _max_error,
     _prolong,
     _solve_case,
-    case_error,
     catalog,
     convergence_study,
     make_case,
@@ -207,7 +207,7 @@ def test_continued_study_matches_cold_levels_in_fewer_sweeps(name, mode, ladder)
     c = make_case(name)
     res = convergence_study(c, mode, ladder)
     grids = [SpaceTimeGrid(n_x, n_t, c.T) for n_x, n_t in ladder]
-    cold_errors = [case_error(c, g) for g in grids]
+    cold_errors = [_max_error(c, g, *solve_case(c, g)) for g in grids]
     cold_sweeps = [_solve_case(c, g, IterConfig())[4] for g in grids]
     steps = [g.h if mode == "space" else g.dt for g in grids]
     cold_order = float(np.polyfit(np.log(steps), np.log(cold_errors), 1)[0])

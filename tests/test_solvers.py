@@ -99,7 +99,6 @@ def test_isomorphism_residual_families():
     g = SpaceTimeGrid(64, 8, 1.0)
     assert isomorphism_residual(WF, g) < 1e-10
     assert isomorphism_residual(P22, g) < 1e-10
-    assert isomorphism_residual(np.ones(64), g) < 1e-10
 
 
 def test_recorded_bound_ratios():

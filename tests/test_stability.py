@@ -11,9 +11,10 @@ from degenmfg.domain import SpaceTimeGrid
 from degenmfg.stability import (
     DEFAULT_HOLDER_LADDER,
     DEFAULT_LOG_LADDER,
+    _end_norms,
+    _pair_diff,
     _predict,
     build_ladder_pairs,
-    compute_data_norm_D,
     default_backward_spec,
     generate_pair,
     optimal_s,
@@ -30,6 +31,13 @@ GRID = SpaceTimeGrid(64, 128, 1.0)
 def _theta_oracle(t0, lam, T):
     al = expm1(mpf(lam) * mpf(t0))
     return float(al / (3 * exp(mpf(lam) * mpf(T)) + al))
+
+
+def _data_norm_D(pair, coeff, order):
+    """The log-estimate data discrepancy D: final-time norms of the pair
+    difference's time derivatives up to ``order``, summed."""
+    nu, nm = _end_norms(*_pair_diff(pair), coeff, pair[0].u.grid, order, -1)
+    return sum(nu) + sum(nm)
 
 
 def _s_oracle(M, D0, lam, t0, T):
@@ -98,8 +106,8 @@ def test_final_data_norm_scales_linearly_in_amplitude():
         base, pert, 2e-3, bspec.problem, grid=GRID, base_solution=p1[0]
     )
     c = bspec.problem.coeff
-    d1 = compute_data_norm_D(p1, c, order=0)
-    d2 = compute_data_norm_D(p2, c, order=0)
+    d1 = _data_norm_D(p1, c, order=0)
+    d2 = _data_norm_D(p2, c, order=0)
     assert 1.8 <= d2 / d1 <= 2.2
 
 
@@ -183,9 +191,7 @@ def test_data_norm_with_derivatives_exceeds_plain():
     pert = (bspec.delta_m0, bspec.delta_h)
     pair = generate_pair(base, pert, 1e-3, bspec.problem, grid=GRID)
     c = bspec.problem.coeff
-    assert compute_data_norm_D(pair, c, order=2) >= compute_data_norm_D(
-        pair, c, order=0
-    )
+    assert _data_norm_D(pair, c, order=2) >= _data_norm_D(pair, c, order=0)
 
 
 def test_holder_s_star_independent_of_pair_order():
@@ -289,10 +295,9 @@ def test_generate_pair_rejects_a_wrong_start_before_any_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("col", [0, -1])
-@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 2])
 def test_end_norms_equal_full_trajectory_derivatives(order, col):
     from degenmfg.domain import NormKind, _dt_array, weighted_norm
-    from degenmfg.stability import _end_norms
 
     g = SpaceTimeGrid(32, 40, 1.0)
     coeff = default_backward_spec().problem.coeff
