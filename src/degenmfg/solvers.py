@@ -4,14 +4,20 @@ Both equations advance by backward Euler steps with one tridiagonal solve per
 time level: each problem builds the step bands of I - dt L once, shared by its
 sweep and its scheme residual.  A sweep marches through one time-major buffer
 (see domain: each time level a contiguous column), and LAPACK solves each
-level in place.  Bands constant in time (scalar and profile coefficients) are
-one column, factored once per sweep (gttrf, then a gttrs per level); otherwise
-each level is one gtsv call on a per-sweep copy of the bands with the levels
-as rows.  The solvers return that buffer, a fresh time-major array, wrapped
-without a copy.  The spatial operator L = a d_xx + d d_x + q uses central
-stencils at interior cells and a ghost-cell closure at the two boundary cells:
-the unknown is extended by a quadratic that vanishes at the endpoint, the
-discrete form of the homogeneous Dirichlet condition carried by u and by a*m.
+level in place with one of two kernels, chosen from the bands themselves.
+Bands constant in time (scalar and profile coefficients) are one column; when
+that step matrix S is similar, through a positive diagonal D, to a symmetric
+positive definite T (every pair of adjacent off-diagonals of one sign, so cell
+Peclet below 1: the discrete form of the operator's self-adjointness in its
+Sturm-Liouville weight), T is factored once per sweep (pttrf, LDL^T) and each
+level is one pttrs in the unknown D^-1 f.  Every other sweep, time-varying or
+not symmetrizable, solves each level with one gtsv call on a per-sweep copy
+of the bands with the levels as rows.  The solvers return that buffer, a
+fresh time-major array, wrapped without a copy.  The spatial operator
+L = a d_xx + d d_x + q uses central stencils at interior cells and a
+ghost-cell closure at the two boundary cells: the unknown is extended by a
+quadratic that vanishes at the endpoint, the discrete form of the homogeneous
+Dirichlet condition carried by u and by a*m.
 
 The density equation is not discretized in m directly.  Its divergence-form
 principal part (a m)_xx makes v = a m the natural unknown: in v the equation
@@ -62,7 +68,7 @@ from degenmfg.domain import (
 def _load_lapack():
     """scipy's compiled LAPACK wrappers, without importing ``scipy.linalg``.
 
-    The routines used here (dgtsv, dgttrf, dgttrs) live in the f2py extension
+    The routines used here (dgtsv, dpttrf, dpttrs) live in the f2py extension
     ``scipy/linalg/_flapack``; ``scipy.linalg.lapack`` re-exports them.
     Importing that package runs all of ``scipy.linalg`` and its array-API
     layer (which pulls in ``numpy.f2py`` and ``numpy.testing``), about half of
@@ -118,6 +124,9 @@ __all__ = [
 FieldLike = Union[SpaceTimeField, np.ndarray, float, Callable]
 # unit probes per block of isomorphism_residual
 _PROBE_BLOCK = 256
+# widest spread of log(delta) a symmetrizer may have: centred, delta and
+# 1/delta stay within exp(230) ~ 1e100, far inside the double range
+_LOG_DELTA_SPAN = 460.0
 
 
 class SolverError(RuntimeError):
@@ -307,40 +316,86 @@ def _implicit_step(sub_k, diag_k, sup_k, rhs, k):
     return f
 
 
+def _symmetrizer(sub, diag, sup):
+    """The similarity S = D T D^-1 of one step matrix, T factored; or None.
+
+    S has the bands (sub, diag, sup) of one column.  With D = diag(delta) and
+    delta[i+1] / delta[i] = r[i] = sqrt(sub[i+1] / sup[i]), T is symmetric:
+    diagonal diag, off-diagonal e[i] = sup[i] r[i] = sign(sup[i])
+    sqrt(sub[i+1] sup[i]).  delta is the running product of the r[i], from a
+    delta[0] that centres log delta on 0, so each ratio of adjacent entries,
+    the only thing T depends on, carries one rounding whatever the spread of
+    delta.  Returns (delta, d, e) with the
+    LDL^T factors d, e of T from pttrf, or None when a product
+    sub[i+1] sup[i] is not positive, when log delta spans more than
+    _LOG_DELTA_SPAN, or when T is not positive definite.
+    """
+    with np.errstate(all="ignore"):  # the guards below catch 0, inf and nan
+        ratio = sub[1:] / sup[:-1]
+        if not np.all(ratio > 0.0):
+            return None
+        log_delta = np.cumsum(0.5 * np.log(ratio))
+    lo, hi = min(0.0, log_delta.min()), max(0.0, log_delta.max())
+    if not hi - lo <= _LOG_DELTA_SPAN:
+        return None
+    delta = np.empty(diag.shape)
+    delta[0] = np.exp(-0.5 * (lo + hi))
+    np.sqrt(ratio, out=delta[1:])
+    e = sup[:-1] * delta[1:]
+    np.cumprod(delta, out=delta)
+    d, e, info = lapack.dpttrf(diag, e, overwrite_e=1)
+    if info != 0:
+        return None
+    return delta, d, e
+
+
 def _march(bands, first, src, scale, what, weight=None):
     """Implicit Euler steps S_k f^k = f^j + scale src^k from the end slice
     ``first``: backward (j = k + 1, from t = T) when scale < 0, else forward
     (j = k - 1, from t = 0).  With a ``weight`` column the source term is
-    scale (weight src^k), rounded in that order.
+    scale (weight src^k).
 
     Level k is column k of one time-major (n_x, n_t+1) buffer, contiguous,
     filled once with the source term; each step adds the previous column and
-    solves in place.  One band column is factored once (gttrf) and each
-    level back-substitutes (gttrs); else each level is one gtsv on a per-sweep
-    copy of the bands with the levels as rows, so the problem's bands stay
-    intact.  Returns the buffer itself: a fresh time-major array.
+    solves in place.  The kernel follows from the bands:
+
+    * one band column that _symmetrizer takes (S = D T D^-1): the march runs
+      in w = D^-1 f, T w^k = w^j + (scale / delta) src^k.  T is factored once
+      (pttrf), the end slice and the source are divided by delta in the one
+      pass that fills the buffer ((scale / delta) src, or (weight src) times
+      scale / delta, rounded in that order), each level is one pttrs, and
+      one pass multiplies the buffer by delta at the end;
+    * any other bands, time-varying or one column that is not symmetrizable:
+      each level is one gtsv (_implicit_step) on a per-sweep copy of the
+      bands, broadcast over the levels, with the levels as rows, so the
+      problem's bands stay intact.  A singular step matrix raises SolverError
+      naming the first level it stops.
+
+    Returns the buffer itself: a fresh time-major array.
     """
     backward = scale < 0.0
     levels = range(src.shape[1] - 2, -1, -1) if backward else range(1, src.shape[1])
     prev = 1 if backward else -1
+    sym = _symmetrizer(*(band[:, 0] for band in bands)) if bands[1].shape[1] == 1 else None
+    if sym is not None:
+        delta, d, e = sym
+        scale = (scale / delta)[:, None]
     f = _empty(src.shape)
     if weight is None:
         np.multiply(scale, src, out=f)
     else:
         np.multiply(weight, src, out=f)
         f *= scale
-    f[:, levels[0] + prev] = first
-    if bands[1].shape[1] == 1:
-        sub, diag, sup = (band[:, 0] for band in bands)
-        *lu, info = lapack.dgttrf(sub[1:], diag, sup[:-1])
-        if info != 0:
-            raise SolverError(f"singular tridiagonal system at time index {levels[0]}")
+    if sym is not None:
+        np.divide(first, delta, out=f[:, levels[0] + prev])
         for k in levels:
             b = f[:, k]
             b += f[:, k + prev]
-            lapack.dgttrs(*lu, b, overwrite_b=1)
+            lapack.dpttrs(d, e, b, overwrite_b=1)
+        f *= delta[:, None]
     else:
-        sub, diag, sup = (band.T.copy() for band in bands)
+        f[:, levels[0] + prev] = first
+        sub, diag, sup = (np.broadcast_to(band, src.shape).T.copy() for band in bands)
         for k in levels:
             b = f[:, k]
             b += f[:, k + prev]

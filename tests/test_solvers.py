@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lu, solve_banded
 
 from degenmfg import solvers
 from degenmfg.domain import DegenerateCoefficient, SpaceTimeField, SpaceTimeGrid
@@ -298,6 +300,94 @@ def _static_problems(g, rng):
     return hjb, fp
 
 
+def _levels(src, scale):
+    """_march's levels and the offset of each one's predecessor."""
+    if scale < 0.0:
+        return range(src.shape[1] - 2, -1, -1), 1
+    return range(1, src.shape[1]), -1
+
+
+def _banded_march(bands, first, term, scale):
+    """Oracle: the march S_k f^k = f^j + term^k from step bands (one column or
+    one per level), one solve_banded per level."""
+    levels, prev = _levels(term, scale)
+    f = np.empty(term.shape)
+    f[:, levels[0] + prev] = first
+    ab = np.zeros((3, first.size))
+    for k in levels:
+        sub, diag, sup = (b[:, 0 if b.shape[1] == 1 else k] for b in bands)
+        ab[0, 1:], ab[1], ab[2, :-1] = sup[:-1], diag, sub[1:]
+        f[:, k] = solve_banded((1, 1), ab, f[:, k + prev] + term[:, k])
+    return f
+
+
+def _rounding_bound(bands, f, term, scale, c=16):
+    """Componentwise first-order bounds on the rounding of either kernel of
+    _march at the trajectory f, S_k f^k = f^j + term^k: (g, r), the error
+    bound g and the bound r on each level's defect S_k f^k - f^j - term^k.
+
+    Both kernels are backward stable level by level (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 9): the computed level
+    solves (S + dS) f^k = b + db with |dS| <= c u P |L| |U|, the factors of
+    S's partially pivoted LU, and |db| <= c u (|f^j| + |term^k|) (the source
+    scaling, the sum, the division by delta).  P |L| |U| is |S| when no row
+    is swapped, and for pttrs, where |L| |D| |L^T| = |T|; c = 16 holds the 4u
+    of the factored solve, up to 4u of the similarity D (its adjacent ratios
+    carry a few roundings each) and the roundings of the right-hand side.
+    So r^k = c u (P |L| |U| |f^k| + |f^j| + |term^k|), the error obeys
+    e^k = S^-1 (e^j + defect), and g^k = |S^-1| (g^j + r^k) bounds it; at the
+    end slice g covers the division by delta and the product back.
+    """
+    u = np.finfo(float).eps / 2
+    levels, prev = _levels(term, scale)
+    g = np.empty(f.shape)
+    r = np.zeros(f.shape)
+    g[:, levels[0] + prev] = c * u * np.abs(f[:, levels[0] + prev])
+    for k in levels:
+        if k == levels[0] or bands[1].shape[1] > 1:
+            sub, diag, sup = (b[:, 0 if b.shape[1] == 1 else k] for b in bands)
+            dense = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+            perm, lower, upper = lu(dense)
+            factors = perm @ (np.abs(lower) @ np.abs(upper))
+            inv = np.abs(np.linalg.inv(dense))
+        r[:, k] = c * u * (factors @ np.abs(f[:, k]) + np.abs(f[:, k + prev]) + np.abs(term[:, k]))
+        g[:, k] = inv @ (g[:, k + prev] + r[:, k])
+    return g, r
+
+
+def _mp_march(bands, first, src, scale, weight=None, dps=40):
+    """The march S f^k = f^j + scale weight src^k of one time-invariant step
+    matrix in dps-digit arithmetic (mpmath), from the same double inputs:
+    Thomas elimination factored once, every level back-substituted.
+    Returns the trajectory rounded to doubles."""
+    import mpmath
+
+    levels, prev = _levels(src, scale)
+    n = first.size
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        sub, diag, sup = ([mpf(float(v)) for v in b[:, 0]] for b in bands)
+        w = [mpf(1)] * n if weight is None else [mpf(float(v)) for v in weight[:, 0]]
+        lower, inv_piv = [mpf(0)] * n, [1 / diag[0]] * n
+        for i in range(1, n):
+            lower[i] = sub[i] * inv_piv[i - 1]
+            inv_piv[i] = 1 / (diag[i] - lower[i] * sup[i - 1])
+        level = [mpf(float(v)) for v in first]
+        out = np.empty(src.shape)
+        out[:, levels[0] + prev] = first
+        sc = mpf(scale)
+        for k in levels:
+            y = [level[i] + sc * (w[i] * mpf(float(src[i, k]))) for i in range(n)]
+            for i in range(1, n):
+                y[i] -= lower[i] * y[i - 1]
+            y[-1] *= inv_piv[-1]
+            for i in range(n - 2, -1, -1):
+                y[i] = (y[i] - sup[i] * y[i + 1]) * inv_piv[i]
+            level = y
+            out[:, k] = [float(v) for v in y]
+    return out
+
+
 # the smallest grid has 4 nodes
 @pytest.mark.parametrize("n", [4, 64, 257])
 def test_static_path_matches_per_level_path(n):
@@ -312,31 +402,43 @@ def test_static_path_matches_per_level_path(n):
         g, P22, convection=np.array(fp.convection), zeroth=np.array(fp.zeroth),
         source=fp.source, initial=fp.initial,
     )
-    for static, full, solve in ((hjb, hjb_full, solve_hjb_linear),
-                                (fp, fp_full, solve_fp_linear)):
+    a = P22.a(g.x)[:, None]
+    u = np.finfo(float).eps / 2
+    for static, full, solve, scale, first, weight in (
+            (hjb, hjb_full, solve_hjb_linear, -g.dt, hjb.terminal, None),
+            (fp, fp_full, solve_fp_linear, g.dt, a[:, 0] * fp.initial, a)):
         assert all(b.shape == (n, 1) for b in static._step_bands)
         assert all(b.shape == g.shape for b in full._step_bands)
-        want = solve(full).values
-        got = solve(static).values
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert solvers._symmetrizer(*(b[:, 0] for b in static._step_bands)) is not None
+        # each path against a 40-digit march of the same equations
+        bands = static._step_bands
+        want = _mp_march(bands, first, static.source, scale, weight)
+        term = scale * (static.source if weight is None else weight * static.source)
+        bound, _ = _rounding_bound(bands, want, term, scale)
+        if weight is not None:  # m = v / a: the error divides by a, plus the quotient's rounding
+            want /= a
+            bound = bound / a + 2 * u * np.abs(want)
+        for prob in (static, full):
+            got = solve(prob).values
+            assert np.all(np.abs(got - want) <= bound)
 
 
 @pytest.fixture
-def dgttrf_calls(monkeypatch):
-    """The list that every LAPACK dgttrf call appends to."""
+def dpttrf_calls(monkeypatch):
+    """The list that every LAPACK dpttrf call appends to."""
     calls = []
-    dgttrf = solvers.lapack.dgttrf
+    dpttrf = solvers.lapack.dpttrf
 
-    def counting_dgttrf(*args, **kwargs):
+    def counting_dpttrf(*args, **kwargs):
         calls.append(1)
-        return dgttrf(*args, **kwargs)
+        return dpttrf(*args, **kwargs)
 
-    monkeypatch.setattr(solvers.lapack, "dgttrf", counting_dgttrf)
+    monkeypatch.setattr(solvers.lapack, "dpttrf", counting_dpttrf)
     return calls
 
 
-def test_factor_once_per_static_sweep(dgttrf_calls):
-    calls = dgttrf_calls
+def test_factor_once_per_static_sweep(dpttrf_calls):
+    calls = dpttrf_calls
     g = SpaceTimeGrid(32, 24, 1.0)
     hjb, fp = _static_problems(g, np.random.default_rng(0))
     solve_hjb_linear(hjb)
@@ -351,7 +453,7 @@ def test_factor_once_per_static_sweep(dgttrf_calls):
     assert calls == []
 
 
-def test_factor_once_on_every_linearized_sweep(dgttrf_calls):
+def test_factor_once_on_every_linearized_sweep(dpttrf_calls):
     g = SpaceTimeGrid(32, 24, 1.0)
     x = g.x
     coeffs = MfgCoefficients(
@@ -360,7 +462,7 @@ def test_factor_once_on_every_linearized_sweep(dgttrf_calls):
     )
     sol = solve_linearized_mfg(coeffs, F=np.sin(np.pi * x), m0=16.0 * P22.a(x))
     assert sol.converged and sol.sweeps > 1
-    assert len(dgttrf_calls) == 2 * sol.sweeps
+    assert len(dpttrf_calls) == 2 * sol.sweeps
 
 
 def test_static_scheme_residual_at_rounding_level():
@@ -381,32 +483,112 @@ def test_singular_static_operator_names_time_index(scale, first_level):
         solvers._march(bands, np.ones(n), np.ones((n, 11)), scale, "value")
 
 
+def _counted_steps(monkeypatch):
+    """The time index of every gtsv level solve (_implicit_step), in order."""
+    calls = []
+    step = solvers._implicit_step
+
+    def counting_step(*args):
+        calls.append(args[4])
+        return step(*args)
+
+    monkeypatch.setattr(solvers, "_implicit_step", counting_step)
+    return calls
+
+
+def test_upwind_dominated_static_operator_takes_gtsv(monkeypatch):
+    # a constant drift on Wright-Fischer: next to each degenerate end the cell
+    # Peclet number d h / (2 a) exceeds 1, and sub[i+1] sup[i] changes sign
+    g = SpaceTimeGrid(64, 16, 1.0)
+    rng = np.random.default_rng(1)
+    prob = HjbLinearProblem(g, WF, drift=5.0, source=rng.standard_normal(g.shape),
+                            terminal=g.x * (1 - g.x))
+    sub, diag, sup = (b[:, 0] for b in prob._step_bands)
+    products = sub[1:] * sup[:-1]
+    assert np.any(products < 0.0) and np.any(products > 0.0)
+    steps = _counted_steps(monkeypatch)
+    got = solve_hjb_linear(prob).values
+    assert steps == list(range(g.n_t - 1, -1, -1))
+    bands = _band_fields(WF.a(g.x)[:, None], prob.drift[:, :1], None, g.h)
+    want = np.empty(g.shape)
+    want[:, -1] = prob.terminal
+    for k in range(g.n_t - 1, -1, -1):
+        rhs = want[:, k + 1] - g.dt * prob.source[:, k]
+        want[:, k] = _reference_step(*(b[:, 0] for b in bands), rhs, g.dt)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_symmetrizable_indefinite_operator_takes_gtsv(monkeypatch, dpttrf_calls):
+    # sub sup > 0 everywhere, but T = tridiag(-1, 0.5, -1) has eigenvalues
+    # 0.5 - 2 cos(k pi / 6): pttrf meets a negative pivot (info 2)
+    n, n_t = 5, 8
+    bands = (np.full((n, 1), -1.0), np.full((n, 1), 0.5), np.full((n, 1), -1.0))
+    bands[0][0] = bands[2][-1] = 0.0
+    rng = np.random.default_rng(4)
+    first, src = rng.standard_normal(n), rng.standard_normal((n, n_t + 1))
+    assert solvers._symmetrizer(*(b[:, 0] for b in bands)) is None
+    assert len(dpttrf_calls) == 1
+    steps = _counted_steps(monkeypatch)
+    got = solvers._march(bands, first, src, 0.1, "density")
+    assert steps == list(range(1, n_t + 1))
+    want = _banded_march(bands, first, 0.1 * src, 0.1)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# sub / sup = ratio on every row: log delta spans 63 log(ratio) / 2, that is
+# 435 (within _LOG_DELTA_SPAN = 460) and 508 (beyond it)
+@pytest.mark.parametrize("ratio, symmetrized", [(1e6, True), (1e7, False)])
+def test_log_delta_span_guard(monkeypatch, ratio, symmetrized):
+    n, n_t = 64, 6
+    bands = (np.full((n, 1), -1.0), np.full((n, 1), 3.0), np.full((n, 1), -1.0 / ratio))
+    bands[0][0] = bands[2][-1] = 0.0
+    span = (n - 1) * 0.5 * np.log(ratio)
+    assert (span <= solvers._LOG_DELTA_SPAN) == symmetrized
+    assert (solvers._symmetrizer(*(b[:, 0] for b in bands)) is not None) == symmetrized
+    rng = np.random.default_rng(6)
+    first, src = rng.standard_normal(n), rng.standard_normal((n, n_t + 1))
+    steps = _counted_steps(monkeypatch)
+    got = solvers._march(bands, first, src, -0.1, "value")
+    assert steps == ([] if symmetrized else list(range(n_t - 1, -1, -1)))
+    want = _banded_march(bands, first, -0.1 * src, -0.1)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def _column_march(bands, first, src, scale):
     """Reference: the column-by-column march that preceded the time-major
-    buffer (a fresh right-hand side per level, copied into column k)."""
-    levels = range(src.shape[1] - 2, -1, -1) if scale < 0.0 else range(1, src.shape[1])
-    prev = 1 if scale < 0.0 else -1
+    buffer (a fresh right-hand side per level, copied into column k), with
+    _march's choice of kernel: pttrs in w = f / delta when _symmetrizer takes
+    the one band column, else one gtsv per level."""
+    levels, prev = _levels(src, scale)
     f = np.empty(src.shape)
-    f[:, levels[0] + prev] = first
     sub, diag, sup = bands
-    lu = None
-    if diag.shape[1] == 1:
-        *lu, _ = solvers.lapack.dgttrf(sub[1:, 0], diag[:, 0], sup[:-1, 0])
+    sym = solvers._symmetrizer(sub[:, 0], diag[:, 0], sup[:, 0]) if diag.shape[1] == 1 else None
+    if sym is None:
+        f[:, levels[0] + prev] = first
+        for k in levels:
+            rhs = f[:, k + prev] + scale * src[:, k]
+            j = 0 if diag.shape[1] == 1 else k
+            f[:, k] = solvers.lapack.dgtsv(sub[1:, j], diag[:, j], sup[:-1, j], rhs)[3]
+        return f
+    delta, d, e = sym
+    coef = scale / delta
+    f[:, levels[0] + prev] = first / delta
     for k in levels:
-        rhs = f[:, k + prev] + scale * src[:, k]
-        f[:, k] = (solvers.lapack.dgttrs(*lu, rhs, overwrite_b=1)[0] if lu
-                   else solvers.lapack.dgtsv(sub[1:, k], diag[:, k], sup[:-1, k], rhs)[3])
-    return f
+        rhs = f[:, k + prev] + coef * src[:, k]
+        f[:, k] = solvers.lapack.dpttrs(d, e, rhs)[0]
+    return f * delta[:, None]
 
 
 def _march_case(n_x, n_t, columns, seed):
-    """Random diffusion-dominated step bands (one column or one per level), an
-    end slice and a source trajectory."""
+    """Random step bands (one column, one per level, or one column whose drift
+    dominates the diffusion), an end slice and a source trajectory."""
     rng = np.random.default_rng(seed)
     g = SpaceTimeGrid(n_x, n_t, 1.0)
-    width = 1 if columns == "one" else n_t + 1
+    width = n_t + 1 if columns == "full" else 1
     a = 0.1 + rng.random((n_x, 1))
     d = rng.standard_normal((n_x, width))
+    if columns == "one-upwind":  # cell Peclet |d| h / (2 a) well above 1
+        d *= 8.0 / g.h
     q = rng.standard_normal((n_x, width))
     bands = _to_step_bands(*_band_fields(a, d, q, g.h), g.dt)
     return bands, rng.standard_normal(n_x), rng.standard_normal(g.shape), g.dt
@@ -414,10 +596,13 @@ def _march_case(n_x, n_t, columns, seed):
 
 @pytest.mark.parametrize("n_x", [4, 64, 257])
 @pytest.mark.parametrize("n_t", [2, 7, 130])
-@pytest.mark.parametrize("columns", ["one", "full"])
+@pytest.mark.parametrize("columns", ["one", "full", "one-upwind"])
 @pytest.mark.parametrize("backward", [True, False])
 def test_time_major_march_equals_column_march(n_x, n_t, columns, backward):
     bands, first, src, dt = _march_case(n_x, n_t, columns, seed=n_x * n_t)
+    if columns != "full":  # one column: each kernel in turn
+        sym = solvers._symmetrizer(*(b[:, 0] for b in bands))
+        assert (sym is None) == (columns == "one-upwind")
     scale = -dt if backward else dt
     kept = [b.copy() for b in bands]
     got = solvers._march(bands, first, src, scale, "value")
@@ -434,6 +619,43 @@ def test_time_major_march_equals_column_march(n_x, n_t, columns, backward):
     weight = 0.5 + np.arange(n_x)[:, None] / n_x
     assert np.array_equal(solvers._march(bands, first, src, scale, "density", weight),
                           _column_march(bands, first, weight * src, scale))
+
+
+FAMILIES = {"power": P22, "wright_fischer": WF,
+            "quadratic_oil": DegenerateCoefficient.quadratic_oil()}
+
+
+# drift amp sqrt(a): its cell Peclet number next to a degenerate end is about
+# |amp| for power and quadratic_oil, so amp in [-4, 4] draws both kernels
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), n_x=st.integers(4, 96), n_t=st.integers(2, 8),
+       amp=st.floats(-4.0, 4.0), seed=st.integers(0, 2**32 - 1))
+@example(family="power", n_x=32, n_t=4, amp=0.5, seed=0)  # symmetrized: pttrs
+@example(family="power", n_x=32, n_t=4, amp=3.0, seed=0)  # sub sup changes sign: gtsv
+def test_sweeps_match_banded_oracle_and_satisfy_their_steps(family, n_x, n_t, amp, seed):
+    coeff = FAMILIES[family]
+    g = SpaceTimeGrid(n_x, n_t, 1.0)
+    rng = np.random.default_rng(seed)
+    drift = amp * coeff.sqrt_a(g.x)
+    a = coeff.a(g.x)[:, None]
+    u = np.finfo(float).eps / 2
+    hjb = HjbLinearProblem(g, coeff, drift=drift, source=rng.standard_normal(g.shape),
+                           terminal=rng.standard_normal(n_x))
+    fp = FpLinearProblem(g, coeff, convection=drift, source=rng.standard_normal(g.shape),
+                         initial=rng.random(n_x))
+    for prob, solve, residual, scale, first, weight in (
+            (hjb, solve_hjb_linear, hjb_scheme_residual, -g.dt, hjb.terminal, np.ones_like(a)),
+            (fp, solve_fp_linear, fp_scheme_residual, g.dt, a[:, 0] * fp.initial, a)):
+        bands = prob._step_bands
+        term = scale * (weight * prob.source)
+        want = _banded_march(bands, first, term, scale)
+        sol = solve(prob)
+        got = weight * sol.values  # v = a m on the density side: two more roundings
+        # the march and the oracle each within _rounding_bound of the exact march
+        bound, defect = _rounding_bound(bands, want, term, scale)
+        assert np.all(np.abs(got - want) <= 2 * bound + 4 * u * np.abs(want))
+        # the step defects within the same backward-error bound, divided by dt
+        assert residual(sol, prob) <= np.max(defect) / g.dt
 
 
 def _owns_its_memory(field, *others):
@@ -521,6 +743,35 @@ def test_loaded_lapack_equals_public_scipy_lapack(n):
     x_got, _ = solvers.lapack.dgttrs(*lu_got, b.copy())
     x_want, _ = public.dgttrs(*lu_want, b.copy())
     assert np.array_equal(x_got, x_want)
+    # the LDL^T pair, on a symmetric positive definite (diagonally dominant) T
+    rng = np.random.default_rng(n + 1)
+    d_spd, e_spd = 2.5 + rng.random(n), rng.uniform(-1.0, 1.0, n - 1)
+    *ldl_got, info_got = solvers.lapack.dpttrf(d_spd, e_spd)
+    *ldl_want, info_want = public.dpttrf(d_spd, e_spd)
+    assert info_got == info_want == 0
+    assert all(np.array_equal(g, w) for g, w in zip(ldl_got, ldl_want))
+    x_got, _ = solvers.lapack.dpttrs(*ldl_got, b.copy())
+    x_want, _ = public.dpttrs(*ldl_want, b.copy())
+    assert np.array_equal(x_got, x_want)
+
+
+def test_pttrs_solves_a_contiguous_column_in_place():
+    # f2py declares b rank-2; _march relies on a 1-D contiguous column of the
+    # time-major buffer taking the solution in its own memory
+    n = 33
+    rng = np.random.default_rng(2)
+    diag, off = 2.5 + rng.random(n), rng.uniform(-1.0, 1.0, n - 1)
+    d, e, info = solvers.lapack.dpttrf(diag, off)
+    assert info == 0
+    f = np.asfortranarray(rng.standard_normal((n, 4)))
+    kept = f.copy()
+    want = solvers.lapack.dpttrs(d, e, f[:, 2].copy())[0]
+    x, info = solvers.lapack.dpttrs(d, e, f[:, 2], overwrite_b=1)
+    assert info == 0 and np.shares_memory(x, f)
+    assert np.array_equal(f[:, 2], want)
+    assert np.array_equal(f[:, [0, 1, 3]], kept[:, [0, 1, 3]])
+    T = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+    assert np.allclose(T @ f[:, 2], kept[:, 2], rtol=0.0, atol=1e-14 * np.max(np.abs(kept)))
 
 
 @pytest.mark.parametrize("missing", ["extension file", "scipy spec", "create error", "exec error"])
