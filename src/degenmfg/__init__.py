@@ -14,9 +14,7 @@ from degenmfg.carleman import (
     CarlemanParams,
     CarlemanReport,
     SweepResult,
-    evaluate_fp_carleman,
-    evaluate_hjb_carleman,
-    evaluate_mfg_carleman,
+    evaluate_carleman,
     s0_estimate,
     sweep_parameters,
 )
@@ -96,9 +94,7 @@ __all__ = [
     "convergence_study",
     "default_backward_spec",
     "difference_residuals",
-    "evaluate_fp_carleman",
-    "evaluate_hjb_carleman",
-    "evaluate_mfg_carleman",
+    "evaluate_carleman",
     "form_difference_coefficients",
     "generate_pair",
     "isomorphism_residual",

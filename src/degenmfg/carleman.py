@@ -24,10 +24,9 @@ gathers the time sums of every cell; the per-cell rest of the estimate (the
 s and lam factors, the data terms, the ratio) then runs once over all cells,
 on per-cell s, lam, phi(T) and K, so that arithmetic of a cell does not
 depend on the other cells evaluated with it (the time sums can, at
-rounding: a matrix product rounds by its shape).  Sweeps and single
-evaluations share one path: _estimates builds the estimates of a
-CarlemanBundle (mfg is hjb plus fp) and _scaled_cells evaluates them, a
-single evaluation at its one cell.
+rounding: a matrix product rounds by its shape).  sweep_parameters and
+evaluate_carleman (one cell) share one path: _estimates builds the estimates
+of a CarlemanBundle (mfg is hjb plus fp) and _scaled_cells evaluates them.
 
 The slice integrals walk the trajectory in blocks of time columns, each about
 one weight table in size, and, trajectories being time-major, one contiguous
@@ -58,16 +57,14 @@ from degenmfg.domain import (
     _dxx_array,
     weighted_norm,
 )
-from degenmfg.solvers import FpLinearProblem, HjbLinearProblem, _traj
+from degenmfg.solvers import _traj
 
 __all__ = [
     "OVERFLOW_LOG_LIMIT",
     "CarlemanParams",
     "CarlemanReport",
-    "evaluate_hjb_carleman",
-    "evaluate_fp_carleman",
-    "evaluate_mfg_carleman",
     "CarlemanBundle",
+    "evaluate_carleman",
     "SweepResult",
     "sweep_parameters",
     "s0_estimate",
@@ -388,22 +385,47 @@ def _fp_scaled(ing: FpIngredients, sums: np.ndarray, c: _Cells) -> _Scaled:
     return _Scaled(lhs, G, rhs_T, rhs_0, c.K)
 
 
+@dataclass(frozen=True)
+class CarlemanBundle:
+    """Fields and data of one estimate.  The trajectories pick it: u alone
+    hjb, m alone fp, both mfg.  F goes with u and G with m (None is zero)."""
+
+    coeff: DegenerateCoefficient
+    grid: SpaceTimeGrid
+    u: object = None
+    m: object = None
+    F: object = None
+    G: object = None
+
+    def __post_init__(self):
+        if self.u is None and self.m is None:
+            raise ValueError("a bundle needs a trajectory: u, m or both")
+        if self.F is not None and self.u is None:
+            raise ValueError("a source F needs a value trajectory u")
+        if self.G is not None and self.m is None:
+            raise ValueError("a source G needs a density trajectory m")
+
+    @property
+    def kind(self) -> str:
+        """The estimate: "hjb", "fp" or "mfg"."""
+        return "hjb" if self.m is None else "fp" if self.u is None else "mfg"
+
+
 def _estimates(bundle: CarlemanBundle) -> list:
     """The (scaled, ingredients, terms) triple of each estimate of the
     bundle, hjb first."""
     b, out = bundle, []
-    if b.kind in ("hjb", "mfg"):
+    if b.u is not None:
         out.append((_hjb_scaled, hjb_ingredients(b.u, b.F, b.coeff, b.grid), _HJB_TERMS))
-    if b.kind in ("fp", "mfg"):
+    if b.m is not None:
         out.append((_fp_scaled, fp_ingredients(b.m, b.G, b.coeff, b.grid), _FP_TERMS))
     return out
 
 
-def _evaluate(bundle: CarlemanBundle, params: CarlemanParams) -> CarlemanReport:
-    """The report of the bundle's estimate at the one cell (s, lam), through
-    _scaled_cells as in a sweep; an mfg report carries the hjb and fp
-    reports in parts.  Where phi(T) overflows every field is inf and the
-    ratio NaN, as a sweep reports the cell."""
+def evaluate_carleman(bundle: CarlemanBundle, params: CarlemanParams) -> CarlemanReport:
+    """The bundle's estimate at the one cell (s, lam), on a sweep's path; an
+    mfg report is the sum of the hjb and fp reports in its parts.  Where
+    phi(T) overflows every field is inf and the ratio NaN, as in a sweep."""
     kinds = ("hjb", "fp") if bundle.kind == "mfg" else ()
     phi_T = _exp(params.lam * bundle.grid.T)
     if math.isinf(phi_T):
@@ -414,68 +436,6 @@ def _evaluate(bundle: CarlemanBundle, params: CarlemanParams) -> CarlemanReport:
     sc = _scaled_cells(bundle.grid, _estimates(bundle), *cell, np.ones((1, 1), dtype=bool))
     parts = tuple(_report_from_scaled(k, params, x) for k, x in zip(kinds, sc))
     return _report_from_scaled(bundle.kind, params, sum(sc[1:], sc[0]), parts)
-
-
-def _bundle(kind: str, problem, **fields) -> CarlemanBundle:
-    """The fields on the coefficient and grid of a problem object or a
-    coefficients bundle."""
-    if isinstance(problem, (HjbLinearProblem, FpLinearProblem)):
-        return CarlemanBundle(kind, problem.coeff, problem.grid, **fields)
-    if hasattr(problem, "diffusion") and hasattr(problem, "grid"):
-        return CarlemanBundle(kind, problem.diffusion, problem.grid, **fields)
-    raise TypeError(f"cannot extract coefficient and grid from {type(problem).__name__}")
-
-
-def evaluate_hjb_carleman(u, F, params: CarlemanParams, problem) -> CarlemanReport:
-    """Weighted energy estimate for a backward value trajectory.
-
-    LHS: time-weighted integrals of u_t^2/a, a u_xx^2, s lam phi u_x^2 and
-    (s lam phi)^2 u^2/a.  RHS: the weighted source integral s int phi F^2/a
-    plus weighted H1(1/a) data norms at the final and initial times.
-    """
-    return _evaluate(_bundle("hjb", problem, u=u, F=F), params)
-
-
-def evaluate_fp_carleman(m, G, params: CarlemanParams, problem) -> CarlemanReport:
-    """Weighted energy estimate for a forward density trajectory.
-
-    Works through the product field v = a m: LHS integrates
-    (a v_xx^2 + v_t^2/a)/(s phi), lam v_x^2 and s lam^2 phi a m^2 under the
-    weight; RHS is the weighted source integral of a G^2 plus data norms of
-    m and (am)_x at both ends.
-    """
-    return _evaluate(_bundle("fp", problem, m=m, G=G), params)
-
-
-def evaluate_mfg_carleman(u, m, F, G, params: CarlemanParams, coeffs) -> CarlemanReport:
-    """Combined estimate of a coupled pair: the exact sum of the two scalar ones.
-
-    Computed in shared scaled arithmetic, so lhs and every rhs block equal the
-    sums of the corresponding blocks of the per-equation reports (returned in
-    parts) and the ratio is their joint lhs over joint rhs.
-    """
-    return _evaluate(_bundle("mfg", coeffs, u=u, m=m, F=F, G=G), params)
-
-
-@dataclass(frozen=True)
-class CarlemanBundle:
-    """Fields and data of one estimate, packaged for its evaluation."""
-
-    kind: str
-    coeff: DegenerateCoefficient
-    grid: SpaceTimeGrid
-    u: object = None
-    m: object = None
-    F: object = None
-    G: object = None
-
-    def __post_init__(self):
-        if self.kind not in ("hjb", "fp", "mfg"):
-            raise ValueError("kind must be 'hjb', 'fp' or 'mfg'")
-        if self.kind in ("hjb", "mfg") and self.u is None:
-            raise ValueError(f"kind {self.kind!r} needs a value trajectory u")
-        if self.kind in ("fp", "mfg") and self.m is None:
-            raise ValueError(f"kind {self.kind!r} needs a density trajectory m")
 
 
 @dataclass(frozen=True)
@@ -524,7 +484,9 @@ def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResul
     g = bundle.grid
     estimates = _estimates(bundle)
     phi_T = np.array([_exp(lam * g.T) for lam in lam_sorted])
-    live = ~(np.multiply.outer(2.0 * s_arr, phi_T) > OVERFLOW_LOG_LIMIT)
+    # an s or phi(T) whose log-weight overflows to inf is an overflow cell
+    with np.errstate(over="ignore"):
+        live = ~(np.multiply.outer(2.0 * s_arr, phi_T) > OVERFLOW_LOG_LIMIT)
     overflow = int(np.count_nonzero(~live))
     sc = _scaled_cells(g, estimates, s_arr, lam_arr, phi_T, live)
     ratios = np.full((len(s_sorted), len(lam_sorted)), np.nan)

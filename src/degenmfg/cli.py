@@ -2,7 +2,7 @@
 
 Commands:
     solve            run one coupled solve and report norms and residuals
-    verify-carleman  sweep the weighted-estimate ratio over (s, lam)
+    verify-carleman  sweep the ratio of the case's estimate over (s, lam)
     stability-holder interior-time stability ladder for the default problem
     stability-log    initial-time logarithmic stability ladder
     convergence      manufactured-solution refinement study
@@ -14,8 +14,9 @@ header (column names, then units).  The result document embeds the verbatim
 config and its SHA-256 over a canonical serialization; apart from the
 timestamp field, identical configs produce byte-identical result.json.
 
-Exit codes: 0 success; 2 configuration read/parse/validation error or an
-output that cannot be written (an output path that is not a writable
+Exit codes: 0 success; 2 configuration read/parse/validation error (also an
+a(x) <= 0 or an infinite 1/a at a node, and a ladder the experiment rejects)
+or an output that cannot be written (an output path that is not a writable
 directory is caught before the run); 3 solver non-convergence; 4 more than
 half of the sweep cells overflow the weight.
 Errors are also emitted to stderr as a JSON diagnostic.  --threads is
@@ -355,13 +356,27 @@ def _validate(cfg, command: str) -> None:
 
 # ------------------------------------------------------------------- builders
 
-def _build_coeff(prob: dict) -> DegenerateCoefficient:
-    params = {k: float(v) for k, v in prob.items() if k not in ("family", "T")}
-    return DegenerateCoefficient(prob["family"], **params)
-
-
 def _build_grid(cfg: dict, T: float) -> SpaceTimeGrid:
     return SpaceTimeGrid(cfg["grid"]["n_x"], cfg["grid"]["n_t"], T)
+
+
+def _build_problem(cfg: dict):
+    """The problem's coefficient and grid; a diffusion that is not positive
+    with a finite 1/a at every node (one that underflows, say) is rejected."""
+    prob = cfg["problem"]
+    params = {k: float(v) for k, v in prob.items() if k not in ("family", "T")}
+    coeff = DegenerateCoefficient(prob["family"], **params)
+    grid = _build_grid(cfg, prob["T"])
+    with np.errstate(divide="ignore", over="ignore"):
+        try:
+            a = coeff.a(grid.x)
+        except OverflowError:  # a float power of a parameter past the double range
+            a = np.full(grid.n_x, math.inf)
+        bad = np.flatnonzero(~(np.isfinite(a) & (a > 0.0) & np.isfinite(1.0 / a)))
+    if bad.size:
+        raise ConfigError([f"problem: a(x) = {a[bad[0]]:g} at the node x={grid.x[bad[0]]:g}; "
+                           "the diffusion must be positive with a finite 1/a at every node"])
+    return coeff, grid
 
 
 def _build_iter(cfg: dict) -> IterConfig:
@@ -428,8 +443,7 @@ def _bounds_doc(report):
 # ------------------------------------------------------------------ runners
 
 def _run_solve(cfg):
-    coeff = _build_coeff(cfg["problem"])
-    grid = _build_grid(cfg, cfg["problem"]["T"])
+    coeff, grid = _build_problem(cfg)
     icfg = _build_iter(cfg)
     x = grid.x
     data = _resolve_profiles(cfg.get("data"), coeff, x)
@@ -487,13 +501,12 @@ def _run_verify_carleman(cfg):
     case = make_case(cfg["case"])
     grid = _build_grid(cfg, case.T)
     u, m, F, G, _ = _solve_case(case, grid, _build_iter(cfg))
-    kind = {"hjb": "hjb", "fp": "fp"}.get(case.tag, "mfg")
-    bundle = CarlemanBundle(kind=kind, coeff=case.coeff, grid=grid, u=u, m=m, F=F, G=G)
+    bundle = CarlemanBundle(case.coeff, grid, u=u, m=m, F=F, G=G)
     sweep = sweep_parameters(bundle, cfg["s_values"], cfg["lam_values"])
     s0 = s0_estimate(sweep)
     results = {
         "case": cfg["case"],
-        "estimate": kind,
+        "estimate": bundle.kind,
         "hypotheses_ok": case.hypotheses_ok,
         "top_half_max": qty(sweep.top_half_max, "ratio"),
         "median_to_max_increase": qty(sweep.median_to_max_increase, "1"),
@@ -596,8 +609,7 @@ def _run_convergence(cfg):
 
 
 def _run_coeff_check(cfg):
-    coeff = _build_coeff(cfg["problem"])
-    grid = _build_grid(cfg, cfg["problem"]["T"])
+    coeff, grid = _build_problem(cfg)
     coeffs = _build_coeffs(cfg, coeff, grid)
     report = check_coefficient_bounds(coeffs)
     iso = isomorphism_residual(coeff, grid)

@@ -242,7 +242,7 @@ class SpaceTimeField:
 #     3-point one-sided stencil through the boundary point (second order);
 #     second derivative uses the 4-point one-sided stencil through the
 #     boundary point (second order).
-#   * "free": no boundary information, plain one-sided second-order stencils.
+#   * "free" (first derivative only): plain one-sided second-order stencil.
 #
 # Both kinds of stencil compute their interior straight into the output, with
 # no temporary of the array's size.  A time stencil's interior out[:, 1:-1] is
@@ -285,9 +285,6 @@ def _dxx_array(f: np.ndarray, h: float, closure: str) -> np.ndarray:
     if closure == "dirichlet":
         out[0] = (-5.0 * f[0] + 2.0 * f[1] - 0.2 * f[2]) / h2
         out[-1] = (-5.0 * f[-1] + 2.0 * f[-2] - 0.2 * f[-3]) / h2
-    elif closure == "free":
-        out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h2
-        out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
     else:
         raise ValueError(f"unknown closure '{closure}'")
     return out

@@ -69,21 +69,13 @@ __all__ = [
 class Smooth:
     """A scalar function bundled with its first two derivatives.
 
-    Supports + and * (product rule) and scalar multiples, so composite
+    Supports * (product rule) and scalar multiples, so composite
     profiles keep exact derivatives without symbolic machinery.
     """
 
     f: Callable
     f1: Callable
     f2: Callable
-
-    def __add__(self, other: "Smooth") -> "Smooth":
-        s, o = self, other
-        return Smooth(
-            lambda x: s.f(x) + o.f(x),
-            lambda x: s.f1(x) + o.f1(x),
-            lambda x: s.f2(x) + o.f2(x),
-        )
 
     def __mul__(self, other):
         s = self

@@ -122,8 +122,6 @@ __all__ = [
 
 # a scalar, a spatial profile, a callable of x or a trajectory (see _traj)
 FieldLike = Union[SpaceTimeField, np.ndarray, float, Callable]
-# unit probes per block of isomorphism_residual
-_PROBE_BLOCK = 256
 # widest spread of log(delta) a symmetrizer may have: centred, delta and
 # 1/delta stay within exp(230) ~ 1e100, far inside the double range
 _LOG_DELTA_SPAN = 460.0
@@ -512,16 +510,12 @@ def isomorphism_residual(coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> f
     """
     n = grid.n_x
     a = coeff.a(grid.x)
-    ones = np.ones((n, 1))
-    zeros = np.zeros((n, 1))
-    sub, diag, sup = _band_fields(ones, zeros, zeros, grid.h)
-    worst = 0.0
-    for lo in range(0, n, _PROBE_BLOCK):
-        hi = min(lo + _PROBE_BLOCK, n)
-        probes = np.zeros((n, hi - lo))
-        probes[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        w = a[:, None] * probes
-        dxx_w = _apply_bands(sub, diag, sup, w)
-        lhs = (a[:, None] * dxx_w) / a[:, None]
-        worst = max(worst, float(np.max(np.abs(lhs - dxx_w))))
-    return worst
+    bands = _band_fields(np.ones((n, 1)), np.zeros((n, 1)), None, grid.h)
+    sub, diag, sup = (b[:, 0] for b in bands)
+    # column j of A~ e_j = Dxx(a e_j): diag_j a_j in row j, sub_{j+1} a_j in
+    # row j + 1 and sup_{j-1} a_j in row j - 1; every other entry is zero
+    defects = [
+        np.abs((a_row * v) / a_row - v)
+        for a_row, v in ((a, diag * a), (a[1:], sub[1:] * a[:-1]), (a[:-1], sup[:-1] * a[1:]))
+    ]
+    return float(np.max(np.concatenate(defects)))

@@ -145,14 +145,13 @@ class StabilityResult:
 class NonlinearProblemSpec:
     """Grid-free description of one quadratic-Hamiltonian system.
 
-    p, p_x, d and the sources F, G are spatial profiles: callables of x,
+    p, d and the sources F, G are spatial profiles: callables of x,
     arrays on the nodes or constants, coerced as solvers._traj does.  lam is
     the weight rate the stability formulas use.
     """
 
     coeff: DegenerateCoefficient
     p: FieldLike
-    p_x: FieldLike
     d: FieldLike
     T: float = 1.0
     F: FieldLike = 0.0
@@ -188,7 +187,6 @@ def default_backward_spec() -> BackwardExperimentSpec:
         problem=NonlinearProblemSpec(
             coeff=coeff,
             p=lambda x: 0.5 * x * (1.0 - x),
-            p_x=lambda x: 0.5 * (1.0 - 2.0 * x),
             d=lambda x: 0.4 * coeff.a(x),
             T=1.0,
             lam=1.0,
@@ -431,7 +429,10 @@ def _run_ladder(
         rungs.append(LadderRung(eps, D0, err, s_star, c_env, D, t0_used, not note, note))
         if not note:
             accepted.append((disc, err, c_env))
-    if not accepted or max(d for d, _, _ in accepted) < 1e-14:
+    if not accepted:
+        notes = ", ".join(f"eps={r.eps:g} ({r.note})" for r in rungs)
+        raise ValueError(f"no rung accepted: {notes}")
+    if max(d for d, _, _ in accepted) < 1e-14:
         raise ValueError("degenerate ladder: every discrepancy is below 1e-14")
     slope, intercept = _fit(
         [(d, e) for d, e, _ in accepted if e > 0.0], warnings, min_points
@@ -474,12 +475,17 @@ def run_holder_experiment(
     T, lam = problem.T, problem.lam
     if not (0.0 < t0 < T):
         raise ValueError("t0 must lie strictly inside (0, T)")
+    g = pairs[0][1][0].u.grid if pairs else _experiment_grid(problem, grid)
+    k0 = round(t0 / g.dt)  # the grid time the ladder measures at
+    if not 0 < k0 < g.n_t:
+        raise ValueError(f"t0={t0:g} is nearest the grid end t={g.t[k0]:g} at n_t={g.n_t}; "
+                         "refine n_t or move t0 inward")
     warnings: list = []
     if pairs is None:
         eps_list = _clean_ladder(eps_ladder, warnings)
         if len(eps_list) < 4 or max(eps_list) / min(eps_list) < 100.0:
             raise ValueError("ladder must have >= 4 amplitudes spanning >= 2 decades")
-        pairs = build_ladder_pairs(spec, eps_list, grid=grid, cfg=cfg)
+        pairs = build_ladder_pairs(spec, eps_list, grid=g, cfg=cfg)
     theta = theoretical_theta(t0, T, lam)
 
     def rung_rule(D0, err, M):

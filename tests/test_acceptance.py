@@ -23,9 +23,7 @@ from degenmfg import (
     SpaceTimeField,
     SpaceTimeGrid,
     catalog,
-    evaluate_fp_carleman,
-    evaluate_hjb_carleman,
-    evaluate_mfg_carleman,
+    evaluate_carleman,
     form_difference_coefficients,
     difference_residuals,
     generate_pair,
@@ -150,28 +148,28 @@ def test_criterion_04_homogeneity_and_additivity():
         case = make_case(name)
         grid = SpaceTimeGrid(48, 48, case.T)
         u, m = solve_case(case, grid)
-        coeffs = case.coefficients_on(grid)
         zero = SpaceTimeField(np.zeros((grid.n_x, grid.n_t + 1)), grid)
         uf = u if u is not None else zero
         mf = m if m is not None else zero
         F = case.source_F(grid) if u is not None else zero
         G = case.source_G(grid) if m is not None else zero
 
-        both = evaluate_mfg_carleman(uf, mf, F, G, params, coeffs)
-        hjb = evaluate_hjb_carleman(uf, F, params, coeffs)
-        fp = evaluate_fp_carleman(mf, G, params, coeffs)
+        def estimate(**fields):
+            return evaluate_carleman(CarlemanBundle(case.coeff, grid, **fields), params)
+
+        both = estimate(u=uf, m=mf, F=F, G=G)
+        hjb = estimate(u=uf, F=F)
+        fp = estimate(m=mf, G=G)
         for part in ("lhs", "rhs_source", "rhs_T", "rhs_0"):
             assert _rel(
                 getattr(both, part), getattr(hjb, part) + getattr(fp, part)
             ) < 1e-12, (name, part)
 
-        doubled = evaluate_mfg_carleman(
-            SpaceTimeField(2.0 * uf.values, grid),
-            SpaceTimeField(2.0 * mf.values, grid),
-            2.0 * F.values,
-            2.0 * G.values,
-            params,
-            coeffs,
+        doubled = estimate(
+            u=SpaceTimeField(2.0 * uf.values, grid),
+            m=SpaceTimeField(2.0 * mf.values, grid),
+            F=2.0 * F.values,
+            G=2.0 * G.values,
         )
         assert _rel(doubled.ratio, both.ratio) < 1e-12, name
         if name != "zero":
@@ -197,9 +195,7 @@ def test_criterion_05_sweep_boundedness():
         for n_x in (64, 128):
             grid = SpaceTimeGrid(n_x, 256, case.T)
             u, m = solve_case(case, grid)
-            kind = {"hjb": "hjb", "fp": "fp"}.get(case.tag, "mfg")
             bundle = CarlemanBundle(
-                kind=kind,
                 coeff=case.coeff,
                 grid=grid,
                 u=u,
@@ -315,9 +311,7 @@ def test_criterion_09_difference_system_consistency():
             (spec.m0, spec.h), (spec.delta_m0, spec.delta_h), 1e-2, prob, grid
         )
         coeffs = prob.coefficients_on(grid)
-        dco, du, dm = form_difference_coefficients(
-            sol1, sol2, coeffs, p_x=prob.p_x(grid.x)
-        )
+        dco, du, dm = form_difference_coefficients(sol1, sol2, coeffs)
         norms.append(difference_residuals(dco, du, dm))
     for level in range(2):
         for eq in range(2):

@@ -10,9 +10,7 @@ from degenmfg import carleman
 from degenmfg.carleman import (
     CarlemanBundle,
     CarlemanParams,
-    evaluate_fp_carleman,
-    evaluate_hjb_carleman,
-    evaluate_mfg_carleman,
+    evaluate_carleman,
     fp_ingredients,
     hjb_ingredients,
     s0_estimate,
@@ -44,7 +42,8 @@ def _wf_anchor_report(n):
     u = SpaceTimeField(np.exp(-t) * x * (1.0 - x), g)
     prob = HjbLinearProblem(g, WF)
     F = apply_hjb_operator(u, prob)
-    return evaluate_hjb_carleman(u, F.values, CarlemanParams(s=2.0, lam=2.0), prob)
+    bundle = CarlemanBundle(WF, g, u=u, F=F.values)
+    return evaluate_carleman(bundle, CarlemanParams(s=2.0, lam=2.0))
 
 
 def test_backward_functional_regression_anchor():
@@ -72,16 +71,16 @@ def test_forward_ratio_stable_under_refinement():
     for n in (64, 128):
         g = SpaceTimeGrid(n, n, c.T)
         _, m = solve_case(c, g)
-        coeffs = c.coefficients_on(g)
-        ratios[n] = evaluate_fp_carleman(m, c.source_G(g), params, coeffs).ratio
+        bundle = CarlemanBundle(c.coeff, g, m=m, G=c.source_G(g))
+        ratios[n] = evaluate_carleman(bundle, params).ratio
     assert _rel(ratios[64], ratios[128]) < 0.10
 
 
 def test_zero_solution_gives_zero_report():
     g = SpaceTimeGrid(32, 32, 1.0)
     z = SpaceTimeField(np.zeros((32, 33)), g)
-    prob = HjbLinearProblem(g, WF)
-    rep = evaluate_hjb_carleman(z, z.values, CarlemanParams(s=2.0, lam=1.0), prob)
+    bundle = CarlemanBundle(WF, g, u=z, F=z.values)
+    rep = evaluate_carleman(bundle, CarlemanParams(s=2.0, lam=1.0))
     assert rep.lhs == 0.0 and rep.rhs_source == 0.0
     assert rep.rhs_T == 0.0 and rep.rhs_0 == 0.0
     assert rep.ratio == 0.0
@@ -92,17 +91,10 @@ def test_quadratic_homogeneity_exact():
     g = SpaceTimeGrid(48, 48, c.T)
     u, m = solve_case(c, g)
     F, G = c.source_F(g), c.source_G(g)
-    coeffs = c.coefficients_on(g)
     params = CarlemanParams(s=2.0, lam=2.0)
-    r1 = evaluate_mfg_carleman(u, m, F, G, params, coeffs)
-    r2 = evaluate_mfg_carleman(
-        SpaceTimeField(2.0 * u.values, g),
-        SpaceTimeField(2.0 * m.values, g),
-        SpaceTimeField(2.0 * F.values, g),
-        SpaceTimeField(2.0 * G.values, g),
-        params,
-        coeffs,
-    )
+    r1 = evaluate_carleman(CarlemanBundle(c.coeff, g, u=u, m=m, F=F, G=G), params)
+    doubled = (SpaceTimeField(2.0 * f.values, g) for f in (u, m, F, G))
+    r2 = evaluate_carleman(CarlemanBundle(c.coeff, g, *doubled), params)
     assert r2.ratio == pytest.approx(r1.ratio, rel=1e-12)
     for name in ("lhs", "rhs_source", "rhs_T", "rhs_0"):
         assert _rel(4.0 * getattr(r1, name), getattr(r2, name)) < 1e-12, name
@@ -113,11 +105,10 @@ def test_combined_report_is_sum_of_scalar_reports():
     g = SpaceTimeGrid(48, 48, c.T)
     u, m = solve_case(c, g)
     F, G = c.source_F(g), c.source_G(g)
-    coeffs = c.coefficients_on(g)
     params = CarlemanParams(s=3.0, lam=1.5)
-    both = evaluate_mfg_carleman(u, m, F, G, params, coeffs)
-    hjb = evaluate_hjb_carleman(u, F, params, coeffs)
-    fp = evaluate_fp_carleman(m, G, params, coeffs)
+    both = evaluate_carleman(CarlemanBundle(c.coeff, g, u=u, m=m, F=F, G=G), params)
+    hjb = evaluate_carleman(CarlemanBundle(c.coeff, g, u=u, F=F), params)
+    fp = evaluate_carleman(CarlemanBundle(c.coeff, g, m=m, G=G), params)
     for name in ("lhs", "rhs_source", "rhs_T", "rhs_0"):
         assert _rel(
             getattr(both, name), getattr(hjb, name) + getattr(fp, name)
@@ -129,23 +120,19 @@ def test_unrepresentable_lam_reports_overflow_without_warnings():
     g = SpaceTimeGrid(32, 32, c.T)
     u, m = solve_case(c, g)
     F, G = c.source_F(g), c.source_G(g)
-    coeffs = c.coefficients_on(g)
     params = CarlemanParams(s=1.0, lam=800.0 / c.T)  # phi(T) = e^800
+    bundles = [CarlemanBundle(c.coeff, g, u=u, F=F), CarlemanBundle(c.coeff, g, m=m, G=G),
+               CarlemanBundle(c.coeff, g, u=u, m=m, F=F, G=G)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        reps = [
-            evaluate_hjb_carleman(u, F, params, coeffs),
-            evaluate_fp_carleman(m, G, params, coeffs),
-            evaluate_mfg_carleman(u, m, F, G, params, coeffs),
-        ]
+        reps = [evaluate_carleman(b, params) for b in bundles]
     reps += reps[2].parts
     assert [r.estimate for r in reps] == ["hjb", "fp", "mfg", "hjb", "fp"]
     for rep in reps:
         assert rep.overflow and math.isnan(rep.ratio)
         assert math.isinf(rep.lhs) and math.isinf(rep.lhs_log) and math.isinf(rep.rhs_log)
     # the sweep reports the same cell as overflow
-    bundle = CarlemanBundle("mfg", c.coeff, g, u=u, m=m, F=F, G=G)
-    sw = sweep_parameters(bundle, [params.s], [params.lam])
+    sw = sweep_parameters(bundles[2], [params.s], [params.lam])
     assert sw.overflow_cells == 1 and math.isnan(sw.ratios[0, 0])
 
 
@@ -160,13 +147,11 @@ def test_report_fields_are_exact_up_to_the_double_range(K, want):
     assert rep.lhs_log == K and rep.overflow
 
 
-def _bundle(name, n_x=64, n_t=64):
+def _case_bundle(name, n_x=64, n_t=64):
     c = make_case(name)
     g = SpaceTimeGrid(n_x, n_t, c.T)
     u, m = solve_case(c, g)
-    kind = {"hjb": "hjb", "fp": "fp"}.get(c.tag, "mfg")
     return CarlemanBundle(
-        kind=kind,
         coeff=c.coeff,
         grid=g,
         u=u,
@@ -181,8 +166,8 @@ def test_single_cell_sweep_matches_pointwise_evaluation():
     g = SpaceTimeGrid(48, 48, c.T)
     u, _ = solve_case(c, g)
     params = CarlemanParams(s=2.0, lam=2.0)
-    rep = evaluate_hjb_carleman(u, c.source_F(g), params, c.coefficients_on(g))
-    sw = sweep_parameters(_bundle("drifted-well", 48, 48), [2.0], [2.0])
+    rep = evaluate_carleman(CarlemanBundle(c.coeff, g, u=u, F=c.source_F(g)), params)
+    sw = sweep_parameters(_case_bundle("drifted-well", 48, 48), [2.0], [2.0])
     assert sw.ratios.shape == (1, 1)
     assert sw.ratios[0, 0] == pytest.approx(rep.ratio, rel=1e-14)
 
@@ -190,14 +175,8 @@ def test_single_cell_sweep_matches_pointwise_evaluation():
 @pytest.mark.parametrize("name", ["drifted-well", "wf-pulse", "coupled-mild"])
 @pytest.mark.parametrize("s, lam", [(2.0, 2.0), (0.7, 0.3), (5.0, 1.0), (1.0, 800.0)])
 def test_each_evaluator_is_a_one_cell_sweep(name, s, lam):
-    b = _bundle(name, 40, 48)
-    coeffs = make_case(name).coefficients_on(b.grid)
-    params = CarlemanParams(s=s, lam=lam)
-    rep = {
-        "hjb": lambda: evaluate_hjb_carleman(b.u, b.F, params, coeffs),
-        "fp": lambda: evaluate_fp_carleman(b.m, b.G, params, coeffs),
-        "mfg": lambda: evaluate_mfg_carleman(b.u, b.m, b.F, b.G, params, coeffs),
-    }[b.kind]()
+    b = _case_bundle(name, 40, 48)
+    rep = evaluate_carleman(b, CarlemanParams(s=s, lam=lam))
     sw = sweep_parameters(b, [s], [lam])
     assert rep.estimate == b.kind
     assert [p.estimate for p in rep.parts] == (["hjb", "fp"] if b.kind == "mfg" else [])
@@ -208,31 +187,24 @@ def test_each_evaluator_is_a_one_cell_sweep(name, s, lam):
         assert rep.ratio == sw.ratios[0, 0]
 
 
-def test_evaluators_without_their_trajectory_raise_the_bundle_error():
-    b = _bundle("coupled-mild", 16, 16)
-    coeffs = make_case("coupled-mild").coefficients_on(b.grid)
-    params = CarlemanParams(s=2.0, lam=2.0)
-    with pytest.raises(ValueError, match="kind 'hjb' needs a value trajectory u"):
-        evaluate_hjb_carleman(None, b.F, params, coeffs)
-    with pytest.raises(ValueError, match="kind 'fp' needs a density trajectory m"):
-        evaluate_fp_carleman(None, b.G, params, coeffs)
-    with pytest.raises(ValueError, match="kind 'mfg' needs a value trajectory u"):
-        evaluate_mfg_carleman(None, b.m, b.F, b.G, params, coeffs)
-    with pytest.raises(ValueError, match="kind 'mfg' needs a density trajectory m"):
-        evaluate_mfg_carleman(b.u, None, b.F, b.G, params, coeffs)
-    # also where phi(T) overflows, which reads no trajectory
-    with pytest.raises(ValueError, match="kind 'hjb' needs a value trajectory u"):
-        evaluate_hjb_carleman(None, b.F, CarlemanParams(s=1.0, lam=800.0), coeffs)
-
-
-def test_evaluators_reject_a_bare_coefficient():
-    b = _bundle("drifted-well", 16, 16)
-    with pytest.raises(TypeError, match="DegenerateCoefficient"):
-        evaluate_hjb_carleman(b.u, b.F, CarlemanParams(s=2.0, lam=2.0), b.coeff)
+def test_bundle_kind_follows_its_trajectories_and_bad_bundles_raise():
+    b = _case_bundle("coupled-mild", 16, 16)
+    assert CarlemanBundle(b.coeff, b.grid, u=b.u, F=b.F).kind == "hjb"
+    assert CarlemanBundle(b.coeff, b.grid, m=b.m, G=b.G).kind == "fp"
+    assert CarlemanBundle(b.coeff, b.grid, u=b.u, m=b.m).kind == "mfg"
+    assert b.kind == "mfg"
+    with pytest.raises(AttributeError):
+        b.kind = "hjb"
+    with pytest.raises(ValueError, match="a bundle needs a trajectory: u, m or both"):
+        CarlemanBundle(b.coeff, b.grid, F=b.F, G=b.G)
+    with pytest.raises(ValueError, match="a source F needs a value trajectory u"):
+        CarlemanBundle(b.coeff, b.grid, m=b.m, F=b.F, G=b.G)
+    with pytest.raises(ValueError, match="a source G needs a density trajectory m"):
+        CarlemanBundle(b.coeff, b.grid, u=b.u, F=b.F, G=b.G)
 
 
 def test_sweep_marks_overflow_cells_absent():
-    sw = sweep_parameters(_bundle("drifted-well"), [2.0, 400.0], [2.0])
+    sw = sweep_parameters(_case_bundle("drifted-well"), [2.0, 400.0], [2.0])
     assert sw.total_cells == 2
     assert sw.overflow_cells == 1
     assert math.isnan(sw.ratios[1, 0])
@@ -240,14 +212,14 @@ def test_sweep_marks_overflow_cells_absent():
 
 
 def test_sweep_ratio_not_growing_in_s():
-    sw = sweep_parameters(_bundle("drifted-well"), [2.0, 4.0, 8.0, 16.0], [2.0])
+    sw = sweep_parameters(_case_bundle("drifted-well"), [2.0, 4.0, 8.0, 16.0], [2.0])
     r = sw.ratios[:, 0]
     assert sw.top_half_max <= 2.0 * float(np.median(r))
     assert np.all(np.diff(r) < 0)
 
 
 def test_s0_estimate_on_decaying_ladder():
-    sw = sweep_parameters(_bundle("drifted-well"), [2.0, 4.0, 8.0, 16.0], [2.0])
+    sw = sweep_parameters(_case_bundle("drifted-well"), [2.0, 4.0, 8.0, 16.0], [2.0])
     s0 = s0_estimate(sw)
     assert s0 is None or s0 in (2.0, 4.0, 8.0, 16.0)
 
@@ -317,13 +289,13 @@ def _assert_matches_reference(bundle, s_values, lam_values):
 
 @pytest.mark.parametrize("case", ["drifted-well", "wf-pulse", "coupled-mild"])
 def test_sweep_matches_per_cell_reference(case):
-    bundle = _bundle(case)
+    bundle = _case_bundle(case)
     assert bundle.kind == {"drifted-well": "hjb", "wf-pulse": "fp"}.get(case, "mfg")
     _assert_matches_reference(bundle, ORACLE_S, ORACLE_LAM)
 
 
 def test_sweep_in_row_blocks_matches_reference(monkeypatch):
-    bundle = _bundle("coupled-mild", 32, 32)
+    bundle = _case_bundle("coupled-mild", 32, 32)
     # two s values per weight table: the live s of a lam span several blocks
     monkeypatch.setattr(carleman, "_TABLE_DOUBLES", 2 * bundle.grid.n_t)
     _assert_matches_reference(bundle, ORACLE_S + [1.0, 7.0], ORACLE_LAM)
@@ -332,7 +304,7 @@ def test_sweep_in_row_blocks_matches_reference(monkeypatch):
 def test_sweep_of_zero_bundle_is_exactly_zero():
     g = SpaceTimeGrid(32, 32, 1.0)
     z = np.zeros(g.shape)
-    bundle = CarlemanBundle(kind="mfg", coeff=WF, grid=g, u=z, m=z)
+    bundle = CarlemanBundle(WF, g, u=z, m=z)
     sw = _assert_matches_reference(bundle, ORACLE_S, ORACLE_LAM)
     live = sw.ratios[np.isfinite(sw.ratios)]
     assert live.size > 0 and np.all(live == 0.0)
@@ -348,11 +320,19 @@ def test_sweep_of_zero_bundle_is_exactly_zero():
 ])
 def test_sweep_rejects_invalid_parameters(s_values, lam_values):
     with pytest.raises(ValueError):
-        sweep_parameters(_bundle("drifted-well", 16, 16), s_values, lam_values)
+        sweep_parameters(_case_bundle("drifted-well", 16, 16), s_values, lam_values)
 
 
 def test_sweep_infinite_s_is_overflow_cell():
-    sw = sweep_parameters(_bundle("drifted-well", 16, 16), [2.0, math.inf], [1.0])
+    sw = sweep_parameters(_case_bundle("drifted-well", 16, 16), [2.0, math.inf], [1.0])
+    assert sw.overflow_cells == 1
+    assert np.isfinite(sw.ratios[0, 0]) and math.isnan(sw.ratios[1, 0])
+
+
+def test_sweep_log_weight_past_the_double_range_is_overflow_cell():
+    # 2 s phi(T) overflows to inf: an overflow cell, and no overflow warning
+    # (tier-1 turns a RuntimeWarning into an error)
+    sw = sweep_parameters(_case_bundle("drifted-well", 16, 16), [2.0, 1e308], [1.0])
     assert sw.overflow_cells == 1
     assert np.isfinite(sw.ratios[0, 0]) and math.isnan(sw.ratios[1, 0])
 
@@ -453,7 +433,7 @@ def _written_out_slices(bundle, F, G):
 @pytest.mark.parametrize("case", ["drifted-well", "wf-pulse", "coupled-mild"])
 @pytest.mark.parametrize("with_data", [True, False])
 def test_contracted_slice_integrals_match_written_out_sums(monkeypatch, case, with_data):
-    bundle = _bundle(case, 40, 64)
+    bundle = _case_bundle(case, 40, 64)
     g = bundle.grid
     monkeypatch.setattr(carleman, "_TABLE_DOUBLES", 16 * g.n_x)  # several blocks
     F, G = (bundle.F, bundle.G) if with_data else (None, None)
@@ -497,7 +477,7 @@ BLOCK_CASES = [
 @pytest.mark.parametrize("case, n_x, n_t, width, widths", BLOCK_CASES)
 def test_blocked_ingredients_bit_identical_to_full_arrays(monkeypatch, case, n_x, n_t,
                                                           width, widths):
-    bundle = _bundle(case, n_x, n_t)
+    bundle = _case_bundle(case, n_x, n_t)
     g = bundle.grid
     if width is not None:
         monkeypatch.setattr(carleman, "_TABLE_DOUBLES", width * n_x)
@@ -531,7 +511,7 @@ def test_sweep_allocates_under_two_fields_at_fine_grid():
     g = SpaceTimeGrid(512, 1024, 1.0)
     rng = np.random.default_rng(3)
     m, G = rng.random(g.shape), rng.random(g.shape)
-    bundle = CarlemanBundle(kind="fp", coeff=WF, grid=g, m=m, G=G)
+    bundle = CarlemanBundle(WF, g, m=m, G=G)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

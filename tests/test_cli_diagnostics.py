@@ -90,6 +90,18 @@ for cmd in ("solve", "coeff-check"):
     case(cmd, "coefficients-not-object", {"coefficients": []},
          ["coefficients: must be an object"])
 
+    # a diffusion that underflows at the nodes: every bound would divide by 0
+    case(cmd, "problem-diffusion-underflow",
+         {"problem": {"family": "power", "T": 1.0, "beta": 1e6, "delta": 2.0},
+          "grid": {"n_x": 16, "n_t": 8}},
+         ["problem: a(x) = 0 at the node x=0.03125; "
+          "the diffusion must be positive with a finite 1/a at every node"])
+    case(cmd, "problem-diffusion-overflow",
+         {"problem": {"family": "quadratic_oil", "T": 1.0, "gamma": 1e200},
+          "grid": {"n_x": 16, "n_t": 8}},
+         ["problem: a(x) = inf at the node x=0.03125; "
+          "the diffusion must be positive with a finite 1/a at every node"])
+
 case("solve", "coefficients-wrong-system", {"system": "nonlinear"},
      [f"unknown field: coefficients.{k}" for k in ("d1", "d2", "c1", "b")])
 case("coeff-check", "coefficients-wrong-system", {"system": "linear"},
@@ -205,6 +217,16 @@ case("stability-holder", "eps-ladder-short",
 case("stability-log", "eps-ladder-zero",
      {"grid": {"n_x": 16, "n_t": 8}, "eps_ladder": [0.0]},
      ["experiment: perturbation ladder is empty after dropping eps=0"])
+# the grid time nearest t0 is an end of the grid: also before any solve
+case("stability-holder", "t0-grid-end", {"grid": {"n_x": 16, "n_t": 8}, "t0": 0.97},
+     ["experiment: t0=0.97 is nearest the grid end t=1 at n_t=8; "
+      "refine n_t or move t0 inward"])
+# every rung solved and rejected: the rungs' own notes, not a degenerate ladder
+case("stability-log", "eps-ladder-all-rejected",
+     {"grid": {"n_x": 16, "n_t": 8}, "eps_ladder": [100, 10]},
+     ["experiment: no rung accepted: "
+      "eps=100 (data norm D=2.78e+04 >= 1; shrink the perturbation amplitude), "
+      "eps=10 (data norm D=1.06e+03 >= 1; shrink the perturbation amplitude)"])
 
 case("convergence", "mode", {"mode": "both"}, ["mode: must be 'space' or 'time'"])
 case("convergence", "mode-missing", {"mode": DROP},

@@ -103,6 +103,34 @@ def test_isomorphism_residual_families():
     assert isomorphism_residual(P22, g) < 1e-10
 
 
+def _probed_isomorphism_residual(coeff, g):
+    """The conjugation defect probed with every unit field, one column each."""
+    n = g.n_x
+    a = coeff.a(g.x)
+    zeros = np.zeros((n, 1))
+    sub, diag, sup = _band_fields(np.ones((n, 1)), zeros, zeros, g.h)
+    w = a[:, None] * np.eye(n)
+    dxx_w = _apply_bands(sub, diag, sup, w)
+    return float(np.max(np.abs((a[:, None] * dxx_w) / a[:, None] - dxx_w)))
+
+
+@pytest.mark.parametrize("coeff", [P22, DegenerateCoefficient.power(3.0, 5.0), WF,
+                                   DegenerateCoefficient.quadratic_oil(1.3)],
+                         ids=["power22", "power35", "wf", "oil"])
+@pytest.mark.parametrize("n_x", [4, 7, 64, 333])
+def test_isomorphism_residual_equals_unit_probes_bitwise(coeff, n_x):
+    g = SpaceTimeGrid(n_x, 4, 1.0)
+    got = isomorphism_residual(coeff, g)
+    assert got.hex() == _probed_isomorphism_residual(coeff, g).hex()
+
+
+def test_isomorphism_residual_reports_a_nan_defect():
+    # a = 0 at every node (x^1e6 underflows): 0 / 0 is NaN, not a zero defect
+    g = SpaceTimeGrid(16, 4, 1.0)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(isomorphism_residual(DegenerateCoefficient.power(1e6, 2.0), g))
+
+
 def test_recorded_bound_ratios():
     g = SpaceTimeGrid(64, 16, 1.0)
     sqrt_a = WF.sqrt_a(g.x)
@@ -121,7 +149,7 @@ def _coerced_runs(form, g):
     data = dict(F=form, G=form, m0=form, h=form)
     hjb = HjbLinearProblem(g, P22, drift=form, source=form, terminal=form)
     fp = FpLinearProblem(g, P22, convection=form, zeroth=form, source=form, initial=form)
-    spec = NonlinearProblemSpec(P22, p=form, p_x=form, d=form, F=form, G=form)
+    spec = NonlinearProblemSpec(P22, p=form, d=form, F=form, G=form)
     pair = generate_pair((form, form), (form, form), 0.1, spec, grid=g)
     coupled = (solve_linearized_mfg(coeffs, **data), solve_nonlinear_mfg(coeffs, **data)) + pair
     return ([getattr(coeffs, k) for k in keys]
@@ -145,7 +173,7 @@ def test_callable_sample_and_scalar_coerce_alike(fn, scalar):
 def test_callable_of_the_wrong_shape_raises_naming_the_field():
     g = SpaceTimeGrid(24, 16, 1.0)
     bad = lambda x: np.zeros(x.size + 1)  # noqa: E731
-    spec = NonlinearProblemSpec(P22, p=0.0, p_x=0.0, d=0.0)
+    spec = NonlinearProblemSpec(P22, p=0.0, d=0.0)
     coeffs = MfgCoefficients(P22, g)
     cases = [
         ("c1", lambda: MfgCoefficients(P22, g, c1=bad)),
@@ -872,11 +900,11 @@ def test_c_ordered_and_time_major_inputs_give_the_same_results():
                              initial=fp_c.initial)
         u, m = solve_hjb_linear(hjb), solve_fp_linear(fp)
         u_in, m_in = layout(u.values), layout(m.values)
-        sweeps = [sweep_parameters(CarlemanBundle(kind, coeff, g, **fields),
+        sweeps = [sweep_parameters(CarlemanBundle(coeff, g, **fields),
                                    [0.5, 3.0, 40.0, 400.0], [0.3, 1.0, 2.5]).ratios
-                  for kind, coeff, fields in (
-                      ("hjb", WF, {"u": u_in, "F": layout(hjb.source)}),
-                      ("fp", P22, {"m": m_in, "G": layout(fp.source)}))]
+                  for coeff, fields in (
+                      (WF, {"u": u_in, "F": layout(hjb.source)}),
+                      (P22, {"m": m_in, "G": layout(fp.source)}))]
         residuals = [hjb_scheme_residual(u_in, hjb), fp_scheme_residual(m_in, fp)]
         results.append((u.values, m.values, *sweeps, residuals))
     assert results[0][0].flags.f_contiguous  # solver outputs are time-major either way

@@ -141,6 +141,29 @@ def test_interior_time_bounds_checked():
         run_holder_experiment(bspec, 1.0, grid=GRID)
 
 
+@pytest.mark.parametrize("t0, end", [(0.95, 1.0), (0.05, 0.0)])
+def test_interior_time_nearest_a_grid_end_raises_before_any_solve(monkeypatch, t0, end):
+    # at n_t = 8 the grid time nearest t0 is t = T or t = 0, where the data
+    # are given: no interior measurement
+    from degenmfg import stability
+
+    calls = []
+    monkeypatch.setattr(stability, "solve_nonlinear_mfg", lambda *a, **k: calls.append(1))
+    with pytest.raises(ValueError, match=f"nearest the grid end t={end:g} at n_t=8"):
+        run_holder_experiment(default_backward_spec(), t0, grid=SpaceTimeGrid(16, 8, 1.0))
+    assert calls == []
+
+
+def test_initial_time_ladder_with_every_rung_rejected_names_the_notes():
+    with pytest.raises(ValueError) as info:
+        run_log_experiment(default_backward_spec(), 0.5, [100.0, 10.0],
+                           grid=SpaceTimeGrid(16, 8, 1.0))
+    msg = str(info.value)
+    assert msg.startswith("no rung accepted: eps=100 (data norm D=")
+    assert msg.count(">= 1; shrink the perturbation amplitude)") == 2
+    assert "degenerate" not in msg
+
+
 def test_zero_amplitude_rung_dropped_with_warning():
     bspec = default_backward_spec()
     res = run_holder_experiment(
