@@ -301,7 +301,7 @@ def hjb_ingredients(u, F, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> 
         ub, Fb = uv[:, cols], Fv[:, cols]
         ut = _dt1_columns(uv[:, ext], grid.dt, inner)
         ux = _dx_array(ub, h, "dirichlet")
-        uxx = _dxx_array(ub, h, "dirichlet")
+        uxx = _dxx_array(ub, h)
         np.einsum(_SQ_SUM, ut, ut, h_inv_a, out=I_ut[cols])
         np.einsum(_SQ_SUM, uxx, uxx, h_a, out=I_uxx[cols])
         np.einsum(_SQ_SUM, ux, ux, h_1, out=I_ux[cols])
@@ -354,7 +354,7 @@ def fp_ingredients(m, G, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> F
         v_ext = a[:, None] * mv[:, ext]
         v = v_ext[:, inner]
         vx = _dx_array(v, h, "dirichlet")
-        vxx = _dxx_array(v, h, "dirichlet")
+        vxx = _dxx_array(v, h)
         # int a m_t^2 = int v_t^2 / a, differentiating the product field in time
         vt = _dt1_columns(v_ext, grid.dt, inner)
         np.einsum(_SQ_SUM, vxx, vxx, h_a, out=J_v2[cols])

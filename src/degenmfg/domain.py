@@ -272,7 +272,7 @@ def _dx_array(f: np.ndarray, h: float, closure: str) -> np.ndarray:
     return out
 
 
-def _dxx_array(f: np.ndarray, h: float, closure: str) -> np.ndarray:
+def _dxx_array(f: np.ndarray, h: float) -> np.ndarray:
     f = _time_major(f)
     out = _empty(f.shape)
     ff = _flat(f)
@@ -282,11 +282,8 @@ def _dxx_array(f: np.ndarray, h: float, closure: str) -> np.ndarray:
     np.subtract(ff[2:], mid, out=mid)
     mid += ff[:-2]
     mid /= h2
-    if closure == "dirichlet":
-        out[0] = (-5.0 * f[0] + 2.0 * f[1] - 0.2 * f[2]) / h2
-        out[-1] = (-5.0 * f[-1] + 2.0 * f[-2] - 0.2 * f[-3]) / h2
-    else:
-        raise ValueError(f"unknown closure '{closure}'")
+    out[0] = (-5.0 * f[0] + 2.0 * f[1] - 0.2 * f[2]) / h2
+    out[-1] = (-5.0 * f[-1] + 2.0 * f[-2] - 0.2 * f[-3]) / h2
     return out
 
 

@@ -638,7 +638,8 @@ def convergence_study(
     mesh.  An exactly reproduced solution (all errors at rounding level)
     short-circuits to observed_order = inf with the exact flag set.  Adjacent
     levels with the same fitted step (n_x in space mode, n_t in time mode)
-    have no rate: they raise ValueError before any solve.
+    have no rate, and a ladder of fewer than two levels has no fit: both
+    raise ValueError before any solve.
 
     The levels are solved in ladder order.  A coupled level after the first
     starts from the previous level's (u, m), linearly interpolated to its
@@ -650,6 +651,8 @@ def convergence_study(
     if ladder is None:
         ladder = SPACE_LADDER if mode == "space" else TIME_LADDER
     grids = [SpaceTimeGrid(n_x, n_t, case.T) for n_x, n_t in ladder]
+    if len(grids) < 2:
+        raise ValueError(f"a ladder needs at least two levels to fit an order, got {len(grids)}")
     fitted = "n_x" if mode == "space" else "n_t"
     for i, (a, b) in enumerate(zip(grids, grids[1:])):
         if getattr(a, fitted) == getattr(b, fitted):

@@ -1,18 +1,24 @@
 """Coupled solvers for the linearized and quadratic-Hamiltonian systems.
 
-The coupled systems pair a backward value equation with a forward density
-equation.  Both solvers share one Picard driver: freeze the density, solve
-the value equation; freeze the value, solve the density equation; blend each
-candidate into the iterate with the current damping.  The iteration starts
-from u = m = 0, or from a given ``start`` pair (stability ladders and
-convergence studies start near the answer).  The damping
-starts at IterConfig.damping (default 1.0, a full step) and the first sweep
-always takes the full step, so a fully decoupled system finishes in one
-sweep, bit-identical to the two scalar solves.  A sweep whose residual exceeds
-divergence_factor times the best one so far is rejected: the damping halves
-and the iteration restarts from the best pair.  Once the damping would fall
-below DAMPING_FLOOR (1/64), the solve gives up and returns the best pair with
-converged=False.
+Both systems pair a backward value equation with a forward density equation
+in one linear template, the linearized system with its own coefficients and
+the quadratic-Hamiltonian one frozen at the value iterate:
+
+    u_t + a u_xx + d1 u_x = d2 m + F,  m_t - (am)_xx + c1 m_x = b m + c2 u_x + rho u_xx + G
+
+One Picard driver sweeps it: freeze the density, solve the value equation;
+freeze the value, solve the density equation; blend each candidate into the
+iterate with the current damping.  The iteration starts from u = m = 0, or
+from a given ``start`` pair (stability ladders and convergence studies start
+near the answer).  The damping starts at IterConfig.damping (default 1.0, a
+full step) and the first sweep always takes the full step, so a fully
+decoupled system finishes in one sweep, bit-identical to the two scalar
+solves.  A sweep whose residual exceeds divergence_factor times the best one
+so far is rejected: the damping halves and the iteration restarts from the
+best pair.  Once the damping would fall below DAMPING_FLOOR (1/64), the solve
+gives up and returns the best pair with converged=False.  Only arrays outlive
+a sweep: a value problem is dropped once it is marched, and a rejected sweep
+rebuilds the best pair's from its template.
 
 Convergence is declared on the scheme residuals (the defect of the implicit
 step equations), which a fixed point can actually drive to rounding level;
@@ -31,7 +37,7 @@ the genuine discrete nonlinear defect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -78,7 +84,8 @@ __all__ = [
 DAMPING_FLOOR = 1.0 / 64.0
 
 # the coefficient layers of MfgCoefficients: the quadratic-Hamiltonian
-# system reads the nonlinear one, the linearized system the linear one
+# system reads the nonlinear one, the linearized system the linear one,
+# whose names are those of the template's coefficients (see _Template)
 _NONLINEAR_KEYS = ("p", "d")
 _LINEAR_KEYS = ("d1", "d2", "c1", "c2", "b", "rho")
 
@@ -87,8 +94,9 @@ _LINEAR_KEYS = ("d1", "d2", "c1", "c2", "b", "rho")
 class IterConfig:
     """Picard sweep controls shared by both coupled solvers.
 
-    ``damping`` is the starting step; ``divergence_factor`` is the residual
-    growth over the best sweep that rejects a sweep and halves the step.
+    ``max_sweeps`` is an integer (Python or numpy); ``damping`` is the
+    starting step; ``divergence_factor`` is the residual growth over the best
+    sweep that rejects a sweep and halves the step.
     """
 
     max_sweeps: int = 200
@@ -97,6 +105,8 @@ class IterConfig:
     divergence_factor: float = 10.0
 
     def __post_init__(self):
+        if not isinstance(self.max_sweeps, (int, np.integer)):
+            raise ValueError(f"max_sweeps must be an integer, got {self.max_sweeps!r}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
         if not 0.0 < self.damping <= 1.0:
@@ -146,8 +156,38 @@ class MfgSolution:
         return len(self.residual_log)
 
 
-def _identity(u):
-    return u
+class _Template(NamedTuple):
+    """The linear template both coupled systems are swept in:
+
+        u_t + a u_xx + d1 u_x = d2 m + F
+        m_t - (am)_xx + c1 m_x = b m + c2 u_x + rho u_xx + G
+
+    Each entry is a trajectory, one column broadcast over time or a scalar.
+    c2 and rho None mean the density source has no u-coupling (it is G alone).
+    """
+
+    d1: np.ndarray
+    d2: np.ndarray
+    F: np.ndarray
+    c1: np.ndarray
+    b: np.ndarray
+    c2: Optional[np.ndarray]
+    rho: Optional[np.ndarray]
+    G: np.ndarray
+
+
+def _value_problem(t: _Template, m, g, c, h=0.0) -> HjbLinearProblem:
+    """The template's value equation at the density m: source F + d2 m."""
+    return HjbLinearProblem(g, c, drift=t.d1, source=t.F + t.d2 * m, terminal=h)
+
+
+def _density_problem(t: _Template, u, g, c, m0=0.0) -> FpLinearProblem:
+    """The template's density equation at the value u: source
+    c2 u_x + rho u_xx + G, or G when c2 is None."""
+    source = t.G
+    if t.c2 is not None:
+        source = t.c2 * _dx_array(u, g.h, "dirichlet") + t.rho * _dxx_array(u, g.h) + t.G
+    return FpLinearProblem(g, c, convection=t.c1, zeroth=t.b, source=source, initial=m0)
 
 
 def _blend(old: np.ndarray, cand: np.ndarray, step: float) -> np.ndarray:
@@ -156,56 +196,59 @@ def _blend(old: np.ndarray, cand: np.ndarray, step: float) -> np.ndarray:
     return old + step * (cand - old)
 
 
-def _picard(
-    g: SpaceTimeGrid,
-    cfg: IterConfig,
-    value_terms,
-    value_problem,
-    density_problem,
-    start=None,
-):
+def _picard(coeffs: MfgCoefficients, cfg: IterConfig, frozen, m0, h, start):
     """Picard sweeps with backtracking, shared by both coupled solvers.
 
-    ``value_terms(u)`` computes what both builders read of a value u, once
-    per sweep; ``value_problem(terms, m)`` builds the value equation
-    linearized at the pair (u, m) and ``density_problem(terms)`` the density
-    equation at u, each from terms = value_terms(u).  The residual of a sweep
-    is the larger scheme residual at the new pair, with the value equation
-    rebuilt there: at a fixed point that is the discrete system itself, and
-    it is also the next sweep's value equation.  The iteration starts from
-    the array pair ``start`` (only read), and from zeros when it is None.
+    ``frozen(u)`` is the template at the value iterate u, called once per
+    sweep: the density equation at u and the next value equation at (u, m)
+    are both built from it.  The residual of a sweep is the larger scheme
+    residual at the new pair, with the value equation rebuilt there: at a
+    fixed point that is the discrete system itself, and it is also the next
+    sweep's value equation.  The iteration starts from ``start`` (only read),
+    and from zeros when it is None.  Only arrays outlive a sweep: the value
+    problem is dropped once it is marched, and a rejected sweep rebuilds it
+    from the best pair.
     """
+    g, c = coeffs.grid, coeffs.diffusion
+    m0, h = _slice(m0, g, "m0"), _slice(h, g, "h")
+    start = _start_pair(start, g)
     u, m = (_zeros(g.shape), _zeros(g.shape)) if start is None else start
-    hjb = value_problem(value_terms(u), m)
-    best = (np.inf, u, m, hjb)
+    hjb = _value_problem(frozen(u), m, g, c, h)
+    best = (np.inf, u, m)
     damping = cfg.damping
     log: list = []
     for sweep in range(1, cfg.max_sweeps + 1):
         step = 1.0 if sweep == 1 else damping
         u_new = _blend(u, solve_hjb_linear(hjb).values, step)
-        del hjb._step_bands  # rebuilt only if a rejected sweep restarts from hjb
-        terms = value_terms(u_new)
-        fp = density_problem(terms)
+        del hjb  # free its step bands and source before the density solve
+        t = frozen(u_new)
+        fp = _density_problem(t, u_new, g, c, m0)
         m_new = _blend(m, solve_fp_linear(fp).values, step)
         res_fp = fp_scheme_residual(m_new, fp)
-        del fp  # free its step bands before hjb_new builds its own
-        hjb_new = value_problem(terms, m_new)
-        del terms
-        res = max(hjb_scheme_residual(u_new, hjb_new), res_fp)
+        del fp  # free its step bands before the value problem builds its own
+        hjb = _value_problem(t, m_new, g, c, h)
+        del t
+        res = max(hjb_scheme_residual(u_new, hjb), res_fp)
         log.append(res)
         if res <= cfg.tolerance:
-            return _solution(g, u_new, m_new, log, True)
+            best = (res, u_new, m_new)
+            break
         if res > cfg.divergence_factor * best[0]:
             damping /= 2.0
             if damping < DAMPING_FLOOR:
                 break
-            _, u, m, hjb = best
+            _, u, m = best
+            hjb = _value_problem(frozen(u), m, g, c, h)
             continue
-        u, m, hjb = u_new, m_new, hjb_new
+        u, m = u_new, m_new
         if res < best[0]:
-            best = (res, u, m, hjb)
-    _, u, m, _ = best
-    return _solution(g, u, m, log, False)
+            best = (res, u, m)
+    res, u, m = best
+    # u and m are arrays only _picard holds: wrap them without a copy
+    return MfgSolution(
+        SpaceTimeField._adopt(u, g), SpaceTimeField._adopt(m, g), tuple(log),
+        converged=res <= cfg.tolerance,
+    )
 
 
 def _start_pair(start, g: SpaceTimeGrid):
@@ -218,16 +261,6 @@ def _start_pair(start, g: SpaceTimeGrid):
         return None
     u, m = start
     return _traj(u, g, "start u"), _traj(m, g, "start m")
-
-
-def _solution(g, u, m, log, converged):
-    # u and m are arrays only _picard holds: wrap them without a copy
-    return MfgSolution(
-        u=SpaceTimeField._adopt(u, g),
-        m=SpaceTimeField._adopt(m, g),
-        residual_log=tuple(log),
-        converged=converged,
-    )
 
 
 def solve_linearized_mfg(
@@ -250,29 +283,9 @@ def solve_linearized_mfg(
     iteration starts from, as for solve_nonlinear_mfg (zeros when None).
     """
     g = coeffs.grid
-    Ft = _traj(F, g, "F")
-    Gt = _traj(G, g, "G")
-    m0, h = _slice(m0, g, "m0"), _slice(h, g, "h")
-    start = _start_pair(start, g)
-
-    def value_problem(u, m):  # linear in m only: u is not read
-        return HjbLinearProblem(
-            g, coeffs.diffusion, drift=coeffs.d1, source=Ft + coeffs.d2 * m, terminal=h
-        )
-
-    def density_problem(u):
-        ux = _dx_array(u, g.h, "dirichlet")
-        uxx = _dxx_array(u, g.h, "dirichlet")
-        return FpLinearProblem(
-            g,
-            coeffs.diffusion,
-            convection=coeffs.c1,
-            zeroth=coeffs.b,
-            source=coeffs.c2 * ux + coeffs.rho * uxx + Gt,
-            initial=m0,
-        )
-
-    return _picard(g, cfg, _identity, value_problem, density_problem, start)
+    linear = {k: getattr(coeffs, k) for k in _LINEAR_KEYS}
+    t = _Template(F=_traj(F, g, "F"), G=_traj(G, g, "G"), **linear)
+    return _picard(coeffs, cfg, lambda u: t, m0, h, start)
 
 
 def solve_nonlinear_mfg(
@@ -302,44 +315,25 @@ def solve_nonlinear_mfg(
     g = coeffs.grid
     Ft = _traj(F, g, "F")
     Gt = _traj(G, g, "G")
-    m0, h = _slice(m0, g, "m0"), _slice(h, g, "h")
-    start = _start_pair(start, g)
-    # time-invariant p and d stay one column: -p and p/2 are never full
+    # time-invariant p and d stay one column: -p, p/2 and -d are never full
     # trajectories, and the products broadcast to the same doubles
     (p,) = _time_columns(coeffs.p)
     (d,) = _time_columns(coeffs.d)
-    half_p = 0.5 * p
+    half_p, minus_d = 0.5 * p, -d
 
-    def value_terms(u):
-        """The drift -p u_x (also the density's convection), the density's
-        zeroth term (p u_x)_x and the m-free value source F - (p/2) u_x^2,
-        each from one u_x and one p u_x."""
+    def frozen(u):
+        """The template at u: d1 = c1 = -p u_x, b = (p u_x)_x, d2 = -d and
+        F - (p/2) u_x^2, each from one u_x and one p u_x."""
         ux = _dx_array(u, g.h, "dirichlet")
         pux = p * ux
-        zeroth = _dx_array(pux, g.h, "free")
+        b = _dx_array(pux, g.h, "free")
         drift = np.negative(pux, out=pux)  # bitwise (-p) * u_x: negation is exact
         src = half_p * ux
         src *= ux
-        return drift, zeroth, np.subtract(Ft, src, out=src)
+        src = np.subtract(Ft, src, out=src)
+        return _Template(drift, minus_d, src, drift, b, None, None, Gt)
 
-    def value_problem(terms, m):
-        drift, _, src = terms
-        return HjbLinearProblem(
-            g, coeffs.diffusion, drift=drift, source=src - d * m, terminal=h
-        )
-
-    def density_problem(terms):
-        convection, zeroth, _ = terms
-        return FpLinearProblem(
-            g,
-            coeffs.diffusion,
-            convection=convection,
-            zeroth=zeroth,
-            source=Gt,
-            initial=m0,
-        )
-
-    return _picard(g, cfg, value_terms, value_problem, density_problem, start)
+    return _picard(coeffs, cfg, frozen, m0, h, start)
 
 
 def form_difference_coefficients(
@@ -373,7 +367,7 @@ def form_difference_coefficients(
     u2 = sol2.u.values
     m2 = sol2.m.values
     u1x = _dx_array(u1, g.h, "dirichlet")
-    u1xx = _dxx_array(u1, g.h, "dirichlet")
+    u1xx = _dxx_array(u1, g.h)
     u2x = _dx_array(u2, g.h, "dirichlet")
     m2x = _dx_array(m2, g.h, "free")
     diff = MfgCoefficients(
@@ -407,22 +401,10 @@ def difference_residuals(
     sup over nodes would be dominated by the wall rows and would not shrink.
     In these norms both residuals are O(dt + h^2) under refinement.
     """
-    g = u_diff.grid
-    hjb = HjbLinearProblem(
-        g, coeffs.diffusion, drift=coeffs.d1, source=coeffs.d2 * m_diff.values
-    )
-    ru = apply_hjb_operator(u_diff, hjb).values
-    ux = _dx_array(u_diff.values, g.h, "dirichlet")
-    uxx = _dxx_array(u_diff.values, g.h, "dirichlet")
-    fp = FpLinearProblem(
-        g,
-        coeffs.diffusion,
-        convection=coeffs.c1,
-        zeroth=coeffs.b,
-        source=coeffs.c2 * ux + coeffs.rho * uxx,
-    )
-    rm = apply_fp_operator(m_diff, fp).values
-    c = coeffs.diffusion
+    g, c = u_diff.grid, coeffs.diffusion
+    t = _Template(F=0.0, G=0.0, **{k: getattr(coeffs, k) for k in _LINEAR_KEYS})
+    ru = apply_hjb_operator(u_diff, _value_problem(t, m_diff.values, g, c)).values
+    rm = apply_fp_operator(m_diff, _density_problem(t, u_diff.values, g, c)).values
     r_u = max(
         weighted_norm(ru[:, k], NormKind.L2_INV_A, c, g) for k in range(g.n_t + 1)
     )

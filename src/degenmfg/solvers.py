@@ -440,7 +440,7 @@ def apply_hjb_operator(u: FieldLike, prob: HjbLinearProblem) -> SpaceTimeField:
     g = prob.grid
     uv = _traj(u, g, "u")
     ux = _dx_array(uv, g.h, "dirichlet")
-    uxx = _dxx_array(uv, g.h, "dirichlet")
+    uxx = _dxx_array(uv, g.h)
     a = prob.coeff.a(g.x)
     res = _dt_array(uv, g.dt, 1) + a[:, None] * uxx + prob.drift * ux - prob.source
     return SpaceTimeField(res, g)
@@ -456,7 +456,7 @@ def apply_fp_operator(m: FieldLike, prob: FpLinearProblem) -> SpaceTimeField:
     g = prob.grid
     mv = _traj(m, g, "m")
     a = prob.coeff.a(g.x)
-    am_xx = _dxx_array(a[:, None] * mv, g.h, "dirichlet")
+    am_xx = _dxx_array(a[:, None] * mv, g.h)
     mx = _dx_array(mv, g.h, "free")
     res = (
         _dt_array(mv, g.dt, 1)

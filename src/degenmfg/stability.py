@@ -402,6 +402,8 @@ def _run_ladder(
     note rejects the rung.  The fit of log err against log disc needs
     ``min_points`` accepted rungs, and ``stable`` judges the rung constants.
     """
+    if not pairs:
+        raise ValueError("pairs is empty: a ladder needs at least one solution pair")
     problem = spec.problem
     g = pairs[0][1][0].u.grid
     coeff = problem.coeff

@@ -353,7 +353,7 @@ def _full_hjb_ingredients(u, F, coeff, grid):
     h = grid.h
     ut = _dt_array(uv, grid.dt, 1)
     ux = _dx_array(uv, h, "dirichlet")
-    uxx = _dxx_array(uv, h, "dirichlet")
+    uxx = _dxx_array(uv, h)
     return carleman.HjbIngredients(
         I_ut=_sq_sum(ut, h / a),
         I_uxx=_sq_sum(uxx, h * a),
@@ -378,7 +378,7 @@ def _full_fp_ingredients(m, G, coeff, grid):
     h = grid.h
     v = a[:, None] * mv
     vx = _dx_array(v, h, "dirichlet")
-    vxx = _dxx_array(v, h, "dirichlet")
+    vxx = _dxx_array(v, h)
     vt = _dt_array(v, grid.dt, 1)
     return carleman.FpIngredients(
         J_v2=_sq_sum(vxx, h * a) + _sq_sum(vt, h / a),
@@ -406,7 +406,7 @@ def _written_out_slices(bundle, F, G):
         Fv = _traj(F if F is not None else 0.0, g, "F")
         ut = _dt_array(uv, g.dt, 1)
         ux = _dx_array(uv, h, "dirichlet")
-        uxx = _dxx_array(uv, h, "dirichlet")
+        uxx = _dxx_array(uv, h)
         out.append((hjb_ingredients(bundle.u, F, bundle.coeff, g), {
             "I_ut": h * np.sum(ut * ut / a, axis=0),
             "I_uxx": h * np.sum(a * uxx * uxx, axis=0),
@@ -419,7 +419,7 @@ def _written_out_slices(bundle, F, G):
         Gv = _traj(G if G is not None else 0.0, g, "G")
         v = a * mv
         vx = _dx_array(v, h, "dirichlet")
-        vxx = _dxx_array(v, h, "dirichlet")
+        vxx = _dxx_array(v, h)
         vt = _dt_array(v, g.dt, 1)
         out.append((fp_ingredients(bundle.m, G, bundle.coeff, g), {
             "J_v2": h * np.sum(a * vxx * vxx + vt * vt / a, axis=0),

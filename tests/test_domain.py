@@ -93,7 +93,7 @@ def test_dirichlet_stencils_exact_on_wall_quadratic():
     # x(1-x) vanishes at both walls; the boundary closures reproduce it exactly
     g = SpaceTimeGrid(32, 2, 1.0)
     f = np.tile(g.x * (1 - g.x), (3, 1)).T
-    fx, fxx = _dx_array(f, g.h, "dirichlet"), _dxx_array(f, g.h, "dirichlet")
+    fx, fxx = _dx_array(f, g.h, "dirichlet"), _dxx_array(f, g.h)
     assert np.allclose(fx[:, 0], 1 - 2 * g.x, atol=1e-12)
     assert np.allclose(fxx[:, 0], -2.0, atol=1e-10)
 
@@ -110,7 +110,7 @@ def test_stencil_second_order_convergence():
     for n in (64, 128):
         g = SpaceTimeGrid(n, 2, 1.0)
         f = np.tile(np.sin(np.pi * g.x), (3, 1)).T
-        fxx = _dxx_array(f, g.h, "dirichlet")
+        fxx = _dxx_array(f, g.h)
         exact = -np.pi**2 * np.sin(np.pi * g.x)
         errs.append(np.max(np.abs(fxx[1:-1, 0] - exact[1:-1])))
     ratio = errs[0] / errs[1]
@@ -281,7 +281,7 @@ def test_stencils_match_their_written_out_formulas_bitwise():
             got, want = _dx_array(v, g.h, closure), _ref_dx(v, g.h, closure)
             assert got.tobytes() == want.tobytes(), (name, "dx", closure)
             assert got.flags.f_contiguous, (name, "dx", closure)
-        got, want = _dxx_array(v, g.h, "dirichlet"), _ref_dxx(v, g.h)
+        got, want = _dxx_array(v, g.h), _ref_dxx(v, g.h)
         assert got.tobytes() == want.tobytes(), (name, "dxx")
         assert got.flags.f_contiguous, (name, "dxx")
         got, want = _dt_array(v, g.dt, 1), _ref_dt1(v, g.dt)

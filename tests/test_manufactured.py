@@ -240,6 +240,17 @@ def test_prolongation_is_exact_on_bilinear_fields():
     assert np.array_equal(_prolong((v,), old, old)[0], v)
 
 
+@pytest.mark.parametrize("ladder", [((16, 8),), ()])
+def test_study_rejects_fewer_than_two_levels_before_any_solve(ladder, monkeypatch):
+    # one level used to fit an order through a single point, none to fail in max()
+    def no_solve(*args):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr("degenmfg.manufactured._solve_case", no_solve)
+    with pytest.raises(ValueError, match="at least two levels"):
+        convergence_study(make_case("drifted-well"), "space", ladder)
+
+
 @pytest.mark.parametrize(
     "mode, ladder, message",
     [

@@ -1,14 +1,20 @@
 """Coupled forward-backward iteration and difference-system algebra."""
 
+import json
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from degenmfg.domain import DegenerateCoefficient, SpaceTimeGrid
+from degenmfg.manufactured import make_case
 from degenmfg.mfg import (
     DAMPING_FLOOR,
     IterConfig,
     MfgCoefficients,
     check_coefficient_bounds,
+    difference_residuals,
     form_difference_coefficients,
     solve_linearized_mfg,
     solve_nonlinear_mfg,
@@ -19,6 +25,7 @@ from degenmfg.solvers import (
     solve_fp_linear,
     solve_hjb_linear,
 )
+from degenmfg.stability import default_backward_spec, generate_pair
 
 WF = DegenerateCoefficient.wright_fischer()
 P22 = DegenerateCoefficient.power(2.0, 2.0)
@@ -118,16 +125,21 @@ def _stiff_solve(p_scale, d_scale, cfg=IterConfig()):
     )
 
 
-def _rejections(sol, factor=IterConfig().divergence_factor):
-    """Sweeps the driver rejected: residual above factor x the best accepted."""
+def _rejected_sweeps(sol, factor=IterConfig().divergence_factor):
+    """Sweeps (from 1) the driver rejected: residual above factor x the best
+    accepted."""
     best = np.inf
-    rejected = 0
-    for res in sol.residual_log:
+    rejected = []
+    for sweep, res in enumerate(sol.residual_log, 1):
         if res > factor * best:
-            rejected += 1
+            rejected.append(sweep)
         else:
             best = min(best, res)
     return rejected
+
+
+def _rejections(sol):
+    return len(_rejected_sweeps(sol))
 
 
 def test_backtracking_rescues_a_diverging_full_step():
@@ -343,19 +355,95 @@ def test_linearized_wrong_start_raises_before_any_sweep(monkeypatch, start, whic
     assert calls == []
 
 
-def test_value_problem_bands_are_dropped_after_its_solve(monkeypatch):
+@pytest.mark.parametrize(
+    "p_scale, d_scale", [(None, None), (10.0, 40.0)], ids=["stock", "rejected-sweep"]
+)
+def test_no_value_problem_outlives_its_march(monkeypatch, p_scale, d_scale):
+    # the stock solve, and the stiff one whose rejected sweep restarts from
+    # the best pair: the driver keeps arrays only, so every value problem is
+    # gone by the time the density equation is solved
     from degenmfg import mfg
 
-    solved = []
-    real = mfg.solve_hjb_linear
+    solved, alive = [], []
+    real_hjb, real_fp = mfg.solve_hjb_linear, mfg.solve_fp_linear
 
-    def recording(prob):
-        solved.append(prob)
-        return real(prob)
+    def recording_hjb(prob):
+        solved.append(weakref.ref(prob))
+        return real_hjb(prob)
 
-    monkeypatch.setattr(mfg, "solve_hjb_linear", recording)
-    g = _grid()
-    coeffs, m0, h = _stock_coeffs(g)
-    sol = solve_nonlinear_mfg(coeffs, m0=m0, h=h)
+    def counting_fp(prob):
+        alive.append(sum(ref() is not None for ref in solved))
+        return real_fp(prob)
+
+    monkeypatch.setattr(mfg, "solve_hjb_linear", recording_hjb)
+    monkeypatch.setattr(mfg, "solve_fp_linear", counting_fp)
+    if p_scale is None:
+        coeffs, m0, h = _stock_coeffs(_grid())
+        sol = solve_nonlinear_mfg(coeffs, m0=m0, h=h)
+    else:
+        sol = _stiff_solve(p_scale, d_scale)
     assert sol.converged and len(solved) == sol.sweeps > 1
-    assert not any("_step_bands" in vars(prob) for prob in solved)
+    assert alive == [0] * sol.sweeps
+
+
+def test_iter_config_rejects_a_non_integer_max_sweeps():
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=r"^max_sweeps must be an integer"):
+            IterConfig(max_sweeps=bad)
+    assert IterConfig(max_sweeps=np.int64(3)).max_sweeps == 3
+
+
+# solves frozen from an earlier version of the Picard driver, whose sweep
+# kept its value problems; the anchor pins sweep counts and rejected sweeps
+# exactly, the end slices u(., 0), m(., T) to 1e-12 and the residual logs
+# to 1e-6, each relative and entry by entry
+PICARD_ANCHOR = json.loads(
+    (Path(__file__).resolve().parent / "data" / "picard_anchor.json").read_text(encoding="utf-8")
+)
+
+
+def _close(got, want, rtol):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want)), np.max(np.abs(got - want))
+
+
+def _anchored_solve(name):
+    if name == "coupled-mild-32x32":
+        case = make_case("coupled-mild")
+        g = SpaceTimeGrid(32, 32, case.T)
+        return solve_linearized_mfg(
+            case.coefficients_on(g), F=case.source_F(g), G=case.source_G(g),
+            m0=case.initial(g), h=case.terminal(g),
+        )
+    if name == "stock-32x64":
+        coeffs, m0, h = _stock_coeffs(_grid(32, 64))
+        return solve_nonlinear_mfg(coeffs, m0=m0, h=h)
+    # p and d at 20x, 100x (one rejected sweep) or 40x, 400x (the floor)
+    return _stiff_solve(10.0, 40.0) if name == "stiff-p20-d100" else _stiff_solve(20.0, 160.0)
+
+
+@pytest.mark.parametrize(
+    "name", ["coupled-mild-32x32", "stock-32x64", "stiff-p20-d100", "stiff-p40-d400"]
+)
+def test_picard_matches_the_frozen_anchor(name):
+    want = PICARD_ANCHOR[name]
+    sol = _anchored_solve(name)
+    assert sol.sweeps == want["sweeps"] and sol.converged is want["converged"]
+    assert _rejected_sweeps(sol) == want["rejected"]
+    _close(sol.residual_log, want["residual_log"], 1e-6)
+    _close(sol.u.values[:, 0], want["u0"], 1e-12)
+    _close(sol.m.values[:, -1], want["mT"], 1e-12)
+
+
+def test_difference_residuals_match_the_frozen_anchor():
+    # criterion 9's two coarser levels
+    spec = default_backward_spec()
+    prob = spec.problem
+    for n, want in zip((32, 64), PICARD_ANCHOR["difference-residuals"]):
+        grid = SpaceTimeGrid(n, n, prob.T)
+        sol1, sol2 = generate_pair(
+            (spec.m0, spec.h), (spec.delta_m0, spec.delta_h), 1e-2, prob, grid
+        )
+        dco, du, dm = form_difference_coefficients(sol1, sol2, prob.coefficients_on(grid))
+        _close(difference_residuals(dco, du, dm), want, 1e-12)

@@ -154,6 +154,22 @@ def test_interior_time_nearest_a_grid_end_raises_before_any_solve(monkeypatch, t
     assert calls == []
 
 
+@pytest.mark.parametrize("experiment", ["holder", "log"])
+def test_empty_pairs_raise_value_error_before_any_solve(monkeypatch, experiment):
+    # an empty ladder used to reach the rung loop and fail with IndexError
+    from degenmfg import stability
+
+    calls = []
+    monkeypatch.setattr(stability, "solve_nonlinear_mfg", lambda *a, **k: calls.append(1))
+    bspec = default_backward_spec()
+    with pytest.raises(ValueError, match="pairs is empty"):
+        if experiment == "holder":
+            run_holder_experiment(bspec, 0.5, pairs=())
+        else:
+            run_log_experiment(bspec, pairs=())
+    assert calls == []
+
+
 def test_initial_time_ladder_with_every_rung_rejected_names_the_notes():
     with pytest.raises(ValueError) as info:
         run_log_experiment(default_backward_spec(), 0.5, [100.0, 10.0],
