@@ -190,17 +190,6 @@ def _trapezoids(I: np.ndarray, dt: float) -> np.ndarray:
     return dt * (0.5 * (I[:-1] + I[1:]))
 
 
-def _weight_exponents(minus_two_s, tau, buf) -> np.ndarray:
-    """The table -2 s tau, a row per s and a column per midpoint, in the
-    front of ``buf``: tau copied to every row, then each row scaled by its
-    -2 s in place, bitwise np.multiply(minus_two_s[:, None], tau) (products
-    commute) and faster than that broadcast product."""
-    table = buf[:minus_two_s.size * tau.size].reshape(minus_two_s.size, tau.size)
-    table[...] = tau
-    table *= minus_two_s[:, None]
-    return table
-
-
 def _scaled_cells(grid: SpaceTimeGrid, estimates, s, lam, phi_T, live) -> list:
     """The _Scaled totals of each estimate at the cells (s[i], lam[j]) with
     live[i, j], taken lam by lam and in the order of s within a lam; phi_T
@@ -240,7 +229,8 @@ def _scaled_cells(grid: SpaceTimeGrid, estimates, s, lam, phi_T, live) -> list:
         cols = [np.stack([tz * phi_mid**p for tz, p in tzs], axis=1) for tzs in trapezoids]
         for block in range(lo, lo + n, rows):
             idx = slice(block, min(block + rows, lo + n))
-            table = _weight_exponents(minus_two_s[idx], tau, buf)
+            table = buf[:(idx.stop - idx.start) * n_mid].reshape(-1, n_mid)
+            np.multiply(minus_two_s[idx, None], tau, out=table)
             np.exp(table, out=table)
             for out, c in zip(sums, cols):
                 out[:, idx] = (table @ c).T

@@ -9,6 +9,7 @@ finite.  Norms are midpoint-rule quadratures over the cells.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +31,7 @@ class SpaceTimeGrid:
     Spatial nodes are the cell centers x_i = (i + 1/2) h with h = 1/n_x, so no
     node touches the degeneracy points x = 0, 1.  Time levels are t_k = k T/n_t
     for k = 0..n_t; trajectories therefore hold n_t + 1 columns.  The sizes
-    n_x and n_t must be integers (Python or numpy).
+    n_x and n_t must be integers (Python or numpy), the horizon T finite.
     """
 
     n_x: int
@@ -45,8 +46,8 @@ class SpaceTimeGrid:
             raise ValueError(f"n_x must be >= 4, got {self.n_x}")
         if self.n_t < 2:
             raise ValueError(f"n_t must be >= 2, got {self.n_t}")
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
 
     @property
     def h(self) -> float:
@@ -81,9 +82,9 @@ class DegenerateCoefficient:
     """Diffusion coefficient a(x) that vanishes at one or both endpoints.
 
     Families:
-        power:          a(x) = x^beta (1-x)^delta,  beta, delta >= 2
+        power:          a(x) = x^beta (1-x)^delta,  beta, delta >= 2 finite
         wright_fischer: a(x) = x (1-x)
-        quadratic_oil:  a(x) = (gamma^2 / 2) x^2
+        quadratic_oil:  a(x) = (gamma^2 / 2) x^2,   gamma > 0 finite
 
     a, a_x and a_xx are closed forms; endpoint values are the one-sided
     limits.  ``log_derivative`` returns a_x/a in closed form and must only be
@@ -99,10 +100,13 @@ class DegenerateCoefficient:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown coefficient family '{self.family}'")
-        if self.family == "power" and (self.beta < 2.0 or self.delta < 2.0):
-            raise ValueError("power family requires beta >= 2 and delta >= 2")
-        if self.family == "quadratic_oil" and not self.gamma > 0:
-            raise ValueError("quadratic_oil family requires gamma > 0")
+        if self.family == "power":
+            for name in ("beta", "delta"):
+                if not 2.0 <= getattr(self, name) < math.inf:
+                    raise ValueError(f"power family requires finite {name} >= 2, "
+                                     f"got {getattr(self, name)}")
+        if self.family == "quadratic_oil" and not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"quadratic_oil family requires finite gamma > 0, got {self.gamma}")
 
     @classmethod
     def power(cls, beta: float = 2.0, delta: float = 2.0) -> "DegenerateCoefficient":
@@ -195,14 +199,14 @@ def _flat(v: np.ndarray) -> np.ndarray:
     return v.ravel(order="F")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpaceTimeField:
     """Scalar samples on the tensor grid, shape (n_x, n_t + 1), time-major.
 
-    The array is copied into time-major layout and frozen at construction;
-    fields are values, not buffers, everywhere in the package.  The one
-    exception is a solver's fresh output, which no one else holds: it is
-    frozen without a copy.
+    The array is copied into time-major layout and frozen at construction,
+    and so is the record; fields are values, not buffers, everywhere in the
+    package.  The one exception is a solver's fresh output, which no one
+    else holds: it is frozen without a copy.
     """
 
     values: np.ndarray
@@ -215,7 +219,7 @@ class SpaceTimeField:
                 f"field shape {v.shape} does not match grid shape {self.grid.shape}"
             )
         v.setflags(write=False)
-        self.values = v
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def _adopt(cls, values: np.ndarray, grid: SpaceTimeGrid) -> "SpaceTimeField":
@@ -227,8 +231,8 @@ class SpaceTimeField:
         """
         values.setflags(write=False)
         field = object.__new__(cls)
-        field.values = values
-        field.grid = grid
+        object.__setattr__(field, "values", values)
+        object.__setattr__(field, "grid", grid)
         return field
 
 

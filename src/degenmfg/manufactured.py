@@ -204,7 +204,7 @@ def _sample_terms(terms, grid: SpaceTimeGrid) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManufacturedCase:
     """One exact-solution scenario: fields, coefficients, and sources.
 
@@ -217,7 +217,8 @@ class ManufacturedCase:
     separable terms (time profile, space profile), each a function of one
     variable, whose products sum to the field.  A source has at most four
     terms, one per distinct time profile.  The point evaluators and the grid
-    samplers both read these lists.
+    samplers both read these lists.  The record is frozen, so ``terms``
+    stays that of its factors; dataclasses.replace builds a changed case.
     """
 
     name: str
@@ -243,11 +244,12 @@ class ManufacturedCase:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"tag must be one of {_TAGS}")
-        self.A = coeff_smooth(self.coeff)
+        object.__setattr__(self, "A", coeff_smooth(self.coeff))
         # product field a(x) V(x); its second derivative is exactly (am)_xx / Tm
-        self.W = self.A * self.V
-        self.terms = {"u": [(self.Tu.f, self.U.f)], "m": [(self.Tm.f, self.V.f)],
-                      "F": self._F_terms(), "G": self._G_terms()}
+        object.__setattr__(self, "W", self.A * self.V)
+        terms = {"u": [(self.Tu.f, self.U.f)], "m": [(self.Tm.f, self.V.f)],
+                 "F": self._F_terms(), "G": self._G_terms()}
+        object.__setattr__(self, "terms", terms)
 
     @property
     def hypotheses_ok(self) -> bool:

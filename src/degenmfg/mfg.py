@@ -117,7 +117,7 @@ class IterConfig:
             raise ValueError("divergence_factor must exceed 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MfgCoefficients:
     """Every lower-order coefficient of the nonlinear and linearized systems.
 
@@ -125,7 +125,7 @@ class MfgCoefficients:
     Linearized layer: d1, d2 (value equation) and c1, c2, b, rho (density
     equation).  Each entry is coerced to a space-time trajectory at
     construction, as solvers._traj does: a scalar, a spatial profile or a
-    callable of x becomes a time-constant view.
+    callable of x becomes a time-constant view.  The record is frozen.
     """
 
     diffusion: DegenerateCoefficient
@@ -141,7 +141,7 @@ class MfgCoefficients:
 
     def __post_init__(self):
         for name in _NONLINEAR_KEYS + _LINEAR_KEYS:
-            setattr(self, name, _traj(getattr(self, name), self.grid, name))
+            object.__setattr__(self, name, _traj(getattr(self, name), self.grid, name))
 
 
 @dataclass
@@ -340,7 +340,6 @@ def form_difference_coefficients(
     sol1: MfgSolution,
     sol2: MfgSolution,
     coeffs: MfgCoefficients,
-    p_x: Optional[FieldLike] = None,
 ):
     """Linearized-system coefficients satisfied by the difference of two solves.
 
@@ -355,14 +354,14 @@ def form_difference_coefficients(
     with signs fixed so the template holds as written (the quadratic term
     factors through the average gradient; moving it to the drift side flips
     the sign).  Value-field derivatives use the Dirichlet closure, density
-    fields the free closure.  When p_x is omitted it is differenced
-    numerically from p.  Returns (coefficients, u_difference, m_difference).
+    fields and p_x (differenced from p) the free closure.  Returns
+    (coefficients, u_difference, m_difference).
     """
     g = sol1.u.grid
-    if sol2.u.grid.shape != g.shape or coeffs.grid.shape != g.shape:
+    if sol2.u.grid != g or coeffs.grid != g:
         raise ValueError("solutions and coefficients must share one grid")
     p = coeffs.p
-    px = _dx_array(p, g.h, "free") if p_x is None else _traj(p_x, g, "p_x")
+    px = _dx_array(p, g.h, "free")
     u1 = sol1.u.values
     u2 = sol2.u.values
     m2 = sol2.m.values

@@ -137,12 +137,13 @@ def _traj(data: FieldLike, grid: SpaceTimeGrid, name: str) -> np.ndarray:
     With _slice, the one coercion rule of the package.  A scalar, a spatial
     profile of shape (n_x,) or a callable of x (see _slice) is constant in
     time: a read-only broadcast view whose time stride is 0.  A trajectory,
-    or a field on a grid of the same shape, is returned as it is.  Any other
-    shape raises ValueError naming the field.
+    or a field on the same grid (horizon included), is returned as it is.
+    Any other shape, or a field on another grid, raises ValueError naming
+    the field.
     """
     if isinstance(data, SpaceTimeField):
-        if data.grid.shape != grid.shape:
-            raise ValueError(f"{name}: field grid {data.grid.shape} != {grid.shape}")
+        if data.grid != grid:
+            raise ValueError(f"{name}: field grid {data.grid} != {grid}")
         return data.values
     if callable(data):
         data = _slice(data, grid, name)
@@ -169,12 +170,14 @@ def _slice(data: FieldLike, grid: SpaceTimeGrid, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class HjbLinearProblem:
     """Backward value equation u_t + a u_xx + drift u_x = source, u(.,T) given.
 
     drift and source may be scalars, spatial profiles, callables of x or
-    full trajectories; terminal is a slice (see _traj and _slice).
+    full trajectories; terminal is a slice (see _traj and _slice).  The
+    record is frozen, so its step bands stay those of its fields; a changed
+    problem is a new one (dataclasses.replace).
     """
 
     grid: SpaceTimeGrid
@@ -184,25 +187,26 @@ class HjbLinearProblem:
     terminal: FieldLike = 0.0
 
     def __post_init__(self):
-        self.drift = _traj(self.drift, self.grid, "drift")
-        self.source = _traj(self.source, self.grid, "source")
-        self.terminal = _slice(self.terminal, self.grid, "terminal")
+        object.__setattr__(self, "drift", _traj(self.drift, self.grid, "drift"))
+        object.__setattr__(self, "source", _traj(self.source, self.grid, "source"))
+        object.__setattr__(self, "terminal", _slice(self.terminal, self.grid, "terminal"))
 
     @cached_property
     def _step_bands(self):
         """Bands of I - dt L_k, built once per problem (see _time_columns)."""
         g = self.grid
         (drift,) = _time_columns(self.drift)
-        bands = _band_fields(self.coeff.a(g.x)[:, None], drift, None, g.h)
+        bands = _band_fields(self.coeff.a(g.x)[:, None], drift, np.zeros((g.n_x, 1)), g.h)
         return _to_step_bands(*bands, g.dt)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FpLinearProblem:
     """Forward density equation m_t - (a m)_xx + convection m_x = zeroth m + source.
 
     Solved through v = a m; ``initial`` is the density slice m(., 0).  The
-    coefficients and data are coerced as for HjbLinearProblem.
+    coefficients and data are coerced, and the record frozen, as for
+    HjbLinearProblem.
     """
 
     grid: SpaceTimeGrid
@@ -213,21 +217,19 @@ class FpLinearProblem:
     initial: FieldLike = 0.0
 
     def __post_init__(self):
-        self.convection = _traj(self.convection, self.grid, "convection")
-        self.zeroth = _traj(self.zeroth, self.grid, "zeroth")
-        self.source = _traj(self.source, self.grid, "source")
-        self.initial = _slice(self.initial, self.grid, "initial")
+        for name in ("convection", "zeroth", "source"):
+            object.__setattr__(self, name, _traj(getattr(self, name), self.grid, name))
+        object.__setattr__(self, "initial", _slice(self.initial, self.grid, "initial"))
 
     @cached_property
     def _step_bands(self):
         """Bands of I - dt L_v, L_v = a d_xx - c1 d_x + (c1 a_x/a + b), built
-        once per problem; the step -h carries the drift's sign, so no -c1
-        field is formed."""
+        once per problem."""
         g = self.grid
         x = g.x
         conv, zeroth = _time_columns(self.convection, self.zeroth)
         q = conv * self.coeff.log_derivative(x)[:, None] + zeroth
-        bands = _band_fields(self.coeff.a(x)[:, None], conv, q, -g.h)
+        bands = _band_fields(self.coeff.a(x)[:, None], -conv, q, g.h)
         return _to_step_bands(*bands, g.dt)
 
 
@@ -238,34 +240,29 @@ def _time_columns(*fields):
     return fields
 
 
-def _band_fields(a: np.ndarray, d: np.ndarray, q, h: float):
+def _band_fields(a: np.ndarray, d: np.ndarray, q: np.ndarray, h: float):
     """Tridiagonal coefficients of L = a d_xx + d d_x + q, all columns at once.
 
-    Returns (sub, diag, sup) shaped like d; sub[0] and sup[-1] are zero
-    padding.  ``q`` None means q = 0, bit for bit (adding a zero changes no
-    nonzero double, and no diagonal entry here is -0.0).  Boundary rows carry
-    the ghost closure: extending the field by a quadratic that vanishes at the
-    endpoint gives ghost = -2 f0 + f1/3, which folds into the row-0 weights
-    below (mirrored on the right, where the outward direction flips the sign
-    of the drift part).  A negative step -h gives the bands of
-    a d_xx - d d_x + q, bit for bit those of -d: a / h^2 is even in h, and
-    every drift quotient flips its sign exactly.
+    a, d and q are columns or trajectories; the bands take the shape of d.
+    Returns (sub, diag, sup); sub[0] and sup[-1] are zero padding.  Boundary
+    rows carry the ghost closure: extending the field by a quadratic that
+    vanishes at the endpoint gives ghost = -2 f0 + f1/3, which folds into the
+    row-0 weights below (mirrored on the right, where the outward direction
+    flips the sign of the drift part).
     """
     h2 = h * h
     a2 = a / h2
     dh = d / (2.0 * h)
     diag = np.multiply(-2.0, a2, out=_empty(d.shape))
-    if q is not None:
-        diag += q
+    diag += q
     sub = a2 - dh
     sup = np.add(a2, dh, out=dh)  # dh's memory: one full temporary fewer
     sub[0] = 0.0
     sup[-1] = 0.0
     diag[0] = -4.0 * a2[0] + d[0] / h
     diag[-1] = -4.0 * a2[-1] - d[-1] / h
-    if q is not None:
-        diag[0] += q[0]
-        diag[-1] += q[-1]
+    diag[0] += q[0]
+    diag[-1] += q[-1]
     sup[0] = (4.0 / 3.0) * a2[0] + d[0] / (3.0 * h)
     sub[-1] = (4.0 / 3.0) * a2[-1] - d[-1] / (3.0 * h)
     return sub, diag, sup
@@ -510,7 +507,7 @@ def isomorphism_residual(coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> f
     """
     n = grid.n_x
     a = coeff.a(grid.x)
-    bands = _band_fields(np.ones((n, 1)), np.zeros((n, 1)), None, grid.h)
+    bands = _band_fields(np.ones((n, 1)), np.zeros((n, 1)), np.zeros((n, 1)), grid.h)
     sub, diag, sup = (b[:, 0] for b in bands)
     # column j of A~ e_j = Dxx(a e_j): diag_j a_j in row j, sub_{j+1} a_j in
     # row j + 1 and sup_{j-1} a_j in row j - 1; every other entry is zero

@@ -520,15 +520,3 @@ def test_sweep_allocates_under_two_fields_at_fine_grid():
     finally:
         tracemalloc.stop()
     assert peak - start < 2 * m.nbytes
-
-
-def test_weight_exponent_table_equals_the_broadcast_product_bitwise():
-    rng = np.random.default_rng(4)
-    minus_two_s = -2.0 * np.exp(rng.uniform(-1.0, 6.0, 50))
-    t_mid = (np.arange(1024) + 0.5) / 1024
-    tau = math.exp(1.7) - np.exp(1.7 * t_mid)
-    buf = np.full(carleman._TABLE_DOUBLES, np.nan)
-    got = carleman._weight_exponents(minus_two_s, tau, buf)
-    want = np.multiply(minus_two_s[:, None], tau)
-    assert got.shape == want.shape and np.shares_memory(got, buf)
-    assert got.tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 """Grid, coefficient, stencil, and weighted-norm behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -64,6 +66,26 @@ def test_coefficient_family_validation():
         DegenerateCoefficient.power(2.0, 1.0)
     with pytest.raises(ValueError):
         DegenerateCoefficient.quadratic_oil(0.0)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: SpaceTimeGrid(8, 4, math.inf), "T"),
+        (lambda: SpaceTimeGrid(8, 4, math.nan), "T"),
+        (lambda: DegenerateCoefficient("power", beta=math.nan), "beta"),
+        (lambda: DegenerateCoefficient("power", beta=math.inf), "beta"),
+        (lambda: DegenerateCoefficient.power(2.0, math.nan), "delta"),
+        (lambda: DegenerateCoefficient.power(2.0, math.inf), "delta"),
+        (lambda: DegenerateCoefficient.quadratic_oil(math.inf), "gamma"),
+        (lambda: DegenerateCoefficient.quadratic_oil(math.nan), "gamma"),
+    ],
+    ids=["T-inf", "T-nan", "beta-nan", "beta-inf", "delta-nan", "delta-inf", "gamma-inf",
+         "gamma-nan"],
+)
+def test_non_finite_horizon_and_exponents_are_rejected(make, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        make()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Closed-form case catalog: source algebra and refinement behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -273,3 +275,14 @@ def test_study_accepts_a_repeated_step_that_is_not_fitted():
     # space mode fits against h only: the repeated n_t levels have rates
     res = convergence_study(make_case("drifted-well"), "space", ((8, 16), (16, 16), (32, 16)))
     assert len(res.rates) == 2 and all(np.isfinite(res.rates))
+
+
+def test_replaced_case_rebuilds_its_terms():
+    case = make_case("drifted-well")
+    moved = replace(case, Tu=smooth_exp(-3.0))
+    g = SpaceTimeGrid(16, 8, 1.0)
+    want = np.multiply.outer(case.U.f(g.x), np.exp(-3.0 * g.t))
+    assert np.array_equal(moved.exact_u(g).values, want)
+    u_t = np.multiply.outer(case.U.f(g.x), -3.0 * np.exp(-3.0 * g.t))
+    assert np.array_equal(moved.u_t(g.x[:, None], g.t), u_t)
+    assert moved.terms["F"][0][0] is moved.Tu.f1

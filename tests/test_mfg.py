@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenmfg.domain import DegenerateCoefficient, SpaceTimeGrid
+from degenmfg.domain import DegenerateCoefficient, SpaceTimeField, SpaceTimeGrid
 from degenmfg.manufactured import make_case
 from degenmfg.mfg import (
     DAMPING_FLOOR,
     IterConfig,
     MfgCoefficients,
+    MfgSolution,
     check_coefficient_bounds,
     difference_residuals,
     form_difference_coefficients,
@@ -195,6 +196,14 @@ def test_identical_solutions_give_zero_difference():
     # coefficients stay well-defined
     assert np.all(np.isfinite(dc.d1))
     assert np.all(np.isfinite(dc.b))
+
+
+def test_difference_of_solutions_from_another_horizon_is_rejected():
+    g, far = SpaceTimeGrid(16, 8, 1.0), SpaceTimeGrid(16, 8, 5.0)
+    zero = SpaceTimeField(np.zeros(far.shape), far)
+    sol = MfgSolution(zero, zero, (), True)
+    with pytest.raises(ValueError, match="share one grid"):
+        form_difference_coefficients(sol, sol, MfgCoefficients(P22, g))
 
 
 def test_difference_coefficients_anchoring():

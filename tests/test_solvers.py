@@ -1,6 +1,6 @@
 """Linear backward and forward solvers on degenerate diffusions."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from scipy.linalg import lu, solve_banded
 
 from degenmfg import solvers
 from degenmfg.domain import DegenerateCoefficient, SpaceTimeField, SpaceTimeGrid
+from degenmfg.manufactured import make_case, smooth_exp
 from degenmfg.mfg import (
     MfgCoefficients,
     check_coefficient_bounds,
@@ -537,7 +538,7 @@ def test_upwind_dominated_static_operator_takes_gtsv(monkeypatch):
     steps = _counted_steps(monkeypatch)
     got = solve_hjb_linear(prob).values
     assert steps == list(range(g.n_t - 1, -1, -1))
-    bands = _band_fields(WF.a(g.x)[:, None], prob.drift[:, :1], None, g.h)
+    bands = _band_fields(WF.a(g.x)[:, None], prob.drift[:, :1], np.zeros((g.n_x, 1)), g.h)
     want = np.empty(g.shape)
     want[:, -1] = prob.terminal
     for k in range(g.n_t - 1, -1, -1):
@@ -836,48 +837,6 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-@pytest.mark.parametrize("cols", [1, 9])  # one band column, and a full trajectory
-def test_bands_without_q_equal_bands_with_explicit_zeros_bitwise(cols):
-    g = SpaceTimeGrid(33, 8, 1.0)
-    rng = np.random.default_rng(3)
-    a = P22.a(g.x)[:, None]
-    d = rng.standard_normal((g.n_x, cols))
-    d[0] = -0.0  # signed zeros at the boundary rows, which fold d into diag
-    d[-1] = 0.0
-    free = _band_fields(a, d, None, g.h)
-    zeros = _band_fields(a, d, np.zeros(d.shape), g.h)
-    for got, want in zip(free, zeros):
-        assert got.shape == want.shape == d.shape
-        assert np.array_equal(_bits(got), _bits(want))
-    prob = HjbLinearProblem(g, P22, drift=d if cols > 1 else d[:, 0])
-    prob_d = prob.drift if cols > 1 else prob.drift[:, :1]
-    want = _to_step_bands(*_band_fields(a, prob_d, np.zeros(prob_d.shape), g.h), g.dt)
-    for got, ref in zip(prob._step_bands, want):
-        assert np.array_equal(_bits(got), _bits(ref))
-
-
-@pytest.mark.parametrize("cols", [1, 9])  # one band column, and a full trajectory
-def test_density_bands_with_signed_step_equal_explicit_negation_bitwise(cols):
-    g = SpaceTimeGrid(33, 8, 1.0)
-    rng = np.random.default_rng(5)
-    a = P22.a(g.x)[:, None]
-    c = rng.standard_normal((g.n_x, cols))
-    c[0] = 0.0  # signed zeros at the boundary rows, which fold c into diag
-    c[-1] = -0.0
-    q = rng.standard_normal((g.n_x, cols))
-    for got, want in zip(_band_fields(a, c, q, -g.h), _band_fields(a, -c, q, g.h)):
-        assert got.shape == want.shape == c.shape
-        assert np.array_equal(_bits(got), _bits(want))
-    zeroth = rng.standard_normal((g.n_x, cols))
-    prob = FpLinearProblem(g, P22, convection=c if cols > 1 else c[:, 0],
-                           zeroth=zeroth if cols > 1 else zeroth[:, 0])
-    conv = prob.convection if cols > 1 else prob.convection[:, :1]
-    q = conv * P22.log_derivative(g.x)[:, None] + zeroth
-    want = _to_step_bands(*_band_fields(a, -conv, q, g.h), g.dt)
-    for got, ref in zip(prob._step_bands, want):
-        assert np.array_equal(_bits(got), _bits(ref))
-
-
 def _rel_close(got, want, rtol=1e-13):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -910,3 +869,51 @@ def test_c_ordered_and_time_major_inputs_give_the_same_results():
     assert results[0][0].flags.f_contiguous  # solver outputs are time-major either way
     for got, want in zip(results[1], results[0]):
         _rel_close(got, want)
+
+
+@pytest.mark.parametrize(
+    "make, name, value",
+    [
+        (lambda g: HjbLinearProblem(g, WF), "drift", 5.0),
+        (lambda g: HjbLinearProblem(g, WF), "source", 2.0),
+        (lambda g: FpLinearProblem(g, WF), "convection", 1.0),
+        (lambda g: MfgCoefficients(WF, g), "p", 0.5),
+        (lambda g: SpaceTimeField(np.zeros(g.shape), g), "values", 1.0),
+        (lambda g: make_case("drifted-well"), "Tu", smooth_exp(-3.0)),
+    ],
+    ids=["hjb.drift", "hjb.source", "fp.convection", "coefficients.p", "field.values", "case.Tu"],
+)
+def test_records_are_frozen(make, name, value):
+    g = SpaceTimeGrid(16, 8, 1.0)
+    record = make(g)
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, name, value)
+
+
+def test_replaced_problems_solve_as_fresh_ones_bitwise():
+    g = SpaceTimeGrid(16, 8, 1.0)
+    rng = np.random.default_rng(8)
+    src, end = rng.standard_normal(g.shape), g.x * (1 - g.x)
+    hjb = HjbLinearProblem(g, P22, drift=1.0, source=src, terminal=end)
+    fp = FpLinearProblem(g, P22, convection=1.0, source=src, initial=end)
+    cases = (
+        (hjb, solve_hjb_linear, dict(drift=5.0),
+         HjbLinearProblem(g, P22, drift=5.0, source=src, terminal=end)),
+        (fp, solve_fp_linear, dict(convection=5.0),
+         FpLinearProblem(g, P22, convection=5.0, source=src, initial=end)),
+    )
+    for prob, solve, change, fresh in cases:
+        old = solve(prob).values  # builds the problem's step bands
+        got = solve(replace(prob, **change)).values
+        assert np.array_equal(got, solve(fresh).values)
+        assert not np.array_equal(got, old)
+
+
+def test_a_field_from_another_horizon_is_rejected():
+    from degenmfg.carleman import CarlemanBundle, sweep_parameters
+    g, far = SpaceTimeGrid(16, 8, 1.0), SpaceTimeGrid(16, 8, 5.0)
+    field = SpaceTimeField(np.ones(far.shape), far)
+    with pytest.raises(ValueError, match=r"^source: field grid .*T=5\.0\) != .*T=1\.0\)$"):
+        HjbLinearProblem(g, WF, source=field)
+    with pytest.raises(ValueError, match=r"^u: field grid"):
+        sweep_parameters(CarlemanBundle(WF, g, u=field), [1.0], [1.0])
