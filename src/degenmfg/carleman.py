@@ -86,10 +86,9 @@ class CarlemanParams:
     lam: float
 
     def __post_init__(self):
-        if not self.s > 0.0:
-            raise ValueError("s must be positive")
-        if not self.lam > 0.0:
-            raise ValueError("lam must be positive")
+        for name in ("s", "lam"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 def _exp(x: float) -> float:
@@ -352,12 +351,11 @@ def fp_ingredients(m, G, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> F
         np.einsum(_SQ_SUM, vx, vx, h_1, out=J_vx[cols])
         np.einsum(_SQ_SUM, mb, mb, h_a, out=J_m[cols])
         np.einsum(_SQ_SUM, Gb, Gb, h_a, out=J_G[cols])
-        if cols.start == 0:
-            vx_0 = vx[:, 0].copy()
+    vx_0, vx_T = (_dx_array(a * mv[:, k], h, "dirichlet") for k in (0, -1))
     return FpIngredients(
         J_v2, J_vx, J_m, J_G,
         BT_m=weighted_norm(mv[:, -1], NormKind.L2_A, coeff, grid) ** 2,
-        BT_vx=weighted_norm(vx[:, -1], NormKind.L2_PLAIN, coeff, grid) ** 2,
+        BT_vx=weighted_norm(vx_T, NormKind.L2_PLAIN, coeff, grid) ** 2,
         B0_m=weighted_norm(mv[:, 0], NormKind.L2_A, coeff, grid) ** 2,
         B0_vx=weighted_norm(vx_0, NormKind.L2_PLAIN, coeff, grid) ** 2,
     )

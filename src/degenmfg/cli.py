@@ -48,6 +48,7 @@ from degenmfg.carleman import CarlemanBundle, s0_estimate, sweep_parameters
 from degenmfg.domain import (
     _FAMILIES,
     DegenerateCoefficient,
+    _Bound,
     NormKind,
     SpaceTimeGrid,
     weighted_norm,
@@ -60,6 +61,7 @@ from degenmfg.manufactured import (
     make_case,
 )
 from degenmfg.mfg import (
+    _ITER_BOUNDS,
     _LINEAR_KEYS,
     _NONLINEAR_KEYS,
     MfgCoefficients,
@@ -69,8 +71,6 @@ from degenmfg.mfg import (
 )
 from degenmfg.solvers import SolverError, isomorphism_residual
 from degenmfg.stability import (
-    DEFAULT_HOLDER_LADDER,
-    DEFAULT_LOG_LADDER,
     default_backward_spec,
     run_holder_experiment,
     run_log_experiment,
@@ -83,6 +83,7 @@ N_T_CAP = 8192
 
 _DATA_KEYS = ("m0", "h", "F", "G")
 _ITER_KEYS = tuple(f.name for f in fields(IterConfig))
+_POSITIVE = _Bound(gt=0.0)
 
 
 class ConfigError(Exception):
@@ -113,19 +114,14 @@ def _keys(obj: dict, path: str, required, optional, errors):
             errors.append(f"unknown field: {pre}{k}")
 
 
-def _num_field(obj, path, key, errors, lo=None, hi=None, lo_open=False):
+def _num_field(obj, path, key, errors, bound: _Bound):
     pre = path + "." if path else ""
     if key not in obj:
         return None
     v = obj[key]
-    if not _is_num(v):
-        errors.append(f"{pre}{key}: must be a finite number")
-        return None
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        errors.append(f"{pre}{key}: must be {'>' if lo_open else '>='} {lo}")
-        return None
-    if hi is not None and v > hi:
-        errors.append(f"{pre}{key}: must be <= {hi}")
+    fault = bound.fault(v) if _is_num(v) else "must be a finite number"
+    if fault:
+        errors.append(f"{pre}{key}: {fault}")
         return None
     return float(v)
 
@@ -149,19 +145,13 @@ def _validate_problem(cfg, errors):
         errors.append("problem: must be an object")
         return
     fam = prob.get("family")
-    if fam not in _FAMILIES:
+    if not isinstance(fam, str) or fam not in _FAMILIES:
         errors.append(f"problem.family: must be one of {', '.join(_FAMILIES)}")
         return
-    if fam == "power":
-        _keys(prob, "problem", ("family", "T", "beta", "delta"), (), errors)
-        _num_field(prob, "problem", "beta", errors, lo=2.0)
-        _num_field(prob, "problem", "delta", errors, lo=2.0)
-    elif fam == "quadratic_oil":
-        _keys(prob, "problem", ("family", "T", "gamma"), (), errors)
-        _num_field(prob, "problem", "gamma", errors, lo=0.0, lo_open=True)
-    else:
-        _keys(prob, "problem", ("family", "T"), (), errors)
-    _num_field(prob, "problem", "T", errors, lo=0.0, lo_open=True)
+    _keys(prob, "problem", ("family", "T", *_FAMILIES[fam]), (), errors)
+    for name, bound in _FAMILIES[fam].items():
+        _num_field(prob, "problem", name, errors, bound)
+    _num_field(prob, "problem", "T", errors, _POSITIVE)
 
 
 def _validate_grid(cfg, errors, n_t_min=3):
@@ -230,9 +220,8 @@ def _validate_iter(cfg, errors):
         return
     _keys(it, "iter", (), _ITER_KEYS, errors)
     _int_field(it, "iter", "max_sweeps", errors, 1, 100000)
-    _num_field(it, "iter", "damping", errors, lo=0.0, lo_open=True, hi=1.0)
-    _num_field(it, "iter", "tolerance", errors, lo=0.0, lo_open=True)
-    _num_field(it, "iter", "divergence_factor", errors, lo=1.0, lo_open=True)
+    for name, bound in _ITER_BOUNDS.items():
+        _num_field(it, "iter", name, errors, bound)
 
 
 def _validate_system(cfg, errors):
@@ -266,14 +255,14 @@ def _validate_sweep_values(cfg, errors):
 
 
 def _validate_t0(cfg, errors):
-    t0 = _num_field(cfg, "", "t0", errors, lo=0.0, lo_open=True)
+    t0 = _num_field(cfg, "", "t0", errors, _POSITIVE)
     T = default_backward_spec().problem.T
     if t0 is not None and t0 >= T:
         errors.append(f"t0: must be strictly less than the horizon T={T:g}")
 
 
 def _validate_alpha(cfg, errors):
-    a = _num_field(cfg, "", "alpha", errors, lo=0.0, lo_open=True)
+    a = _num_field(cfg, "", "alpha", errors, _POSITIVE)
     if a is not None and a >= 1.0:
         errors.append("alpha: must lie strictly inside (0, 1)")
 
@@ -364,7 +353,7 @@ def _build_problem(cfg: dict):
     """The problem's coefficient and grid; a diffusion that is not positive
     with a finite 1/a at every node (one that underflows, say) is rejected."""
     prob = cfg["problem"]
-    params = {k: float(v) for k, v in prob.items() if k not in ("family", "T")}
+    params = {k: float(prob[k]) for k in _FAMILIES[prob["family"]]}
     coeff = DegenerateCoefficient(prob["family"], **params)
     grid = _build_grid(cfg, prob["T"])
     with np.errstate(divide="ignore", over="ignore"):
@@ -400,16 +389,16 @@ def _build_coeffs(
 
 # --------------------------------------------------------------- result pieces
 
+# how result.json and the CSVs spell each non-finite double, keyed by its repr
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _jnum(v):
     """JSON-safe numeric value; non-finite floats become tagged strings."""
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
         return int(v)
     v = float(v)
-    if math.isnan(v):
-        return "NaN"
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
-    return v
+    return v if math.isfinite(v) else _NONFINITE[repr(v)]
 
 
 def qty(value, unit: str):
@@ -417,15 +406,12 @@ def qty(value, unit: str):
     return {"value": _jnum(value), "unit": unit}
 
 
-_CSV_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _fmt_csv(v):
     """A data cell: strings and ints unchanged, other numbers as repr."""
     if type(v) is str or type(v) is int:
         return v
     r = repr(float(v))
-    return _CSV_NONFINITE.get(r, r)
+    return _NONFINITE.get(r, r)
 
 
 def _bounds_doc(report):
@@ -457,24 +443,19 @@ def _run_solve(cfg):
         )
     bounds = check_coefficient_bounds(coeffs)
     uv, mv = sol.u.values, sol.m.values
-
-    def norm(vals, kind):
-        return weighted_norm(vals, kind, coeff, grid)
-
+    # each field's norms at t = 0 and t = T, keyed and tagged by the NormKind
+    norms = {
+        f"{name}_{end}_{kind.value}": qty(weighted_norm(v[:, k], kind, coeff, grid), kind.value)
+        for name, v, kinds in (("u", uv, (NormKind.L2_INV_A, NormKind.H1_INV_A)),
+                               ("m", mv, (NormKind.L2_A, NormKind.H1A_DIV)))
+        for end, k in (("t0", 0), ("T", -1))
+        for kind in kinds
+    }
     results = {
         "converged": True,
         "sweeps": qty(sol.sweeps, "count"),
         "final_residual": qty(sol.residual_log[-1], "max_abs"),
-        "norms": {
-            "u_t0_L2_inv_a": qty(norm(uv[:, 0], NormKind.L2_INV_A), "L2_inv_a"),
-            "u_t0_H1_inv_a": qty(norm(uv[:, 0], NormKind.H1_INV_A), "H1_inv_a"),
-            "u_T_L2_inv_a": qty(norm(uv[:, -1], NormKind.L2_INV_A), "L2_inv_a"),
-            "u_T_H1_inv_a": qty(norm(uv[:, -1], NormKind.H1_INV_A), "H1_inv_a"),
-            "m_t0_L2_a": qty(norm(mv[:, 0], NormKind.L2_A), "L2_a"),
-            "m_t0_H1a_div": qty(norm(mv[:, 0], NormKind.H1A_DIV), "H1a_div"),
-            "m_T_L2_a": qty(norm(mv[:, -1], NormKind.L2_A), "L2_a"),
-            "m_T_H1a_div": qty(norm(mv[:, -1], NormKind.H1A_DIV), "H1a_div"),
-        },
+        "norms": norms,
         "bounds": _bounds_doc(bounds),
     }
     csvs = [
@@ -528,31 +509,26 @@ def _ratio_rows(sweep):
     s_txt = [_fmt_csv(s) for s in sweep.s_values]
     lam_txt = [_fmt_csv(lam) for lam in sweep.lam_values]
     n_lam = len(lam_txt)
-    cells = (_CSV_NONFINITE.get(r, r) for r in map(repr, sweep.ratios.ravel().tolist()))
+    cells = map(repr, sweep.ratios.ravel().tolist())
     return "".join([
-        f"{s_txt[k // n_lam]},{lam_txt[k % n_lam]},{r},{'1' if r == 'NaN' else '0'}\r\n"
+        f"{s_txt[k // n_lam]},{lam_txt[k % n_lam]},{_NONFINITE.get(r, r)},"
+        f"{'1' if r == 'nan' else '0'}\r\n"
         for k, r in enumerate(cells)
     ])
 
 
-# the runners look the experiments up by module name at call time, so a
-# wrapper bound over that name (bench/spans.py's tracer) sees every call
-def _run_stability_holder(cfg):
-    return _run_ladder(cfg, run_holder_experiment, cfg["t0"], DEFAULT_HOLDER_LADDER)
-
-
-def _run_stability_log(cfg):
-    return _run_ladder(cfg, run_log_experiment, cfg.get("alpha", 0.5), DEFAULT_LOG_LADDER)
-
-
-def _run_ladder(cfg, experiment, param, default_ladder):
-    """One stability ladder on the default problem at t0 (Holder) or alpha
-    (log); the experiment's own rejections of a ladder are config errors."""
+def _run_ladder(cfg):
+    """The command's stability ladder on the default problem, passing only
+    the t0, alpha and eps_ladder the config gives; a ladder the experiment
+    rejects is a config error.  The experiment is looked up by module name at
+    call time, so a wrapper over that name (bench/spans.py) sees every call."""
+    log = cfg["command"] == "stability-log"
+    experiment = run_log_experiment if log else run_holder_experiment
     spec = default_backward_spec()
     grid = _build_grid(cfg, spec.problem.T)
-    ladder = cfg.get("eps_ladder", list(default_ladder))
+    given = {k: cfg[k] for k in ("t0", "alpha", "eps_ladder") if k in cfg}
     try:
-        res = experiment(spec, param, ladder, grid=grid, cfg=_build_iter(cfg))
+        res = experiment(spec, grid=grid, cfg=_build_iter(cfg), **given)
     except ValueError as exc:
         raise ConfigError([f"experiment: {exc}"]) from exc
     results = {
@@ -659,7 +635,7 @@ _COMMANDS = {
         ("eps_ladder", "experiment", "iter"),
         (_validate_grid, _validate_t0, _validate_experiment, _validate_eps_ladder,
          _validate_iter),
-        _run_stability_holder,
+        _run_ladder,
     ),
     "stability-log": _Command(
         ("grid",),
@@ -667,7 +643,7 @@ _COMMANDS = {
         # the log ladder's data norm D takes second time derivatives: n_t >= 4
         (functools.partial(_validate_grid, n_t_min=4), _validate_alpha,
          _validate_experiment, _validate_eps_ladder, _validate_iter),
-        _run_stability_log,
+        _run_ladder,
     ),
     "convergence": _Command(
         ("case", "mode"),

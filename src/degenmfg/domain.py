@@ -12,6 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,7 +75,23 @@ class SpaceTimeGrid:
         return (self.n_x, self.n_t + 1)
 
 
-_FAMILIES = ("power", "wright_fischer", "quadratic_oil")
+class _Bound(NamedTuple):
+    """The range of a finite number: >= ge, > gt and <= le."""
+
+    ge: float = -math.inf
+    gt: float = -math.inf
+    le: float = math.inf
+
+    def fault(self, v):
+        """The first requirement that the number v breaks, or None."""
+        needs = ((not math.isfinite(v), "a finite number"), (v < self.ge, f">= {self.ge}"),
+                 (v <= self.gt, f"> {self.gt}"), (v > self.le, f"<= {self.le}"))
+        return next((f"must be {need}" for broken, need in needs if broken), None)
+
+
+# each family's parameters and the bounds they must meet
+_FAMILIES = {"power": {"beta": _Bound(ge=2.0), "delta": _Bound(ge=2.0)}, "wright_fischer": {},
+             "quadratic_oil": {"gamma": _Bound(gt=0.0)}}
 
 
 @dataclass(frozen=True)
@@ -98,15 +115,11 @@ class DegenerateCoefficient:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ValueError(f"unknown coefficient family '{self.family}'")
-        if self.family == "power":
-            for name in ("beta", "delta"):
-                if not 2.0 <= getattr(self, name) < math.inf:
-                    raise ValueError(f"power family requires finite {name} >= 2, "
-                                     f"got {getattr(self, name)}")
-        if self.family == "quadratic_oil" and not 0.0 < self.gamma < math.inf:
-            raise ValueError(f"quadratic_oil family requires finite gamma > 0, got {self.gamma}")
+        for name, bound in _FAMILIES[self.family].items():
+            if fault := bound.fault(v := getattr(self, name)):
+                raise ValueError(f"{self.family} family: {name} {fault}, got {v}")
 
     @classmethod
     def power(cls, beta: float = 2.0, delta: float = 2.0) -> "DegenerateCoefficient":

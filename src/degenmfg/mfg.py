@@ -46,6 +46,7 @@ from degenmfg.domain import (
     NormKind,
     SpaceTimeField,
     SpaceTimeGrid,
+    _Bound,
     _dx_array,
     _dxx_array,
     _zeros,
@@ -89,14 +90,18 @@ DAMPING_FLOOR = 1.0 / 64.0
 _NONLINEAR_KEYS = ("p", "d")
 _LINEAR_KEYS = ("d1", "d2", "c1", "c2", "b", "rho")
 
+# the bounds of IterConfig's float controls, each also finite
+_ITER_BOUNDS = {"damping": _Bound(gt=0.0, le=1.0), "tolerance": _Bound(gt=0.0),
+                "divergence_factor": _Bound(gt=1.0)}
+
 
 @dataclass(frozen=True)
 class IterConfig:
     """Picard sweep controls shared by both coupled solvers.
 
-    ``max_sweeps`` is an integer (Python or numpy); ``damping`` is the
-    starting step; ``divergence_factor`` is the residual growth over the best
-    sweep that rejects a sweep and halves the step.
+    ``max_sweeps`` is an integer (Python or numpy, not a bool); ``damping``
+    is the starting step; ``divergence_factor`` is the residual growth over
+    the best sweep that rejects a sweep and halves the step.
     """
 
     max_sweeps: int = 200
@@ -105,16 +110,13 @@ class IterConfig:
     divergence_factor: float = 10.0
 
     def __post_init__(self):
-        if not isinstance(self.max_sweeps, (int, np.integer)):
+        if not isinstance(self.max_sweeps, (int, np.integer)) or isinstance(self.max_sweeps, bool):
             raise ValueError(f"max_sweeps must be an integer, got {self.max_sweeps!r}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if not self.divergence_factor > 1.0:
-            raise ValueError("divergence_factor must exceed 1")
+        for name, bound in _ITER_BOUNDS.items():
+            if fault := bound.fault(v := getattr(self, name)):
+                raise ValueError(f"{name} {fault}, got {v}")
 
 
 @dataclass(frozen=True)

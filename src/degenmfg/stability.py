@@ -65,18 +65,24 @@ DEFAULT_LOG_LADDER = (1e-2, 6e-3, 3.5e-3, 2e-3)
 DEFAULT_EXPERIMENT_SHAPE = (128, 256)
 
 
+def _holder_rate(t0: float, T: float, lam: float) -> tuple:
+    """alpha(t0) and the Holder denominator 3 phi(T) + alpha(t0)."""
+    if not (0.0 <= t0 < T):
+        raise ValueError("t0 must lie in [0, T)")
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
+    alpha = math.expm1(lam * t0)
+    return alpha, 3.0 * math.exp(lam * T) + alpha
+
+
 def theoretical_theta(t0: float, T: float, lam: float) -> float:
     """Holder exponent theta = alpha(t0) / (3 phi(T) + alpha(t0)).
 
     Here phi(t) = exp(lam t) and alpha(t) = phi(t) - 1; theta is 0 at t0 = 0
     and stays below 1/4 for every t0 < T.
     """
-    if not (0.0 <= t0 < T):
-        raise ValueError("t0 must lie in [0, T)")
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    alpha = math.expm1(lam * t0)
-    return alpha / (3.0 * math.exp(lam * T) + alpha)
+    alpha, denom = _holder_rate(t0, T, lam)
+    return alpha / denom
 
 
 def optimal_s(M: float, D0: float, t0: float, T: float, lam: float) -> float:
@@ -84,14 +90,8 @@ def optimal_s(M: float, D0: float, t0: float, T: float, lam: float) -> float:
     2 log(M / D0) / (3 phi(T) + alpha(t0))."""
     if not M > 0.0 or not D0 > 0.0:
         raise ValueError("M and D0 must be positive")
-    if not (0.0 <= t0 < T):
-        raise ValueError("t0 must lie in [0, T)")
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    if M <= D0:
-        return 0.0
-    alpha = math.expm1(lam * t0)
-    return 2.0 * math.log(M / D0) / (3.0 * math.exp(lam * T) + alpha)
+    denom = _holder_rate(t0, T, lam)[1]
+    return 0.0 if M <= D0 else 2.0 * math.log(M / D0) / denom
 
 
 @dataclass(frozen=True)
@@ -488,7 +488,8 @@ def run_holder_experiment(
         if len(eps_list) < 4 or max(eps_list) / min(eps_list) < 100.0:
             raise ValueError("ladder must have >= 4 amplitudes spanning >= 2 decades")
         pairs = build_ladder_pairs(spec, eps_list, grid=g, cfg=cfg)
-    theta = theoretical_theta(t0, T, lam)
+    alpha, denom = _holder_rate(t0, T, lam)
+    theta = alpha / denom
 
     def rung_rule(D0, err, M):
         return optimal_s(M, D0, t0, T, lam), err / (D0**theta + D0), ""
@@ -500,7 +501,7 @@ def run_holder_experiment(
         mode="holder",
         t0=t0,
         theta=theta,
-        alpha=math.expm1(lam * t0),
+        alpha=alpha,
         order=0,
         rung_rule=rung_rule,
         min_points=4,

@@ -662,3 +662,88 @@ def test_coupled_convergence_writes_fewer_sweeps_than_cold_levels(tmp_path):
             for n_x, n_t in ladder]
     assert sweeps[0] == cold[0]
     assert all(w < c for w, c in zip(sweeps[1:], cold[1:]))
+
+
+# values at each bound of the diffusion families and of the Picard controls,
+# and whether they are admissible: the library and the CLI read one table each
+_FAMILY_EDGES = [
+    ({"family": "power", "beta": 2.0, "delta": 2.0}, True),
+    ({"family": "power", "beta": 1.999, "delta": 2.0}, False),
+    ({"family": "quadratic_oil", "gamma": 1e-3}, True),
+    ({"family": "quadratic_oil", "gamma": 0.0}, False),
+]
+_ITER_EDGES = [
+    ({"damping": 1.0}, True),
+    ({"damping": math.nextafter(1.0, 2.0)}, False),
+    ({"tolerance": math.inf}, False),
+    ({"tolerance": math.nan}, False),
+    ({"divergence_factor": math.inf}, False),
+    ({"divergence_factor": math.nan}, False),
+    ({"max_sweeps": True}, False),
+]
+
+
+def _edge_ids(edges):
+    return [",".join(f"{k}={v}" for k, v in params.items()) for params, _ in edges]
+
+
+def _library_admits(build, **kw) -> bool:
+    try:
+        build(**kw)
+    except ValueError:
+        return False
+    return True
+
+
+def _cli_code(tmp_path, command, cfg) -> int:
+    # non-finite values reach the CLI as the NaN and Infinity tokens of json
+    return main([command, "--config", _dump(cfg, tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("params, ok", _FAMILY_EDGES, ids=_edge_ids(_FAMILY_EDGES))
+def test_library_and_cli_agree_at_each_family_bound(tmp_path, params, ok):
+    from degenmfg.domain import DegenerateCoefficient
+
+    assert _library_admits(DegenerateCoefficient, **params) is ok
+    cfg = _load("coeff_check.json")
+    cfg["problem"] = {"T": 1.0, **params}
+    cfg["grid"] = {"n_x": 16, "n_t": 8}
+    assert _cli_code(tmp_path, "coeff-check", cfg) == (0 if ok else 2)
+
+
+@pytest.mark.parametrize("params, ok", _ITER_EDGES, ids=_edge_ids(_ITER_EDGES))
+def test_library_and_cli_agree_at_each_picard_bound(tmp_path, capsys, params, ok):
+    from degenmfg.mfg import IterConfig
+
+    assert _library_admits(IterConfig, **params) is ok
+    cfg = _load("solve_zero.json")
+    cfg["grid"] = {"n_x": 16, "n_t": 8}
+    cfg["iter"] = params
+    assert _cli_code(tmp_path, "solve", cfg) == (0 if ok else 2)
+    if not ok:
+        [detail] = _stderr_doc(capsys)["error"]["details"]
+        assert detail.startswith(f"iter.{next(iter(params))}: must be")
+
+
+@pytest.mark.parametrize("command, run, extra, omitted", [
+    ("stability-holder", "run_holder_experiment", {"t0": 0.5}, ("eps_ladder",)),
+    ("stability-log", "run_log_experiment", {}, ("alpha", "eps_ladder")),
+], ids=["holder", "log"])
+def test_stability_defaults_are_the_library_defaults(tmp_path, command, run, extra, omitted):
+    # a config that leaves alpha or eps_ladder out runs the experiment's own
+    # defaults: the same results as a config that spells them out
+    import inspect
+
+    from degenmfg import stability
+
+    params = inspect.signature(getattr(stability, run)).parameters
+    base = {"command": command, "grid": {"n_x": 16, "n_t": 8}, **extra}
+    spelled = {**base, **{k: params[k].default for k in omitted}}
+    results = []
+    for name, cfg in (("given", base), ("spelled", spelled)):
+        out = tmp_path / name
+        assert main([command, "--config", _dump(cfg, tmp_path / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        results.append(json.loads((out / "result.json").read_text(encoding="utf-8"))["results"])
+    assert results[0] == results[1]
