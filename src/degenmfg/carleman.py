@@ -87,8 +87,9 @@ class CarlemanParams:
 
     def __post_init__(self):
         for name in ("s", "lam"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if isinstance(v, (bool, np.bool_)) or not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def _exp(x: float) -> float:
@@ -271,8 +272,13 @@ def _time_blocks(grid: SpaceTimeGrid):
         yield slice(lo, hi), slice(elo, min(hi + 1, n)), slice(lo - elo, hi - elo)
 
 
-# one weighted sum of squares per time column: sum over x of f^2 w
-_SQ_SUM = "ij,ij,i->j"
+def _sq_sums(f, w, out=None):
+    """sum_i w[i] f[i, k]^2 for every column k of f, into out when given.
+
+    The slice integrals form each derivative block in the call that
+    contracts it, so one block is alive at a time and freed on return.
+    """
+    return np.einsum("ij,ij,i->j", f, f, w, out=out)
 
 
 def _quadrature_weights(a: np.ndarray, h: float):
@@ -287,15 +293,12 @@ def hjb_ingredients(u, F, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> 
     h_a, h_inv_a, h_1 = _quadrature_weights(coeff.a(grid.x), h)
     I_ut, I_uxx, I_ux, I_u, I_F = np.empty((5, grid.n_t + 1))
     for cols, ext, inner in _time_blocks(grid):
-        ub, Fb = uv[:, cols], Fv[:, cols]
-        ut = _dt1_columns(uv[:, ext], grid.dt, inner)
-        ux = _dx_array(ub, h, "dirichlet")
-        uxx = _dxx_array(ub, h)
-        np.einsum(_SQ_SUM, ut, ut, h_inv_a, out=I_ut[cols])
-        np.einsum(_SQ_SUM, uxx, uxx, h_a, out=I_uxx[cols])
-        np.einsum(_SQ_SUM, ux, ux, h_1, out=I_ux[cols])
-        np.einsum(_SQ_SUM, ub, ub, h_inv_a, out=I_u[cols])
-        np.einsum(_SQ_SUM, Fb, Fb, h_inv_a, out=I_F[cols])
+        ub = uv[:, cols]
+        _sq_sums(_dt1_columns(uv[:, ext], grid.dt, inner), h_inv_a, I_ut[cols])
+        _sq_sums(_dxx_array(ub, h), h_a, I_uxx[cols])
+        _sq_sums(_dx_array(ub, h, "dirichlet"), h_1, I_ux[cols])
+        _sq_sums(ub, h_inv_a, I_u[cols])
+        _sq_sums(Fv[:, cols], h_inv_a, I_F[cols])
     return HjbIngredients(
         I_ut, I_uxx, I_ux, I_u, I_F,
         BT_0=weighted_norm(uv[:, -1], NormKind.L2_INV_A, coeff, grid) ** 2,
@@ -339,18 +342,14 @@ def fp_ingredients(m, G, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> F
     h_a, h_inv_a, h_1 = _quadrature_weights(a, h)
     J_v2, J_vx, J_m, J_G = np.empty((4, grid.n_t + 1))
     for cols, ext, inner in _time_blocks(grid):
-        mb, Gb = mv[:, cols], Gv[:, cols]
         v_ext = a[:, None] * mv[:, ext]
         v = v_ext[:, inner]
-        vx = _dx_array(v, h, "dirichlet")
-        vxx = _dxx_array(v, h)
+        _sq_sums(_dxx_array(v, h), h_a, J_v2[cols])
         # int a m_t^2 = int v_t^2 / a, differentiating the product field in time
-        vt = _dt1_columns(v_ext, grid.dt, inner)
-        np.einsum(_SQ_SUM, vxx, vxx, h_a, out=J_v2[cols])
-        J_v2[cols] += np.einsum(_SQ_SUM, vt, vt, h_inv_a)
-        np.einsum(_SQ_SUM, vx, vx, h_1, out=J_vx[cols])
-        np.einsum(_SQ_SUM, mb, mb, h_a, out=J_m[cols])
-        np.einsum(_SQ_SUM, Gb, Gb, h_a, out=J_G[cols])
+        J_v2[cols] += _sq_sums(_dt1_columns(v_ext, grid.dt, inner), h_inv_a)
+        _sq_sums(_dx_array(v, h, "dirichlet"), h_1, J_vx[cols])
+        _sq_sums(mv[:, cols], h_a, J_m[cols])
+        _sq_sums(Gv[:, cols], h_a, J_G[cols])
     vx_0, vx_T = (_dx_array(a * mv[:, k], h, "dirichlet") for k in (0, -1))
     return FpIngredients(
         J_v2, J_vx, J_m, J_G,

@@ -76,7 +76,8 @@ class SpaceTimeGrid:
 
 
 class _Bound(NamedTuple):
-    """The range of a finite number: >= ge, > gt and <= le."""
+    """The range of a finite number: >= ge, > gt and <= le.  A bool is not a
+    number here, as it is not in a JSON config."""
 
     ge: float = -math.inf
     gt: float = -math.inf
@@ -84,8 +85,9 @@ class _Bound(NamedTuple):
 
     def fault(self, v):
         """The first requirement that the number v breaks, or None."""
-        needs = ((not math.isfinite(v), "a finite number"), (v < self.ge, f">= {self.ge}"),
-                 (v <= self.gt, f"> {self.gt}"), (v > self.le, f"<= {self.le}"))
+        needs = ((isinstance(v, (bool, np.bool_)) or not math.isfinite(v), "a finite number"),
+                 (v < self.ge, f">= {self.ge}"), (v <= self.gt, f"> {self.gt}"),
+                 (v > self.le, f"<= {self.le}"))
         return next((f"must be {need}" for broken, need in needs if broken), None)
 
 

@@ -3,21 +3,22 @@
 Both equations advance by backward Euler steps with one tridiagonal solve per
 time level: each problem builds the step bands of I - dt L once, shared by its
 sweep and its scheme residual.  A sweep marches through one time-major buffer
-(see domain: each time level a contiguous column), and LAPACK solves each
-level in place with one of two kernels, chosen from the bands themselves.
+(see domain: each time level a contiguous column) over views of its columns
+built once per sweep, so a level is one in-place add of its predecessor and
+one LAPACK call, with one of two kernels chosen from the bands themselves.
 Bands constant in time (scalar and profile coefficients) are one column; when
 that step matrix S is similar, through a positive diagonal D, to a symmetric
 positive definite T (every pair of adjacent off-diagonals of one sign, so cell
 Peclet below 1: the discrete form of the operator's self-adjointness in its
 Sturm-Liouville weight), T is factored once per sweep (pttrf, LDL^T) and each
 level is one pttrs in the unknown D^-1 f.  Every other sweep, time-varying or
-not symmetrizable, solves each level with one gtsv call on a per-sweep copy
-of the bands with the levels as rows.  The solvers return that buffer, a
-fresh time-major array, wrapped without a copy.  The spatial operator
-L = a d_xx + d d_x + q uses central stencils at interior cells and a
-ghost-cell closure at the two boundary cells: the unknown is extended by a
-quadratic that vanishes at the endpoint, the discrete form of the homogeneous
-Dirichlet condition carried by u and by a*m.
+not symmetrizable, solves each level with one gtsv call on its rows of a
+level-major per-sweep copy of the bands, off-diagonals cut to length.  The
+solvers return that buffer, a fresh time-major array, wrapped without a
+copy.  The spatial operator L = a d_xx + d d_x + q uses central stencils at
+interior cells and a ghost-cell closure at the two boundary cells: the
+unknown is extended by a quadratic that vanishes at the endpoint, the
+discrete form of the homogeneous Dirichlet condition carried by u and by a*m.
 
 The density equation is not discretized in m directly.  Its divergence-form
 principal part (a m)_xx makes v = a m the natural unknown: in v the equation
@@ -298,14 +299,16 @@ def _to_step_bands(sub, diag, sup, dt):
     return sub, diag, sup
 
 
-def _implicit_step(sub_k, diag_k, sup_k, rhs, k):
-    """Solve (I - dt L) f = rhs for one time level, from the step bands.
+def _implicit_step(dl, d, du, rhs, k):
+    """Solve (I - dt L) f = rhs for time level k, from the step bands.
 
-    gtsv works in place: it overwrites the three bands and, when rhs is a
-    contiguous float array, returns the solution in rhs's memory.  Callers
-    pass bands they own.
+    dl, d and du are the level's sub-, main and super-diagonals, n_x - 1,
+    n_x and n_x - 1 long (sub[1:] and sup[:-1] of a band column).  gtsv works
+    in place: it overwrites the three bands and, when rhs is a contiguous
+    float array, returns the solution in rhs's memory.  Callers pass bands
+    they own.
     """
-    _, _, _, f, info = lapack.dgtsv(sub_k[1:], diag_k, sup_k[:-1], rhs, 1, 1, 1, 1)
+    _, _, _, f, info = lapack.dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
     if info != 0:
         raise SolverError(f"singular tridiagonal system at time index {k}")
     return f
@@ -350,9 +353,9 @@ def _march(bands, first, src, scale, what, weight=None):
     (j = k - 1, from t = 0).  With a ``weight`` column the source term is
     scale (weight src^k).
 
-    Level k is column k of one time-major (n_x, n_t+1) buffer, contiguous,
-    filled once with the source term; each step adds the previous column and
-    solves in place.  The kernel follows from the bands:
+    Level k is column k of one time-major (n_x, n_t+1) buffer, filled once
+    with the source term; a level is one in-place add of its predecessor and
+    one LAPACK call, on row views built once per sweep.  The bands pick the kernel:
 
     * one band column that _symmetrizer takes (S = D T D^-1): the march runs
       in w = D^-1 f, T w^k = w^j + (scale / delta) src^k.  T is factored once
@@ -361,16 +364,14 @@ def _march(bands, first, src, scale, what, weight=None):
       scale / delta, rounded in that order), each level is one pttrs, and
       one pass multiplies the buffer by delta at the end;
     * any other bands, time-varying or one column that is not symmetrizable:
-      each level is one gtsv (_implicit_step) on a per-sweep copy of the
-      bands, broadcast over the levels, with the levels as rows, so the
-      problem's bands stay intact.  A singular step matrix raises SolverError
-      naming the first level it stops.
+      each level is one gtsv (_implicit_step) on its rows of a level-major
+      per-sweep copy of the bands, off-diagonals cut to length, so the
+      problem's bands stay intact.  A singular step matrix raises
+      SolverError naming the first level it stops.
 
     Returns the buffer itself: a fresh time-major array.
     """
-    backward = scale < 0.0
-    levels = range(src.shape[1] - 2, -1, -1) if backward else range(1, src.shape[1])
-    prev = 1 if backward else -1
+    order = slice(None, None, -1) if scale < 0.0 else slice(None)
     sym = _symmetrizer(*(band[:, 0] for band in bands)) if bands[1].shape[1] == 1 else None
     if sym is not None:
         delta, d, e = sym
@@ -381,20 +382,21 @@ def _march(bands, first, src, scale, what, weight=None):
     else:
         np.multiply(weight, src, out=f)
         f *= scale
+    cols = f.T[order]  # the levels in march order, each a contiguous row
     if sym is not None:
-        np.divide(first, delta, out=f[:, levels[0] + prev])
-        for k in levels:
-            b = f[:, k]
-            b += f[:, k + prev]
+        np.divide(first, delta, out=cols[0])
+        for b, b_prev in zip(cols[1:], cols[:-1]):
+            b += b_prev
             lapack.dpttrs(d, e, b, overwrite_b=1)
         f *= delta[:, None]
     else:
-        f[:, levels[0] + prev] = first
-        sub, diag, sup = (np.broadcast_to(band, src.shape).T.copy() for band in bands)
-        for k in levels:
-            b = f[:, k]
-            b += f[:, k + prev]
-            _implicit_step(sub[k], diag[k], sup[k], b, k)
+        cols[0] = first
+        times = range(src.shape[1])[order][1:]
+        sub, diag, sup = (np.broadcast_to(band, src.shape).T[order][1:] for band in bands)
+        dl, d, du = sub[:, 1:].copy(), diag.copy(), sup[:, :-1].copy()
+        for k, b, b_prev, dl_k, d_k, du_k in zip(times, cols[1:], cols[:-1], dl, d, du):
+            b += b_prev
+            _implicit_step(dl_k, d_k, du_k, b, k)
     if not np.all(np.isfinite(f)):
         raise SolverError(f"{what} sweep produced non-finite entries")
     return f

@@ -523,7 +523,7 @@ def test_sweep_allocates_under_two_fields_at_fine_grid():
 
 
 @pytest.mark.parametrize("name", ["s", "lam"])
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, True])
 def test_params_reject_non_finite_values(name, bad):
     kw = {"s": 1.0, "lam": 1.0, name: bad}
     with pytest.raises(ValueError, match=rf"^{name} must be positive and finite"):

@@ -671,6 +671,7 @@ _FAMILY_EDGES = [
     ({"family": "power", "beta": 1.999, "delta": 2.0}, False),
     ({"family": "quadratic_oil", "gamma": 1e-3}, True),
     ({"family": "quadratic_oil", "gamma": 0.0}, False),
+    ({"family": "quadratic_oil", "gamma": True}, False),
 ]
 _ITER_EDGES = [
     ({"damping": 1.0}, True),
@@ -680,6 +681,7 @@ _ITER_EDGES = [
     ({"divergence_factor": math.inf}, False),
     ({"divergence_factor": math.nan}, False),
     ({"max_sweeps": True}, False),
+    ({"damping": True}, False),
 ]
 
 

@@ -235,7 +235,7 @@ def test_gtsv_step_matches_banded_reference(n):
     k = 2
     want = _reference_step(sub[:, k], diag[:, k], sup[:, k], rhs, dt)
     _to_step_bands(sub, diag, sup, dt)
-    got = _implicit_step(sub[:, k], diag[:, k], sup[:, k], rhs, k)
+    got = _implicit_step(sub[1:, k], diag[:, k], sup[:-1, k], rhs, k)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -245,7 +245,7 @@ def test_singular_step_names_time_index():
     diag = np.zeros(n)  # zero first column: the first pivot is exactly zero
     sup = np.ones(n)
     with pytest.raises(SolverError, match="time index 7"):
-        _implicit_step(sub, diag, sup, np.ones(n), 7)
+        _implicit_step(sub[1:], diag, sup[:-1], np.ones(n), 7)
 
 
 def test_repeated_solves_bit_identical_and_problem_untouched():
@@ -510,6 +510,20 @@ def test_singular_static_operator_names_time_index(scale, first_level):
     bands = (np.zeros((n, 1)), np.zeros((n, 1)), np.ones((n, 1)))  # zero first column
     with pytest.raises(SolverError, match=f"time index {first_level}$"):
         solvers._march(bands, np.ones(n), np.ones((n, 11)), scale, "value")
+
+
+@pytest.mark.parametrize("scale", [-0.1, 0.1])
+def test_singular_time_varying_level_names_time_index(scale):
+    n, n_t, k = 5, 10, 4
+    sub, diag, sup = (np.full((n, n_t + 1), v) for v in (0.5, 2.0, 0.5))
+    sub[0] = sup[-1] = 0.0
+    diag[0, k] = sub[1, k] = 0.0  # level k's first column is zero: its first pivot is exactly zero
+    bands = (sub, diag, sup)
+    before = [b.copy() for b in bands]
+    with pytest.raises(SolverError, match=f"time index {k}$"):
+        solvers._march(bands, np.ones(n), np.ones((n, n_t + 1)), scale, "value")
+    for b, b0 in zip(bands, before):
+        assert np.array_equal(b, b0)
 
 
 def _counted_steps(monkeypatch):
