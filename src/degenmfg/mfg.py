@@ -23,7 +23,13 @@ rebuilds the best pair's from its template.
 Convergence is declared on the scheme residuals (the defect of the implicit
 step equations), which a fixed point can actually drive to rounding level;
 the continuum defect of the same trajectory is O(dt + h^2) no matter how far
-the iteration runs and is measured separately by the apply_* operators.
+the iteration runs and is measured separately by the apply_* operators.  A
+sweep's residual is the value equation's, rebuilt at the new pair; a damped
+sweep also measures the density equation's and takes the larger.  A
+full-step sweep does not: its density iterate is the march's own solution of
+the density equation, whose defect is the tridiagonal solves' backward error,
+of order eps |S| |v| / dt, so a converged full step meets the value equation
+to the tolerance and the density equation to rounding.
 
 For the quadratic Hamiltonian -(p/2)|u_x|^2 the value equation is linearized
 about the previous iterate, p u_x^old u_x - (p/2)|u_x^old|^2 (a Newton-type
@@ -203,13 +209,16 @@ def _picard(coeffs: MfgCoefficients, cfg: IterConfig, frozen, m0, h, start):
 
     ``frozen(u)`` is the template at the value iterate u, called once per
     sweep: the density equation at u and the next value equation at (u, m)
-    are both built from it.  The residual of a sweep is the larger scheme
+    are both built from it.  The residual of a sweep is the value scheme
     residual at the new pair, with the value equation rebuilt there: at a
     fixed point that is the discrete system itself, and it is also the next
-    sweep's value equation.  The iteration starts from ``start`` (only read),
-    and from zeros when it is None.  Only arrays outlive a sweep: the value
-    problem is dropped once it is marched, and a rejected sweep rebuilds it
-    from the best pair.
+    sweep's value equation.  A damped sweep (step below 1) logs the larger of
+    that and the density scheme residual of its blended m; a full step's m is
+    the density march's solution, whose residual would only measure the
+    march's rounding, so it is not evaluated.  The iteration starts from
+    ``start`` (only read), and from zeros when it is None.  Only arrays
+    outlive a sweep: the value problem is dropped once it is marched, and a
+    rejected sweep rebuilds it from the best pair.
     """
     g, c = coeffs.grid, coeffs.diffusion
     m0, h = _slice(m0, g, "m0"), _slice(h, g, "h")
@@ -226,7 +235,9 @@ def _picard(coeffs: MfgCoefficients, cfg: IterConfig, frozen, m0, h, start):
         t = frozen(u_new)
         fp = _density_problem(t, u_new, g, c, m0)
         m_new = _blend(m, solve_fp_linear(fp).values, step)
-        res_fp = fp_scheme_residual(m_new, fp)
+        # a full step's m_new is the march's own solution of fp: its defect
+        # is the tridiagonal solves' rounding, so only a blend is measured
+        res_fp = fp_scheme_residual(m_new, fp) if step < 1.0 else 0.0
         del fp  # free its step bands before the value problem builds its own
         hjb = _value_problem(t, m_new, g, c, h)
         del t
@@ -279,10 +290,13 @@ def solve_linearized_mfg(
     Value equation: u_t + a u_xx + d1 u_x = d2 m + F (backward, u(.,T) = h).
     Density equation: m_t - (am)_xx + c1 m_x = b m + c2 u_x + rho u_xx + G
     (forward, m(.,0) = m0; b is handled implicitly inside the step matrix).
-    Stops when the larger of the two scheme residuals falls below tolerance;
-    when the damping floor or the sweep budget is reached, the best iterate
-    is returned with converged=False.  ``start`` is the (u, m) pair the
-    iteration starts from, as for solve_nonlinear_mfg (zeros when None).
+    Stops when the sweep's residual falls below tolerance: the value scheme
+    residual at a full step, whose density iterate solves its own step
+    equations to rounding, and the larger of the two scheme residuals at a
+    damped step.  When the damping floor or the sweep budget is reached, the
+    best iterate is returned with converged=False.  ``start`` is the (u, m)
+    pair the iteration starts from, as for solve_nonlinear_mfg (zeros when
+    None).
     """
     g = coeffs.grid
     linear = {k: getattr(coeffs, k) for k in _LINEAR_KEYS}
@@ -306,7 +320,9 @@ def solve_nonlinear_mfg(
     divergence drift is split as convection -p u_x plus the implicit zeroth
     term (p u_x)_x.  Uses only the p and d layers of ``coeffs``.  With p = 0
     the sweep sequence coincides, operation for operation, with
-    solve_linearized_mfg(d2=-d): they agree to machine precision.
+    solve_linearized_mfg(d2=-d): they agree to machine precision.  The
+    residual a sweep logs is as there: the value scheme residual at a full
+    step, the larger of the value and density residuals at a damped one.
 
     ``start`` is the (u, m) pair the iteration starts from, fields or arrays
     coerced like F and G (a shape the grid cannot take raises ValueError);

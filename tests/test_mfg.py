@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from degenmfg.domain import DegenerateCoefficient, SpaceTimeField, SpaceTimeGrid
-from degenmfg.manufactured import make_case
+from degenmfg.manufactured import catalog, make_case
 from degenmfg.mfg import (
     DAMPING_FLOOR,
     IterConfig,
@@ -23,6 +23,7 @@ from degenmfg.mfg import (
 from degenmfg.solvers import (
     FpLinearProblem,
     HjbLinearProblem,
+    fp_scheme_residual,
     solve_fp_linear,
     solve_hjb_linear,
 )
@@ -456,3 +457,93 @@ def test_difference_residuals_match_the_frozen_anchor():
         )
         dco, du, dm = form_difference_coefficients(sol1, sol2, prob.coefficients_on(grid))
         _close(difference_residuals(dco, du, dm), want, 1e-12)
+
+
+def _spy_residuals(monkeypatch):
+    """Spies on both scheme residuals as mfg calls them: for each equation
+    the list of (trajectory, value) per call, in call order."""
+    from degenmfg import mfg
+
+    calls = {"hjb": [], "fp": []}
+    for name, real in (("hjb", mfg.hjb_scheme_residual), ("fp", mfg.fp_scheme_residual)):
+        def spy(f, prob, real=real, seen=calls[name]):
+            seen.append((f, res := real(f, prob)))
+            return res
+
+        monkeypatch.setattr(mfg, f"{name}_scheme_residual", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["coupled-mild-32x32", "stock-32x64"])
+def test_full_step_sweeps_log_the_value_residual_alone(monkeypatch, name):
+    # every sweep of these solves takes the full step, whose density iterate
+    # is the march's own solution: no density residual is evaluated
+    calls = _spy_residuals(monkeypatch)
+    sol = _anchored_solve(name)
+    assert sol.converged and sol.sweeps > 1 and _rejected_sweeps(sol) == []
+    assert calls["fp"] == []
+    assert [res for _, res in calls["hjb"]] == list(sol.residual_log)
+    u_last, res_last = calls["hjb"][-1]
+    assert np.array_equal(u_last, sol.u.values)
+    assert sol.residual_log[-1] == res_last
+
+
+def test_damped_sweeps_log_the_larger_of_both_residuals(monkeypatch):
+    calls = _spy_residuals(monkeypatch)
+    case = make_case("coupled-mild")
+    g = SpaceTimeGrid(32, 32, case.T)
+    sol = solve_linearized_mfg(
+        case.coefficients_on(g), F=case.source_F(g), G=case.source_G(g),
+        m0=case.initial(g), h=case.terminal(g), cfg=IterConfig(damping=0.5),
+    )
+    assert sol.converged and sol.sweeps > 2
+    hjb = [res for _, res in calls["hjb"]]
+    fp = [res for _, res in calls["fp"]]
+    # sweep 1 takes the full step; every later one is damped and checks both
+    assert len(hjb) == sol.sweeps and len(fp) == sol.sweeps - 1
+    assert sol.residual_log[0] == hjb[0]
+    assert list(sol.residual_log[1:]) == [max(r_u, r_m) for r_u, r_m in zip(hjb[1:], fp)]
+    assert np.array_equal(calls["fp"][-1][0], sol.m.values)
+
+
+def _density_problem_at(case_name, g):
+    """A converged coupled solve and its density problem rebuilt at the
+    returned u, restated from the template: c1 = -p u_x and b = (p u_x)_x
+    for the quadratic Hamiltonian, c2 u_x + rho u_xx + G in the source for
+    the linearized system."""
+    from degenmfg.domain import _dx_array, _dxx_array
+
+    if case_name == "stock":
+        spec = default_backward_spec()
+        coeffs, m0 = spec.problem.coefficients_on(g), spec.m0
+        sol = solve_nonlinear_mfg(coeffs, m0=m0, h=spec.h)
+        G, linear = 0.0, False
+    else:
+        case = make_case(case_name)
+        coeffs, m0, G = case.coefficients_on(g), case.initial(g), case.source_G(g).values
+        linear = case.tag == "mfg_linear"
+        solver = solve_linearized_mfg if linear else solve_nonlinear_mfg
+        sol = solver(coeffs, F=case.source_F(g), G=G, m0=m0, h=case.terminal(g))
+    u = sol.u.values
+    if linear:
+        source = coeffs.c2 * _dx_array(u, g.h, "dirichlet") + coeffs.rho * _dxx_array(u, g.h) + G
+        prob = FpLinearProblem(g, coeffs.diffusion, convection=coeffs.c1, zeroth=coeffs.b,
+                               source=source, initial=m0)
+    else:
+        pux = coeffs.p * _dx_array(u, g.h, "dirichlet")
+        prob = FpLinearProblem(g, coeffs.diffusion, convection=-pux,
+                               zeroth=_dx_array(pux, g.h, "free"), source=G, initial=m0)
+    return sol, prob
+
+
+@pytest.mark.parametrize(
+    "case_name",
+    ["stock"] + [n for n in catalog() if make_case(n).tag.startswith("mfg")],
+)
+def test_a_converged_full_step_meets_its_density_equations(case_name):
+    # the invariant the full-step sweep relies on when it skips the density
+    # residual: the returned m solves the density steps at the returned u
+    g = SpaceTimeGrid(32, 32, 1.0 if case_name == "stock" else make_case(case_name).T)
+    sol, prob = _density_problem_at(case_name, g)
+    assert sol.converged and sol.residual_log[-1] <= IterConfig().tolerance
+    assert fp_scheme_residual(sol.m, prob) <= 1e-11
