@@ -296,7 +296,9 @@ def solve_linearized_mfg(
     damped step.  When the damping floor or the sweep budget is reached, the
     best iterate is returned with converged=False.  ``start`` is the (u, m)
     pair the iteration starts from, as for solve_nonlinear_mfg (zeros when
-    None).
+    None).  Only the sources change from sweep to sweep: with coefficients
+    constant in time, every sweep's problems find the value and the density
+    step operator, factored, in the solvers' operator memo.
     """
     g = coeffs.grid
     linear = {k: getattr(coeffs, k) for k in _LINEAR_KEYS}

@@ -10,15 +10,19 @@ Bands constant in time (scalar and profile coefficients) are one column; when
 that step matrix S is similar, through a positive diagonal D, to a symmetric
 positive definite T (every pair of adjacent off-diagonals of one sign, so cell
 Peclet below 1: the discrete form of the operator's self-adjointness in its
-Sturm-Liouville weight), T is factored once per sweep (pttrf, LDL^T) and each
-level is one pttrs in the unknown D^-1 f.  Every other sweep, time-varying or
-not symmetrizable, solves each level with one gtsv call on its rows of a
-level-major per-sweep copy of the bands, off-diagonals cut to length.  The
-solvers return that buffer, a fresh time-major array, wrapped without a
-copy.  The spatial operator L = a d_xx + d d_x + q uses central stencils at
-interior cells and a ghost-cell closure at the two boundary cells: the
-unknown is extended by a quadratic that vanishes at the endpoint, the
-discrete form of the homogeneous Dirichlet condition carried by u and by a*m.
+Sturm-Liouville weight), T is factored once per distinct operator (pttrf,
+LDL^T) and each level is one pttrs in the unknown D^-1 f.  A memo of the last
+two such operators, keyed on their content (see _static_operator), lets the
+sweeps of a linearized coupled solve, which rebuild their problems around the
+same value and density operators, factor each once.  Every other sweep,
+time-varying or not symmetrizable, solves each level with one gtsv call on
+its rows of a level-major per-sweep copy of the bands, off-diagonals cut to
+length.  The solvers return that buffer, a fresh time-major array, wrapped
+without a copy.  The spatial operator L = a d_xx + d d_x + q uses central
+stencils at interior cells and a ghost-cell closure at the two boundary
+cells: the unknown is extended by a quadratic that vanishes at the endpoint,
+the discrete form of the homogeneous Dirichlet condition carried by u and by
+a*m.
 
 The density equation is not discretized in m directly.  Its divergence-form
 principal part (a m)_xx makes v = a m the natural unknown: in v the equation
@@ -49,7 +53,7 @@ import importlib.machinery
 import importlib.util
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -194,11 +198,8 @@ class HjbLinearProblem:
 
     @cached_property
     def _step_bands(self):
-        """Bands of I - dt L_k, built once per problem (see _time_columns)."""
-        g = self.grid
-        (drift,) = _time_columns(self.drift)
-        bands = _band_fields(self.coeff.a(g.x)[:, None], drift, np.zeros((g.n_x, 1)), g.h)
-        return _to_step_bands(*bands, g.dt)
+        """The step operator I - dt L_k (see _step_operator)."""
+        return _step_operator(_value_bands, self.coeff, self.grid, self.drift)
 
 
 @dataclass(frozen=True)
@@ -224,14 +225,68 @@ class FpLinearProblem:
 
     @cached_property
     def _step_bands(self):
-        """Bands of I - dt L_v, L_v = a d_xx - c1 d_x + (c1 a_x/a + b), built
-        once per problem."""
-        g = self.grid
-        x = g.x
-        conv, zeroth = _time_columns(self.convection, self.zeroth)
-        q = conv * self.coeff.log_derivative(x)[:, None] + zeroth
-        bands = _band_fields(self.coeff.a(x)[:, None], -conv, q, g.h)
-        return _to_step_bands(*bands, g.dt)
+        """The step operator I - dt L_v (see _step_operator)."""
+        return _step_operator(_density_bands, self.coeff, self.grid, self.convection, self.zeroth)
+
+
+def _value_bands(coeff, g, drift):
+    """Bands of the value operator L = a d_xx + drift d_x."""
+    return _band_fields(coeff.a(g.x)[:, None], drift, np.zeros((g.n_x, 1)), g.h)
+
+
+def _density_bands(coeff, g, conv, zeroth):
+    """Bands of the density operator in v, L_v = a d_xx - c1 d_x + (c1 a_x/a + b)."""
+    q = conv * coeff.log_derivative(g.x)[:, None] + zeroth
+    return _band_fields(coeff.a(g.x)[:, None], -conv, q, g.h)
+
+
+class _StepOperator(tuple):
+    """One step matrix S = I - dt L: the tuple of its bands (sub, diag, sup),
+    and ``sym``, the kernel _march solves it with.  ``sym`` is
+    _symmetrizer's (delta, d, e) when the bands are one column it takes
+    (pttrs in D^-1 f), else None (one gtsv per level)."""
+
+    def __new__(cls, bands):
+        op = super().__new__(cls, bands)
+        sub, diag, sup = op
+        op.sym = _symmetrizer(sub[:, 0], diag[:, 0], sup[:, 0]) if diag.shape[1] == 1 else None
+        return op
+
+
+def _step_operator(kind, coeff, grid, *fields) -> _StepOperator:
+    """The step operator of a problem: ``kind`` (_value_bands or
+    _density_bands) builds the bands of L from the coefficient, the grid and
+    the problem's coefficient fields (the drift; the convection and the
+    zeroth term).
+
+    Fields that vary in time give one band column per level, built for this
+    problem alone.  Fields constant in time (stride 0, see _traj) give one
+    band column, which _static_operator memoizes: the sweeps of a linearized
+    coupled solve rebuild their problems with new sources around the same
+    two operators, and find them factored.
+    """
+    if all(f.strides[1] == 0 for f in fields):
+        return _static_operator(kind, coeff, grid, *(f[:, 0].tobytes() for f in fields))
+    return _StepOperator(_to_step_bands(*kind(coeff, grid, *fields), grid.dt))
+
+
+# two entries: the value and the density operator of the solve in progress
+@lru_cache(maxsize=2)
+def _static_operator(kind, coeff, grid, *columns: bytes) -> _StepOperator:
+    """The time-invariant step operator with these field columns, memoized.
+
+    The key is the operator's content: its kind, the coefficient and the
+    grid (frozen records, compared by value) and the bytes of each field
+    column.  Keyed on content, a field edited in place between two solves
+    gives the new operator, where an identity key would return the stale
+    one (_traj hands problems views of the caller's arrays).  The bands and
+    the kernel's arrays are read-only: every caller shares them.
+    """
+    cols = (np.frombuffer(c).reshape(grid.n_x, 1) for c in columns)
+    op = _StepOperator(_to_step_bands(*kind(coeff, grid, *cols), grid.dt))
+    for arr in (*op, *(op.sym or ())):
+        arr.setflags(write=False)
+    return op
 
 
 def _time_columns(*fields):
@@ -347,34 +402,37 @@ def _symmetrizer(sub, diag, sup):
     return delta, d, e
 
 
-def _march(bands, first, src, scale, what, weight=None):
+def _march(op, first, src, scale, what, weight=None):
     """Implicit Euler steps S_k f^k = f^j + scale src^k from the end slice
     ``first``: backward (j = k + 1, from t = T) when scale < 0, else forward
     (j = k - 1, from t = 0).  With a ``weight`` column the source term is
-    scale (weight src^k).
+    scale (weight src^k).  ``op`` is a _StepOperator, or the band triple
+    one is built from.
 
     Level k is column k of one time-major (n_x, n_t+1) buffer, filled once
     with the source term; a level is one in-place add of its predecessor and
-    one LAPACK call, on row views built once per sweep.  The bands pick the kernel:
+    one LAPACK call, on row views built once per sweep.  The operator's
+    kernel decides the call:
 
-    * one band column that _symmetrizer takes (S = D T D^-1): the march runs
-      in w = D^-1 f, T w^k = w^j + (scale / delta) src^k.  T is factored once
-      (pttrf), the end slice and the source are divided by delta in the one
-      pass that fills the buffer ((scale / delta) src, or (weight src) times
-      scale / delta, rounded in that order), each level is one pttrs, and
-      one pass multiplies the buffer by delta at the end;
-    * any other bands, time-varying or one column that is not symmetrizable:
-      each level is one gtsv (_implicit_step) on its rows of a level-major
-      per-sweep copy of the bands, off-diagonals cut to length, so the
-      problem's bands stay intact.  A singular step matrix raises
-      SolverError naming the first level it stops.
+    * sym, the factored T of one band column (S = D T D^-1): the march runs
+      in w = D^-1 f, T w^k = w^j + (scale / delta) src^k.  The end slice and
+      the source are divided by delta in the one pass that fills the buffer
+      ((scale / delta) src, or (weight src) times scale / delta, rounded in
+      that order), each level is one pttrs, and one pass multiplies the
+      buffer by delta at the end;
+    * None (bands that vary in time, or one column that is not
+      symmetrizable): each level is one gtsv (_implicit_step) on its rows of
+      a level-major per-sweep copy of the bands, off-diagonals cut to
+      length, so the operator's bands stay intact.  A singular step matrix
+      raises SolverError naming the first level it stops.
 
     Returns the buffer itself: a fresh time-major array.
     """
+    if not isinstance(op, _StepOperator):
+        op = _StepOperator(op)
     order = slice(None, None, -1) if scale < 0.0 else slice(None)
-    sym = _symmetrizer(*(band[:, 0] for band in bands)) if bands[1].shape[1] == 1 else None
-    if sym is not None:
-        delta, d, e = sym
+    if op.sym is not None:
+        delta, d, e = op.sym
         scale = (scale / delta)[:, None]
     f = _empty(src.shape)
     if weight is None:
@@ -383,20 +441,26 @@ def _march(bands, first, src, scale, what, weight=None):
         np.multiply(weight, src, out=f)
         f *= scale
     cols = f.T[order]  # the levels in march order, each a contiguous row
-    if sym is not None:
-        np.divide(first, delta, out=cols[0])
-        for b, b_prev in zip(cols[1:], cols[:-1]):
+    b_prev = cols[0]
+    if op.sym is not None:
+        pttrs = lapack.dpttrs
+        np.divide(first, delta, out=b_prev)
+        for b in cols[1:]:
             b += b_prev
-            lapack.dpttrs(d, e, b, overwrite_b=1)
+            pttrs(d, e, b, 1)  # overwrite_b, positional: the cheaper f2py call
+            b_prev = b
         f *= delta[:, None]
     else:
-        cols[0] = first
+        step = _implicit_step  # one global lookup per march, not per level
+        b_prev[:] = first
         times = range(src.shape[1])[order][1:]
-        sub, diag, sup = (np.broadcast_to(band, src.shape).T[order][1:] for band in bands)
+        sub, diag, sup = ((b if b.shape == src.shape else np.broadcast_to(b, src.shape)).T[order][1:]
+                          for b in op)
         dl, d, du = sub[:, 1:].copy(), diag.copy(), sup[:, :-1].copy()
-        for k, b, b_prev, dl_k, d_k, du_k in zip(times, cols[1:], cols[:-1], dl, d, du):
+        for k, b, dl_k, d_k, du_k in zip(times, cols[1:], dl, d, du):
             b += b_prev
-            _implicit_step(dl_k, d_k, du_k, b, k)
+            step(dl_k, d_k, du_k, b, k)
+            b_prev = b
     if not np.all(np.isfinite(f)):
         raise SolverError(f"{what} sweep produced non-finite entries")
     return f

@@ -1,6 +1,6 @@
 """One digest line per CLI command, for checking that two trees write the same outputs.
 
-    python tools/artifact_digest.py [SRC]
+    python tools/artifact_digest.py [SRC] [--reverse]
 
 Runs a fixed set of commands through the ``degenmfg.cli.main`` of the source
 tree SRC (default: the tree this script sits in), all in this one process:
@@ -17,7 +17,16 @@ Two trees that write the same outputs print identical lines, so
     diff old.txt new.txt
 
 checks a "same outputs" claim, and two runs on one tree check that the
-outputs do not depend on the process.  A command that raises prints
+outputs do not depend on the process.  ``--reverse`` runs the same commands
+last to first, so
+
+    python tools/artifact_digest.py | sort > forward.txt
+    python tools/artifact_digest.py --reverse | sort > reverse.txt
+    diff forward.txt reverse.txt
+
+checks that no command's outputs depend on the commands run before it in
+the process (state a cache carries from one command into the next, say).
+A command that raises prints
 ``raised:<exception type>`` in place of its exit code, and its traceback on
 stderr; the script then exits 1 after the last command.
 """
@@ -66,7 +75,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="?", type=Path, default=Path(__file__).resolve().parents[1],
                         help="root of the source tree to run (default: this script's tree)")
-    src = parser.parse_args(argv).src.resolve()
+    parser.add_argument("--reverse", action="store_true", help="run the commands last to first")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
     sys.path[:0] = [str(src / "src"), str(src / "bench")]
     from degenmfg import cli
 
@@ -75,7 +86,8 @@ def main(argv=None) -> int:
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
-        for tag, command, cfg in commands(src):
+        runs = list(commands(src))
+        for tag, command, cfg in reversed(runs) if args.reverse else runs:
             shutil.rmtree(out, ignore_errors=True)
             out.mkdir()
             cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
