@@ -24,7 +24,8 @@ gathers the time sums of every cell; the per-cell rest of the estimate (the
 s and lam factors, the data terms, the ratio) then runs once over all cells,
 on per-cell s, lam, phi(T) and K, so that arithmetic of a cell does not
 depend on the other cells evaluated with it (the time sums can, at
-rounding: a matrix product rounds by its shape).  sweep_parameters and
+rounding: a matrix product rounds by its shape).  An estimate's totals are
+one array, a row per total and a column per cell.  sweep_parameters and
 evaluate_carleman (one cell) share one path: _estimates builds the estimates
 of a CarlemanBundle (mfg is hjb plus fp) and _scaled_cells evaluates them.
 
@@ -128,46 +129,22 @@ class CarlemanReport:
     parts: tuple = ()
 
 
-@dataclass(frozen=True)
-class _Scaled:
-    """Scaled-weight totals of one estimate, one entry per s; K is the common
-    log offset 2 s phi(T)."""
-
-    lhs: np.ndarray
-    rhs_source: np.ndarray
-    rhs_T: np.ndarray
-    rhs_0: np.ndarray
-    K: np.ndarray
-
-    def __add__(self, other: "_Scaled") -> "_Scaled":
-        if not np.array_equal(other.K, self.K):
-            raise ValueError("cannot combine estimates with different weights")
-        return _Scaled(
-            self.lhs + other.lhs,
-            self.rhs_source + other.rhs_source,
-            self.rhs_T + other.rhs_T,
-            self.rhs_0 + other.rhs_0,
-            self.K,
-        )
-
-    def ratio(self) -> np.ndarray:
-        """lhs / rhs where rhs > 0; otherwise 0 for a zero lhs, else inf."""
-        rhs = self.rhs_source + self.rhs_T + self.rhs_0
-        out = np.where(self.lhs == 0.0, 0.0, np.inf)
-        np.divide(self.lhs, rhs, out=out, where=rhs > 0.0)
-        return out
+def _ratio(totals: np.ndarray) -> np.ndarray:
+    """lhs / rhs where rhs > 0; otherwise 0 for a zero lhs, else inf."""
+    lhs, rhs_source, rhs_T, rhs_0 = totals
+    rhs = rhs_source + rhs_T + rhs_0
+    out = np.where(lhs == 0.0, 0.0, np.inf)
+    np.divide(lhs, rhs, out=out, where=rhs > 0.0)
+    return out
 
 
-def _report_from_scaled(kind: str, params: CarlemanParams, sc: _Scaled, parts=()):
-    """The report of a one-s evaluation."""
-    lhs, rhs_source, rhs_T, rhs_0, K = (
-        float(v[0]) for v in (sc.lhs, sc.rhs_source, sc.rhs_T, sc.rhs_0, sc.K)
-    )
-    rhs_total = rhs_source + rhs_T + rhs_0
+def _report_from_scaled(kind: str, params: CarlemanParams, totals, K: float, parts=()):
+    """The report of a one-cell evaluation: totals of shape (4, 1), K = 2 s phi(T)."""
+    lhs, rhs_source, rhs_T, rhs_0 = (float(v[0]) for v in totals)
     fields = [_exp(_safe_log(v) + K) for v in (lhs, rhs_source, rhs_T, rhs_0)]
     overflow = K > OVERFLOW_LOG_LIMIT or any(math.isinf(f) for f in fields)
-    return CarlemanReport(kind, params, *fields, float(sc.ratio()[0]), _safe_log(lhs) + K,
-                          _safe_log(rhs_total) + K, overflow, parts)
+    return CarlemanReport(kind, params, *fields, float(_ratio(totals)[0]), _safe_log(lhs) + K,
+                          _safe_log(rhs_source + rhs_T + rhs_0) + K, overflow, parts)
 
 
 @dataclass(frozen=True)
@@ -191,9 +168,10 @@ def _trapezoids(I: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _scaled_cells(grid: SpaceTimeGrid, estimates, s, lam, phi_T, live) -> list:
-    """The _Scaled totals of each estimate at the cells (s[i], lam[j]) with
+    """The scaled totals of each estimate at the cells (s[i], lam[j]) with
     live[i, j], taken lam by lam and in the order of s within a lam; phi_T
-    holds phi(T) of each lam.
+    holds phi(T) of each lam.  An estimate's totals are one (4, cells)
+    array whose rows are lhs, rhs_source, rhs_T and rhs_0.
 
     estimates holds (scaled, ingredients, terms) triples, terms being the
     (slice integral, p) pairs of the estimate's time integrals against phi^p
@@ -312,13 +290,13 @@ def hjb_ingredients(u, F, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> 
 _HJB_TERMS = (("I_ut", 0), ("I_uxx", 0), ("I_ux", 1), ("I_u", 2), ("I_F", 1))
 
 
-def _hjb_scaled(ing: HjbIngredients, sums: np.ndarray, c: _Cells) -> _Scaled:
+def _hjb_scaled(ing: HjbIngredients, sums: np.ndarray, c: _Cells) -> np.ndarray:
     s, lam = c.s, c.lam
     ut, uxx, ux, u, F = sums
     lhs = ut + uxx + s * lam * ux + s * s * lam * lam * u
     rhs_T = s * (s * lam * c.phi_T * ing.BT_0 + ing.BT_1)
     rhs_0 = s * (s * lam * ing.B0_0 + ing.B0_1) * c.at_zero()
-    return _Scaled(lhs, s * F, rhs_T, rhs_0, c.K)
+    return np.stack([lhs, s * F, rhs_T, rhs_0])
 
 
 # parameter-independent slice integrals of the density-equation estimate
@@ -363,13 +341,13 @@ def fp_ingredients(m, G, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> F
 _FP_TERMS = (("J_v2", -1), ("J_vx", 0), ("J_m", 1), ("J_G", 0))
 
 
-def _fp_scaled(ing: FpIngredients, sums: np.ndarray, c: _Cells) -> _Scaled:
+def _fp_scaled(ing: FpIngredients, sums: np.ndarray, c: _Cells) -> np.ndarray:
     s, lam = c.s, c.lam
     v2, vx, m, G = sums
     lhs = (1.0 / s) * v2 + lam * vx + s * lam * lam * m
     rhs_T = s * lam * (c.phi_T * ing.BT_m + ing.BT_vx)
     rhs_0 = (s * lam * ing.B0_m + ing.B0_vx) * c.at_zero()
-    return _Scaled(lhs, G, rhs_T, rhs_0, c.K)
+    return np.stack([lhs, G, rhs_T, rhs_0])
 
 
 @dataclass(frozen=True)
@@ -419,10 +397,12 @@ def evaluate_carleman(bundle: CarlemanBundle, params: CarlemanParams) -> Carlema
         inf = (math.inf,) * 4 + (math.nan, math.inf, math.inf, True)
         parts = tuple(CarlemanReport(k, params, *inf) for k in kinds)
         return CarlemanReport(bundle.kind, params, *inf, parts)
-    cell = np.array([float(params.s)]), np.array([float(params.lam)]), np.array([phi_T])
+    s = float(params.s)
+    cell = np.array([s]), np.array([float(params.lam)]), np.array([phi_T])
     sc = _scaled_cells(bundle.grid, _estimates(bundle), *cell, np.ones((1, 1), dtype=bool))
-    parts = tuple(_report_from_scaled(k, params, x) for k, x in zip(kinds, sc))
-    return _report_from_scaled(bundle.kind, params, sum(sc[1:], sc[0]), parts)
+    K = 2.0 * s * phi_T
+    parts = tuple(_report_from_scaled(k, params, x, K) for k, x in zip(kinds, sc))
+    return _report_from_scaled(bundle.kind, params, sum(sc[1:], sc[0]), K, parts)
 
 
 @dataclass(frozen=True)
@@ -478,7 +458,7 @@ def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResul
     sc = _scaled_cells(g, estimates, s_arr, lam_arr, phi_T, live)
     ratios = np.full((len(s_sorted), len(lam_sorted)), np.nan)
     # the cells come lam by lam, as the transpose's mask lists them
-    ratios.T[live.T] = sum(sc[1:], sc[0]).ratio()
+    ratios.T[live.T] = _ratio(sum(sc[1:], sc[0]))
     total = len(s_sorted) * len(lam_sorted)
     half = len(s_sorted) // 2
     top = ratios[half:, :]

@@ -17,8 +17,9 @@ timestamp field, identical configs produce byte-identical result.json.
 Exit codes: 0 success; 2 configuration read/parse/validation error (also an
 a(x) <= 0 or an infinite 1/a at a node, and a ladder the experiment rejects)
 or an output that cannot be written (an output path that is not a writable
-directory is caught before the run); 3 solver non-convergence; 4 more than
-half of the sweep cells overflow the weight.
+directory is caught before the run); 3 solver failure (non-convergence, a
+sweep that overflows the double range, a singular step); 4 more than half of
+the sweep cells overflow the weight.
 Errors are also emitted to stderr as a JSON diagnostic.  --threads is
 accepted and recorded for provenance, but execution is serial: every command
 here is deterministic and fast at desk scale, and a fixed schedule keeps

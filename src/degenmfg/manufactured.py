@@ -587,7 +587,8 @@ def _solve_case(
     )
     if not sol.converged:
         raise SolverError(
-            f"case {case.name}: coupled sweep did not converge on grid {grid.shape}"
+            f"case {case.name}: coupled sweep did not converge on grid "
+            f"(n_x, n_t) = ({grid.n_x}, {grid.n_t})"
         )
     return sol.u, sol.m, F, G, sol.sweeps
 

@@ -224,38 +224,42 @@ def _picard(coeffs: MfgCoefficients, cfg: IterConfig, frozen, m0, h, start):
     m0, h = _slice(m0, g, "m0"), _slice(h, g, "h")
     start = _start_pair(start, g)
     u, m = (_zeros(g.shape), _zeros(g.shape)) if start is None else start
-    hjb = _value_problem(frozen(u), m, g, c, h)
-    best = (np.inf, u, m)
-    damping = cfg.damping
-    log: list = []
-    for sweep in range(1, cfg.max_sweeps + 1):
-        step = 1.0 if sweep == 1 else damping
-        u_new = _blend(u, solve_hjb_linear(hjb).values, step)
-        del hjb  # free its step bands and source before the density solve
-        t = frozen(u_new)
-        fp = _density_problem(t, u_new, g, c, m0)
-        m_new = _blend(m, solve_fp_linear(fp).values, step)
-        # a full step's m_new is the march's own solution of fp: its defect
-        # is the tridiagonal solves' rounding, so only a blend is measured
-        res_fp = fp_scheme_residual(m_new, fp) if step < 1.0 else 0.0
-        del fp  # free its step bands before the value problem builds its own
-        hjb = _value_problem(t, m_new, g, c, h)
-        del t
-        res = max(hjb_scheme_residual(u_new, hjb), res_fp)
-        log.append(res)
-        if res <= cfg.tolerance:
-            best = (res, u_new, m_new)
-            break
-        if res > cfg.divergence_factor * best[0]:
-            damping /= 2.0
-            if damping < DAMPING_FLOOR:
+    # a sweep that leaves the double range is reported, not warned about:
+    # its march raises SolverError, or its residual is inf or NaN and the
+    # solve does not converge
+    with np.errstate(over="ignore", invalid="ignore"):
+        hjb = _value_problem(frozen(u), m, g, c, h)
+        best = (np.inf, u, m)
+        damping = cfg.damping
+        log: list = []
+        for sweep in range(1, cfg.max_sweeps + 1):
+            step = 1.0 if sweep == 1 else damping
+            u_new = _blend(u, solve_hjb_linear(hjb).values, step)
+            del hjb  # free its step bands and source before the density solve
+            t = frozen(u_new)
+            fp = _density_problem(t, u_new, g, c, m0)
+            m_new = _blend(m, solve_fp_linear(fp).values, step)
+            # a full step's m_new is the march's own solution of fp: its defect
+            # is the tridiagonal solves' rounding, so only a blend is measured
+            res_fp = fp_scheme_residual(m_new, fp) if step < 1.0 else 0.0
+            del fp  # free its step bands before the value problem builds its own
+            hjb = _value_problem(t, m_new, g, c, h)
+            del t
+            res = max(hjb_scheme_residual(u_new, hjb), res_fp)
+            log.append(res)
+            if res <= cfg.tolerance:
+                best = (res, u_new, m_new)
                 break
-            _, u, m = best
-            hjb = _value_problem(frozen(u), m, g, c, h)
-            continue
-        u, m = u_new, m_new
-        if res < best[0]:
-            best = (res, u, m)
+            if res > cfg.divergence_factor * best[0]:
+                damping /= 2.0
+                if damping < DAMPING_FLOOR:
+                    break
+                _, u, m = best
+                hjb = _value_problem(frozen(u), m, g, c, h)
+                continue
+            u, m = u_new, m_new
+            if res < best[0]:
+                best = (res, u, m)
     res, u, m = best
     # u and m are arrays only _picard holds: wrap them without a copy
     return MfgSolution(
@@ -462,9 +466,10 @@ def check_coefficient_bounds(coeffs: MfgCoefficients) -> BoundReport:
 
     Reports max |p|/sqrt(a), |d|/a, |d1|/sqrt(a), |c1|/sqrt(a), |d2|/a, the
     intrinsic |a_x|/sqrt(a), and the sup norms of b, c2, rho, together with
-    the (x, t) node where each maximum occurs.  All ratios are finite by
-    construction (nodes are interior); whether they stay bounded under
-    refinement is a property of the chosen coefficients, not checked here.
+    the (x, t) node where each maximum occurs.  Nodes are interior, so every
+    denominator is positive; a ratio past the double range is inf.  Whether
+    the ratios stay bounded under refinement is a property of the chosen
+    coefficients, not checked here.
     """
     c, g = coeffs.diffusion, coeffs.grid
     x = g.x
@@ -473,7 +478,8 @@ def check_coefficient_bounds(coeffs: MfgCoefficients) -> BoundReport:
     entries = []
 
     def ratio(name, num, den=1.0):
-        r = np.abs(num) / den
+        with np.errstate(over="ignore"):
+            r = np.abs(num) / den
         i, k = np.unravel_index(int(np.argmax(r)), r.shape)
         entries.append(BoundEntry(name, float(r[i, k]), float(x[i]), float(g.t[k])))
 

@@ -406,8 +406,7 @@ def _march(op, first, src, scale, what, weight=None):
     """Implicit Euler steps S_k f^k = f^j + scale src^k from the end slice
     ``first``: backward (j = k + 1, from t = T) when scale < 0, else forward
     (j = k - 1, from t = 0).  With a ``weight`` column the source term is
-    scale (weight src^k).  ``op`` is a _StepOperator, or the band triple
-    one is built from.
+    scale (weight src^k).  ``op`` is the _StepOperator S.
 
     Level k is column k of one time-major (n_x, n_t+1) buffer, filled once
     with the source term; a level is one in-place add of its predecessor and
@@ -428,8 +427,6 @@ def _march(op, first, src, scale, what, weight=None):
 
     Returns the buffer itself: a fresh time-major array.
     """
-    if not isinstance(op, _StepOperator):
-        op = _StepOperator(op)
     order = slice(None, None, -1) if scale < 0.0 else slice(None)
     if op.sym is not None:
         delta, d, e = op.sym
@@ -471,10 +468,13 @@ def solve_hjb_linear(prob: HjbLinearProblem) -> SpaceTimeField:
 
     At each level (I - dt L_k) u^k = u^{k+1} - dt src^k with L_k frozen at
     t_k: the unconditionally stable implicit Euler step for the backward
-    orientation.
+    orientation.  The band build and the march run with overflow and invalid
+    values silenced: a sweep that leaves the double range raises SolverError
+    from _march's finiteness check.
     """
     g = prob.grid
-    u = _march(prob._step_bands, prob.terminal, prob.source, -g.dt, "value")
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _march(prob._step_bands, prob.terminal, prob.source, -g.dt, "value")
     return SpaceTimeField._adopt(u, g)
 
 
@@ -485,10 +485,12 @@ def solve_fp_linear(prob: FpLinearProblem) -> SpaceTimeField:
     evaluated from the closed-form log-derivative, never as a quotient of two
     near-zero numbers; it stays bounded whenever |c1| <= C sqrt(a).
     Coefficients and source for the step to t_{k+1} are taken at t_{k+1}.
+    Overflow is handled as in solve_hjb_linear.
     """
     g = prob.grid
     a = prob.coeff.a(g.x)[:, None]
-    v = _march(prob._step_bands, a[:, 0] * prob.initial, prob.source, g.dt, "density", a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _march(prob._step_bands, a[:, 0] * prob.initial, prob.source, g.dt, "density", a)
     v /= a
     return SpaceTimeField._adopt(v, g)
 

@@ -140,9 +140,8 @@ def test_unrepresentable_lam_reports_overflow_without_warnings():
 def test_report_fields_are_exact_up_to_the_double_range(K, want):
     # log(DBL_MAX) = 709.78: below it a linear-scale field is the double it
     # names, above it inf; the overflow flag follows OVERFLOW_LOG_LIMIT alone
-    one = np.array([1.0])
-    sc = carleman._Scaled(one, one, one, one, np.array([K]))
-    rep = carleman._report_from_scaled("hjb", CarlemanParams(s=1.0, lam=1.0), sc)
+    totals = np.ones((4, 1))
+    rep = carleman._report_from_scaled("hjb", CarlemanParams(s=1.0, lam=1.0), totals, K)
     assert rep.lhs == rep.rhs_source == rep.rhs_T == rep.rhs_0 == want
     assert rep.lhs_log == K and rep.overflow
 

@@ -284,6 +284,71 @@ def test_damping_floor_solve_exit_3(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("datum, sweep", [("F", "value"), ("G", "density")])
+def test_overflowing_sweep_exit_3_with_one_diagnostic(tmp_path, capsys, datum, sweep):
+    # a datum at the top of the double range overflows the march; tier-1
+    # turns a RuntimeWarning into an error, so a warning the sweep leaked
+    # would end the command with a traceback instead of exit 3
+    cfg = {"command": "solve", "problem": {"family": "wright_fischer", "T": 100.0},
+           "grid": {"n_x": 16, "n_t": 8}, "system": "linear",
+           "data": {datum: {"kind": "const", "value": 1e308}}}
+    path = _dump(cfg, tmp_path / "cfg.json")
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": {
+        "code": 3, "details": [], "message": f"{sweep} sweep produced non-finite entries"}}
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_bound_ratio_is_reported_as_infinity(tmp_path, capsys):
+    # a is about 1e-274 at the first node, so d2 / a = 1e300 / a overflows
+    cfg = {"command": "coeff-check",
+           "problem": {"family": "power", "T": 1.0, "beta": 70.0, "delta": 2.0},
+           "grid": {"n_x": 4096, "n_t": 16}, "system": "linear",
+           "coefficients": {"d2": {"kind": "const", "value": 1e300}}, "samples": 16}
+    out = tmp_path / "o"
+    rc = main(["coeff-check", "--config", _dump(cfg, tmp_path / "cfg.json"), "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    rows = {row[0]: row[1] for row in _read_rows(out / "bounds.csv")[2:]}
+    assert rows["d2_over_a"] == "Infinity"
+
+
+def test_holder_base_solve_out_of_budget_exit_3(tmp_path, capsys):
+    cfg = _load("holder.json")
+    cfg["grid"] = {"n_x": 16, "n_t": 32}
+    cfg["iter"] = {"max_sweeps": 1}
+    path = _dump(cfg, tmp_path / "cfg.json")
+    rc = main(["stability-holder", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert _stderr_doc(capsys)["error"]["message"] == "base solve did not converge"
+
+
+def test_convergence_out_of_budget_exit_3_names_the_level(tmp_path, capsys):
+    cfg = {"command": "convergence", "case": "coupled-mild", "mode": "space",
+           "ladder": [[16, 8], [32, 16], [64, 32]], "iter": {"max_sweeps": 1}}
+    path = _dump(cfg, tmp_path / "cfg.json")
+    rc = main(["convergence", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert _stderr_doc(capsys)["error"]["message"] == (
+        "case coupled-mild: coupled sweep did not converge on grid (n_x, n_t) = (16, 8)")
+
+
+def test_log_ladder_with_one_usable_rung_fits_no_slope(tmp_path):
+    cfg = _load("log.json")
+    cfg["grid"] = {"n_x": 16, "n_t": 32}
+    cfg["eps_ladder"] = [1.0, 0.01]
+    out = tmp_path / "o"
+    rc = main(["stability-log", "--config", _dump(cfg, tmp_path / "cfg.json"), "--out", str(out)])
+    assert rc == 0
+    res = json.loads((out / "result.json").read_text(encoding="utf-8"))["results"]
+    assert res["rungs_accepted"]["value"] == 1
+    assert res["slope"]["value"] == "NaN"
+    assert "only 1 usable rungs; slope fit needs 2" in res["warnings"]
+
+
 def test_holder_t0_at_horizon_rejected(tmp_path, capsys):
     cfg = _load("holder.json")
     cfg["t0"] = 1.0

@@ -560,7 +560,7 @@ def test_singular_static_operator_names_time_index(scale, first_level):
     n = 5
     bands = (np.zeros((n, 1)), np.zeros((n, 1)), np.ones((n, 1)))  # zero first column
     with pytest.raises(SolverError, match=f"time index {first_level}$"):
-        solvers._march(bands, np.ones(n), np.ones((n, 11)), scale, "value")
+        solvers._march(solvers._StepOperator(bands), np.ones(n), np.ones((n, 11)), scale, "value")
 
 
 @pytest.mark.parametrize("scale", [-0.1, 0.1])
@@ -572,7 +572,8 @@ def test_singular_time_varying_level_names_time_index(scale):
     bands = (sub, diag, sup)
     before = [b.copy() for b in bands]
     with pytest.raises(SolverError, match=f"time index {k}$"):
-        solvers._march(bands, np.ones(n), np.ones((n, n_t + 1)), scale, "value")
+        solvers._march(solvers._StepOperator(bands), np.ones(n), np.ones((n, n_t + 1)), scale,
+                       "value")
     for b, b0 in zip(bands, before):
         assert np.array_equal(b, b0)
 
@@ -623,7 +624,7 @@ def test_symmetrizable_indefinite_operator_takes_gtsv(monkeypatch, dpttrf_calls)
     assert solvers._symmetrizer(*(b[:, 0] for b in bands)) is None
     assert len(dpttrf_calls) == 1
     steps = _counted_steps(monkeypatch)
-    got = solvers._march(bands, first, src, 0.1, "density")
+    got = solvers._march(solvers._StepOperator(bands), first, src, 0.1, "density")
     assert steps == list(range(1, n_t + 1))
     want = _banded_march(bands, first, 0.1 * src, 0.1)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -642,7 +643,7 @@ def test_log_delta_span_guard(monkeypatch, ratio, symmetrized):
     rng = np.random.default_rng(6)
     first, src = rng.standard_normal(n), rng.standard_normal((n, n_t + 1))
     steps = _counted_steps(monkeypatch)
-    got = solvers._march(bands, first, src, -0.1, "value")
+    got = solvers._march(solvers._StepOperator(bands), first, src, -0.1, "value")
     assert steps == ([] if symmetrized else list(range(n_t - 1, -1, -1)))
     want = _banded_march(bands, first, -0.1 * src, -0.1)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -699,7 +700,8 @@ def test_time_major_march_equals_column_march(n_x, n_t, columns, backward):
         assert (sym is None) == (columns == "one-upwind")
     scale = -dt if backward else dt
     kept = [b.copy() for b in bands]
-    got = solvers._march(bands, first, src, scale, "value")
+    op = solvers._StepOperator(bands)
+    got = solvers._march(op, first, src, scale, "value")
     assert np.array_equal(got, _column_march(bands, first, src, scale))
     # the march's buffer is the result: time-major, fresh
     assert got.flags.f_contiguous and got.flags.writeable and got.shape == src.shape
@@ -707,11 +709,11 @@ def test_time_major_march_equals_column_march(n_x, n_t, columns, backward):
     assert all(np.array_equal(b, k) for b, k in zip(bands, kept))
     # a stride-0 source, as _traj makes for scalars and profiles
     flat = np.broadcast_to(src[:, :1], src.shape)
-    assert np.array_equal(solvers._march(bands, first, flat, scale, "value"),
+    assert np.array_equal(solvers._march(op, first, flat, scale, "value"),
                           _column_march(bands, first, flat, scale))
     # the density path: weight times source, then the step scale
     weight = 0.5 + np.arange(n_x)[:, None] / n_x
-    assert np.array_equal(solvers._march(bands, first, src, scale, "density", weight),
+    assert np.array_equal(solvers._march(op, first, src, scale, "density", weight),
                           _column_march(bands, first, weight * src, scale))
 
 
@@ -876,7 +878,8 @@ def test_lapack_loader_falls_back_to_public_module(monkeypatch, missing):
     from scipy.linalg import lapack as public
 
     cases = [_march_case(64, 33, columns, seed=11) for columns in ("one", "full")]
-    direct = [solvers._march(bands, first, src, -dt, "value") for bands, first, src, dt in cases]
+    direct = [solvers._march(solvers._StepOperator(bands), first, src, -dt, "value")
+              for bands, first, src, dt in cases]
     if missing == "extension file":
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
     elif missing.endswith("error"):
@@ -895,7 +898,8 @@ def test_lapack_loader_falls_back_to_public_module(monkeypatch, missing):
     assert loaded is public
     monkeypatch.setattr(solvers, "lapack", loaded)
     for (bands, first, src, dt), want in zip(cases, direct):
-        assert np.array_equal(solvers._march(bands, first, src, -dt, "value"), want)
+        got = solvers._march(solvers._StepOperator(bands), first, src, -dt, "value")
+        assert np.array_equal(got, want)
 
 
 def _bits(a):

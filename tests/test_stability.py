@@ -315,6 +315,22 @@ def test_generate_pair_start_on_a_wrong_grid_raises_value_error():
         )
 
 
+def test_generate_pair_perturbed_solve_out_of_budget_raises_naming_eps():
+    from degenmfg.mfg import IterConfig
+    from degenmfg.solvers import SolverError
+
+    bspec = default_backward_spec()
+    base = (bspec.m0, bspec.h)
+    pert = (bspec.delta_m0, bspec.delta_h)
+    sol1, _ = generate_pair(base, pert, 1e-3, bspec.problem, grid=GRID)
+    assert sol1.converged
+    with pytest.raises(SolverError, match=r"^perturbed solve \(eps=0\.001\) did not converge$"):
+        generate_pair(
+            base, pert, 1e-3, bspec.problem, grid=GRID, cfg=IterConfig(max_sweeps=1),
+            base_solution=sol1, start=(0.0, 0.0),
+        )
+
+
 def test_generate_pair_rejects_a_wrong_start_before_any_solve(monkeypatch):
     from degenmfg import stability
 
