@@ -53,6 +53,7 @@ from degenmfg.domain import (
     DegenerateCoefficient,
     NormKind,
     SpaceTimeGrid,
+    _Bound,
     _dt1_columns,
     _dx_array,
     _dxx_array,
@@ -77,6 +78,7 @@ OVERFLOW_LOG_LIMIT = 700.0
 # largest weight table a sweep builds at once: 64 s values x 1024 midpoints;
 # also the size of a time-column block of the slice integrals
 _TABLE_DOUBLES = 64 * 1024
+_WEIGHT = _Bound(gt=0.0)  # each s and lam
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,14 @@ class CarlemanParams:
 
     def __post_init__(self):
         for name in ("s", "lam"):
-            v = getattr(self, name)
-            if isinstance(v, (bool, np.bool_)) or not 0.0 < v < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+            _weight(name, getattr(self, name))
+
+
+def _weight(name: str, v) -> float:
+    """s or lam as a float; raises ValueError unless v meets _WEIGHT."""
+    if _WEIGHT.fault(v):
+        raise ValueError(f"{name} must be positive and finite, got {v}")
+    return float(v)
 
 
 def _exp(x: float) -> float:
@@ -437,16 +444,12 @@ def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResul
     product of that table with a vector.  The rest of the estimate runs once
     per sweep over the time sums of every live cell.  Cells whose weight
     cannot be represented on a linear scale are recorded as NaN and counted
-    in overflow_cells.
+    in overflow_cells.  Every s and lam must meet CarlemanParams' rule.
     """
-    s_sorted = tuple(sorted(float(s) for s in s_values))
-    lam_sorted = tuple(sorted(float(x) for x in lam_values))
+    s_sorted = tuple(sorted(_weight("s", s) for s in s_values))
+    lam_sorted = tuple(sorted(_weight("lam", x) for x in lam_values))
     if len(s_sorted) == 0 or len(lam_sorted) == 0:
         raise ValueError("sweep needs at least one s and one lam")
-    if not all(s > 0.0 for s in s_sorted):
-        raise ValueError("s must be positive")
-    if not all(lam > 0.0 for lam in lam_sorted):
-        raise ValueError("lam must be positive")
     s_arr, lam_arr = np.array(s_sorted), np.array(lam_sorted)
     g = bundle.grid
     estimates = _estimates(bundle)

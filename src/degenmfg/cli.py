@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from degenmfg import __version__
-from degenmfg.carleman import CarlemanBundle, s0_estimate, sweep_parameters
+from degenmfg.carleman import _WEIGHT, CarlemanBundle, s0_estimate, sweep_parameters
 from degenmfg.domain import (
     _FAMILIES,
     DegenerateCoefficient,
@@ -72,6 +72,8 @@ from degenmfg.mfg import (
 )
 from degenmfg.solvers import SolverError, isomorphism_residual
 from degenmfg.stability import (
+    _AMPLITUDE,
+    _LOG_N_T_MIN,
     default_backward_spec,
     run_holder_experiment,
     run_log_experiment,
@@ -97,10 +99,6 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------- leaf checks
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -120,8 +118,7 @@ def _num_field(obj, path, key, errors, bound: _Bound):
     if key not in obj:
         return None
     v = obj[key]
-    fault = bound.fault(v) if _is_num(v) else "must be a finite number"
-    if fault:
+    if fault := bound.fault(v):
         errors.append(f"{pre}{key}: {fault}")
         return None
     return float(v)
@@ -195,8 +192,8 @@ def _validate_profile(obj, path, errors):
     for p in params:
         if p == "k":
             _int_field(obj, path, p, errors, 1, 64)
-        elif p in obj and not _is_num(obj[p]):
-            errors.append(f"{path}.{p}: must be a finite number")
+        else:
+            _num_field(obj, path, p, errors, _Bound())
 
 
 def _validate_profile_map(cfg, section, allowed, errors):
@@ -251,7 +248,7 @@ def _validate_sweep_values(cfg, errors):
             errors.append(f"{key}: must be a non-empty list of positive numbers")
             continue
         for i, v in enumerate(vals):
-            if not _is_num(v) or v <= 0.0:
+            if _WEIGHT.fault(v):
                 errors.append(f"{key}[{i}]: must be a positive number")
 
 
@@ -284,7 +281,7 @@ def _validate_eps_ladder(cfg, errors):
         errors.append("eps_ladder: must be a non-empty list of numbers")
         return
     for i, e in enumerate(ladder):
-        if not _is_num(e) or e < 0.0:
+        if _AMPLITUDE.fault(e):
             errors.append(f"eps_ladder[{i}]: must be a number >= 0")
 
 
@@ -641,8 +638,8 @@ _COMMANDS = {
     "stability-log": _Command(
         ("grid",),
         ("alpha", "eps_ladder", "experiment", "iter"),
-        # the log ladder's data norm D takes second time derivatives: n_t >= 4
-        (functools.partial(_validate_grid, n_t_min=4), _validate_alpha,
+        # the log ladder's data norm D takes second time derivatives
+        (functools.partial(_validate_grid, n_t_min=_LOG_N_T_MIN), _validate_alpha,
          _validate_experiment, _validate_eps_ladder, _validate_iter),
         _run_ladder,
     ),

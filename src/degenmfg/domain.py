@@ -75,6 +75,9 @@ class SpaceTimeGrid:
         return (self.n_x, self.n_t + 1)
 
 
+_NUMBERS = (int, float, np.integer, np.floating)  # np.bool_ is neither
+
+
 class _Bound(NamedTuple):
     """The range of a finite number: >= ge, > gt and <= le.  A bool is not a
     number here, as it is not in a JSON config."""
@@ -84,9 +87,12 @@ class _Bound(NamedTuple):
     le: float = math.inf
 
     def fault(self, v):
-        """The first requirement that the number v breaks, or None."""
-        needs = ((isinstance(v, (bool, np.bool_)) or not math.isfinite(v), "a finite number"),
-                 (v < self.ge, f">= {self.ge}"), (v <= self.gt, f"> {self.gt}"),
+        """The first requirement that the value v breaks, or None."""
+        if isinstance(v, bool) or not isinstance(v, _NUMBERS) or not math.isfinite(v):
+            return "must be a finite number"
+        if self.ge <= v and self.gt < v <= self.le:  # the common case, without formatting
+            return None
+        needs = ((v < self.ge, f">= {self.ge}"), (v <= self.gt, f"> {self.gt}"),
                  (v > self.le, f"<= {self.le}"))
         return next((f"must be {need}" for broken, need in needs if broken), None)
 

@@ -13,6 +13,10 @@ All measured norms follow the estimates exactly: weak weighted norms
 order weighted norms at the final time, and for the logarithmic case sums of
 time derivatives up to second order.  M is computed from the solutions
 themselves, so the hypothesis of the estimate holds by construction.
+
+Both experiments check t0, n_t, every amplitude (a finite number >= 0, not
+a bool) and the ladder's shape in one place, raising ValueError before any
+solve.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from degenmfg.domain import (
     DegenerateCoefficient,
     NormKind,
     SpaceTimeGrid,
+    _Bound,
     _dt_array,
     weighted_norm,
 )
@@ -63,6 +68,9 @@ DEFAULT_HOLDER_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 # ladder would spread the fitted constant far beyond any honest threshold
 DEFAULT_LOG_LADDER = (1e-2, 6e-3, 3.5e-3, 2e-3)
 DEFAULT_EXPERIMENT_SHAPE = (128, 256)
+_AMPLITUDE = _Bound(ge=0.0)  # each eps of a ladder
+_LOG_ORDER = 2  # the log ladder's D takes time derivatives up to this order
+_LOG_N_T_MIN = _LOG_ORDER + 2  # the end stencils of those derivatives need n_t >= order + 2
 
 
 def _holder_rate(t0: float, T: float, lam: float) -> tuple:
@@ -346,18 +354,39 @@ def _end_norms(u, m, coeff: DegenerateCoefficient, g: SpaceTimeGrid, order: int,
     return nu, nm
 
 
-def _clean_ladder(eps_ladder, warnings: list):
-    eps = []
-    for e in eps_ladder:
-        e = float(e)
+def _setup(spec, t0, eps_ladder, grid, cfg, pairs, n_t_min=2, min_rungs=1, decades=0):
+    """Every input check of a ladder, all before its first solve.  Returns the
+    grid, the index k0 of its time nearest t0 (interior unless t0 = 0), the
+    pairs (given ones are used as they are, on their own grid) and the
+    warnings.  eps = 0 rungs are dropped with a warning each; the rest must
+    be min_rungs or more distinct amplitudes spanning ``decades`` decades."""
+    if pairs is not None and not pairs:
+        raise ValueError("pairs is empty: a ladder needs at least one solution pair")
+    g = pairs[0][1][0].u.grid if pairs else _experiment_grid(spec.problem, grid)
+    k0 = round(t0 / g.dt)  # the grid time the ladder measures at
+    if t0 > 0.0 and not 0 < k0 < g.n_t:
+        raise ValueError(f"t0={t0:g} is nearest the grid end t={g.t[k0]:g} at n_t={g.n_t}; "
+                         "refine n_t or move t0 inward")
+    if g.n_t < n_t_min:
+        raise ValueError(f"n_t={g.n_t} is too coarse: the ladder needs n_t >= {n_t_min}")
+    warnings: list = []
+    if pairs is not None:
+        return g, k0, pairs, warnings
+    eps = set()
+    for i, e in enumerate(eps_ladder):
+        if fault := _AMPLITUDE.fault(e):
+            raise ValueError(f"eps_ladder[{i}] {fault}, got {e}")
         if e == 0.0:
             warnings.append("eps=0 rung dropped: identical pair, log of zero")
-            continue
-        eps.append(e)
-    eps = sorted(set(eps), reverse=True)
+        else:
+            eps.add(float(e))
+    eps = sorted(eps, reverse=True)
     if not eps:
         raise ValueError("perturbation ladder is empty after dropping eps=0")
-    return eps
+    if len(eps) < min_rungs or eps[0] / eps[-1] < 10.0**decades:
+        raise ValueError(f"ladder must have >= {min_rungs} amplitudes "
+                         f"spanning >= {decades} decades")
+    return g, k0, build_ladder_pairs(spec, eps, grid=g, cfg=cfg), warnings
 
 
 def _fit(points, warnings: list, min_points: int):
@@ -379,6 +408,8 @@ def _c_spread(cs) -> float:
 
 def _run_ladder(
     spec: BackwardExperimentSpec,
+    g: SpaceTimeGrid,
+    k0: int,
     pairs,
     warnings: list,
     *,
@@ -391,23 +422,19 @@ def _run_ladder(
     min_points: int,
     stable: Callable,
 ) -> StabilityResult:
-    """The rung loop of both stability experiments.
+    """The rung loop of both stability experiments, on what _setup checked.
 
     Per rung: D0, the first-order discrepancy at t = T; disc, which adds time
     derivatives up to ``order`` (recorded as D when order > 0); and err, the
-    weak-norm difference at the grid time nearest t0.  M is the largest
+    weak-norm difference at the grid time t[k0].  M is the largest
     initial-state norm, with time derivatives up to ``order``, over every
     solution of the ladder, so every rung sees the M the result reports.
     ``rung_rule(disc, err, M)`` gives (s_star, c_envelope, note); a nonempty
     note rejects the rung.  The fit of log err against log disc needs
     ``min_points`` accepted rungs, and ``stable`` judges the rung constants.
     """
-    if not pairs:
-        raise ValueError("pairs is empty: a ladder needs at least one solution pair")
     problem = spec.problem
-    g = pairs[0][1][0].u.grid
     coeff = problem.coeff
-    k0 = int(round(t0 / g.dt))
     t0_used = float(g.t[k0])
     M = 0.0
     for sol in {id(s): s for _, pair in pairs for s in pair}.values():
@@ -473,31 +500,19 @@ def run_holder_experiment(
     ``pairs`` from build_ladder_pairs are reused as-is, since pairs are
     independent of t0.
     """
-    problem = spec.problem
-    T, lam = problem.T, problem.lam
+    T, lam = spec.problem.T, spec.problem.lam
     if not (0.0 < t0 < T):
         raise ValueError("t0 must lie strictly inside (0, T)")
-    g = pairs[0][1][0].u.grid if pairs else _experiment_grid(problem, grid)
-    k0 = round(t0 / g.dt)  # the grid time the ladder measures at
-    if not 0 < k0 < g.n_t:
-        raise ValueError(f"t0={t0:g} is nearest the grid end t={g.t[k0]:g} at n_t={g.n_t}; "
-                         "refine n_t or move t0 inward")
-    warnings: list = []
-    if pairs is None:
-        eps_list = _clean_ladder(eps_ladder, warnings)
-        if len(eps_list) < 4 or max(eps_list) / min(eps_list) < 100.0:
-            raise ValueError("ladder must have >= 4 amplitudes spanning >= 2 decades")
-        pairs = build_ladder_pairs(spec, eps_list, grid=g, cfg=cfg)
     alpha, denom = _holder_rate(t0, T, lam)
     theta = alpha / denom
+    setup = _setup(spec, t0, eps_ladder, grid, cfg, pairs, min_rungs=4, decades=2)
 
     def rung_rule(D0, err, M):
         return optimal_s(M, D0, t0, T, lam), err / (D0**theta + D0), ""
 
     return _run_ladder(
         spec,
-        pairs,
-        warnings,
+        *setup,
         mode="holder",
         t0=t0,
         theta=theta,
@@ -529,10 +544,7 @@ def run_log_experiment(
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    warnings: list = []
-    if pairs is None:
-        eps_list = _clean_ladder(eps_ladder, warnings)
-        pairs = build_ladder_pairs(spec, eps_list, grid=grid, cfg=cfg)
+    setup = _setup(spec, 0.0, eps_ladder, grid, cfg, pairs, n_t_min=_LOG_N_T_MIN)
 
     def rung_rule(D, err, M):
         if D >= 1.0:
@@ -543,13 +555,12 @@ def run_log_experiment(
 
     return _run_ladder(
         spec,
-        pairs,
-        warnings,
+        *setup,
         mode="log",
         t0=0.0,
         theta=0.0,
         alpha=alpha,
-        order=2,
+        order=_LOG_ORDER,
         rung_rule=rung_rule,
         min_points=2,
         stable=lambda cs: _c_spread(cs) < 10.0,

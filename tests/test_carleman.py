@@ -322,10 +322,14 @@ def test_sweep_rejects_invalid_parameters(s_values, lam_values):
         sweep_parameters(_case_bundle("drifted-well", 16, 16), s_values, lam_values)
 
 
-def test_sweep_infinite_s_is_overflow_cell():
-    sw = sweep_parameters(_case_bundle("drifted-well", 16, 16), [2.0, math.inf], [1.0])
-    assert sw.overflow_cells == 1
-    assert np.isfinite(sw.ratios[0, 0]) and math.isnan(sw.ratios[1, 0])
+@pytest.mark.parametrize("name", ["s", "lam"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, True, -1.0])
+def test_sweep_values_follow_the_params_rule(name, bad):
+    # an infinite s or lam used to be a silent overflow cell, and True was 1.0
+    values = {"s": [2.0], "lam": [1.0]}
+    values[name].append(bad)
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {bad}$"):
+        sweep_parameters(_case_bundle("drifted-well", 16, 16), values["s"], values["lam"])
 
 
 def test_sweep_log_weight_past_the_double_range_is_overflow_cell():

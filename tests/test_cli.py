@@ -793,6 +793,79 @@ def test_library_and_cli_agree_at_each_picard_bound(tmp_path, capsys, params, ok
         assert detail.startswith(f"iter.{next(iter(params))}: must be")
 
 
+# ladder inputs at each bound of the stability rules (amplitudes, and the
+# log ladder's n_t) and whether they are admissible
+_BAD_AMPLITUDES = (math.nan, math.inf, -0.01, True)
+_LADDER_EDGES = [
+    ("stability-holder", {"eps_ladder": [0.1, 0.01, 0.001, 1e-4, 0.0]}, True),
+    *[("stability-holder", {"eps_ladder": [0.1, 0.01, 0.001, 1e-4, e]}, False)
+      for e in _BAD_AMPLITUDES],
+    ("stability-log", {"eps_ladder": [0.01, 0.0]}, True),
+    *[("stability-log", {"eps_ladder": [0.01, e]}, False) for e in _BAD_AMPLITUDES],
+    ("stability-log", {"grid": {"n_x": 16, "n_t": 3}}, False),
+    ("stability-log", {"grid": {"n_x": 16, "n_t": 4}}, True),
+]
+
+
+class _Solved(Exception):
+    """Raised by the solve spy: the experiment passed its input checks."""
+
+
+@pytest.mark.parametrize("command, params, ok", _LADDER_EDGES,
+                         ids=[f"{c}:{_edge_ids([(p, ok)])[0]}" for c, p, ok in _LADDER_EDGES])
+def test_library_and_cli_agree_at_each_ladder_bound(tmp_path, monkeypatch, command, params, ok):
+    # the library refuses before its first solve exactly what the CLI
+    # refuses with exit 2
+    from degenmfg import stability
+    from degenmfg.domain import SpaceTimeGrid
+
+    cfg = {"command": command, "grid": {"n_x": 16, "n_t": 8}, **params}
+    kw = {"eps_ladder": cfg["eps_ladder"]} if "eps_ladder" in cfg else {}
+    holder = command == "stability-holder"
+    if holder:
+        cfg["t0"] = kw["t0"] = 0.5
+    run = stability.run_holder_experiment if holder else stability.run_log_experiment
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        raise _Solved
+
+    with monkeypatch.context() as m:
+        m.setattr(stability, "solve_nonlinear_mfg", spy)
+        with pytest.raises(_Solved if ok else ValueError):
+            run(stability.default_backward_spec(), grid=SpaceTimeGrid(**cfg["grid"], T=1.0), **kw)
+    assert calls == ([1] if ok else [])
+    assert _cli_code(tmp_path, command, cfg) == (0 if ok else 2)
+
+
+_SWEEP_EDGES = [
+    ({"s_values": [2.0, 1e-3], "lam_values": [1.0, 1e-3]}, True),
+    ({"s_values": [2.0, 0.0]}, False),
+    ({"s_values": [2.0, math.inf]}, False),
+    ({"s_values": [2.0, True]}, False),
+    ({"lam_values": [1.0, math.inf]}, False),
+    ({"lam_values": [1.0, True]}, False),
+]
+
+
+@pytest.mark.parametrize("params, ok", _SWEEP_EDGES, ids=_edge_ids(_SWEEP_EDGES))
+def test_library_and_cli_agree_at_each_sweep_bound(tmp_path, params, ok):
+    from degenmfg.carleman import CarlemanBundle, sweep_parameters
+    from degenmfg.domain import SpaceTimeGrid
+    from degenmfg.manufactured import IterConfig, _solve_case, make_case
+
+    cfg = {"command": "verify-carleman", "case": "coupled-mild",
+           "grid": {"n_x": 16, "n_t": 8}, "s_values": [2.0], "lam_values": [1.0], **params}
+    case = make_case(cfg["case"])
+    g = SpaceTimeGrid(16, 8, case.T)
+    u, m, F, G, _ = _solve_case(case, g, IterConfig())
+    bundle = CarlemanBundle(case.coeff, g, u=u, m=m, F=F, G=G)
+    assert _library_admits(sweep_parameters, bundle=bundle, s_values=cfg["s_values"],
+                           lam_values=cfg["lam_values"]) is ok
+    assert _cli_code(tmp_path, "verify-carleman", cfg) == (0 if ok else 2)
+
+
 @pytest.mark.parametrize("command, run, extra, omitted", [
     ("stability-holder", "run_holder_experiment", {"t0": 0.5}, ("eps_ladder",)),
     ("stability-log", "run_log_experiment", {}, ("alpha", "eps_ladder")),

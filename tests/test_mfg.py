@@ -274,6 +274,22 @@ def test_zero_start_is_the_default_bit_for_bit():
     assert np.array_equal(zero.m.values, cold.m.values)
 
 
+def test_time_varying_p_and_d_equal_their_profiles_bit_for_bit():
+    # full time-major copies of p and d take the trajectory path of the
+    # sweep, where profiles stay one column: the same doubles either way
+    g = _grid(32, 64)
+    coeffs, m0, h = _stock_coeffs(g)
+    full = MfgCoefficients(P22, g, **{k: np.asfortranarray(np.broadcast_to(
+        getattr(coeffs, k)[:, :1], g.shape)) for k in ("p", "d")})
+    assert full.p.strides[1] != 0 and full.d.strides[1] != 0
+    prof = solve_nonlinear_mfg(coeffs, m0=m0, h=h)
+    traj = solve_nonlinear_mfg(full, m0=m0, h=h)
+    assert prof.converged and prof.sweeps > 1
+    assert traj.residual_log == prof.residual_log
+    assert np.array_equal(traj.u.values, prof.u.values)
+    assert np.array_equal(traj.m.values, prof.m.values)
+
+
 def test_solve_started_at_its_own_solution_takes_one_sweep():
     g = _grid()
     coeffs, m0, h = _stock_coeffs(g)

@@ -1,6 +1,7 @@
 """Backward-recovery exponents, perturbation ladders, and envelope fits."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -168,6 +169,21 @@ def test_empty_pairs_raise_value_error_before_any_solve(monkeypatch, experiment)
         else:
             run_log_experiment(bspec, pairs=())
     assert calls == []
+
+
+def test_zero_discrepancy_rung_is_rejected():
+    # a rung whose two solutions are both the base solution: no data
+    # discrepancy to measure the error against
+    bspec = default_backward_spec()
+    pairs = build_ladder_pairs(bspec, DEFAULT_HOLDER_LADDER, grid=SpaceTimeGrid(16, 32, 1.0))
+    base = pairs[0][1][0]
+    zero = ((1e-3, (base, base)),)
+    res = run_holder_experiment(bspec, 0.5, pairs=pairs + zero)
+    assert [r.note for r in res.rungs] == ["", "", "", "", "zero discrepancy"]
+    assert not res.rungs[-1].accepted and math.isnan(res.rungs[-1].c_envelope)
+    assert res == replace(run_holder_experiment(bspec, 0.5, pairs=pairs), rungs=res.rungs)
+    with pytest.raises(ValueError, match=r"^no rung accepted: eps=0\.001 \(zero discrepancy\)$"):
+        run_log_experiment(bspec, pairs=zero)
 
 
 def test_initial_time_ladder_with_every_rung_rejected_names_the_notes():
