@@ -45,6 +45,7 @@ whole-trajectory derivative arrays.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,7 @@ OVERFLOW_LOG_LIMIT = 700.0
 # also the size of a time-column block of the slice integrals
 _TABLE_DOUBLES = 64 * 1024
 _WEIGHT = _Bound(gt=0.0)  # each s and lam
+_S_FLOOR = _Bound(ge=sys.float_info.min)  # each s: below it, the estimate's 1/s overflows
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,11 @@ class CarlemanParams:
 
 
 def _weight(name: str, v) -> float:
-    """s or lam as a float; raises ValueError unless v meets _WEIGHT."""
+    """s or lam as a float; raises ValueError unless v meets _WEIGHT (s, _S_FLOOR too)."""
     if _WEIGHT.fault(v):
         raise ValueError(f"{name} must be positive and finite, got {v}")
+    if name == "s" and (fault := _S_FLOOR.fault(v)):
+        raise ValueError(f"s {fault} (the smallest normal double), got {v}")
     return float(v)
 
 

@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from degenmfg import __version__
-from degenmfg.carleman import _WEIGHT, CarlemanBundle, s0_estimate, sweep_parameters
+from degenmfg.carleman import _S_FLOOR, _WEIGHT, CarlemanBundle, s0_estimate, sweep_parameters
 from degenmfg.domain import (
     _FAMILIES,
     DegenerateCoefficient,
@@ -250,6 +250,8 @@ def _validate_sweep_values(cfg, errors):
         for i, v in enumerate(vals):
             if _WEIGHT.fault(v):
                 errors.append(f"{key}[{i}]: must be a positive number")
+            elif key == "s_values" and (fault := _S_FLOOR.fault(v)):
+                errors.append(f"{key}[{i}]: {fault} (the smallest normal double)")
 
 
 def _validate_t0(cfg, errors):

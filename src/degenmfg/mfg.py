@@ -16,9 +16,9 @@ decoupled system finishes in one sweep, bit-identical to the two scalar
 solves.  A sweep whose residual exceeds divergence_factor times the best one
 so far is rejected: the damping halves and the iteration restarts from the
 best pair.  Once the damping would fall below DAMPING_FLOOR (1/64), the solve
-gives up and returns the best pair with converged=False.  Only arrays outlive
-a sweep: a value problem is dropped once it is marched, and a rejected sweep
-rebuilds the best pair's from its template.
+gives up and returns the best pair with converged=False.  The linearized
+system's sweeps renew the sources of two problems that keep their step
+operators; only arrays outlive a quadratic-Hamiltonian sweep.
 
 Convergence is declared on the scheme residuals (the defect of the implicit
 step equations), which a fixed point can actually drive to rounding level;
@@ -65,6 +65,7 @@ from degenmfg.solvers import (
     _slice,
     _time_columns,
     _traj,
+    _with_source,
     apply_fp_operator,
     apply_hjb_operator,
     fp_scheme_residual,
@@ -184,17 +185,22 @@ class _Template(NamedTuple):
     G: np.ndarray
 
 
-def _value_problem(t: _Template, m, g, c, h=0.0) -> HjbLinearProblem:
-    """The template's value equation at the density m: source F + d2 m."""
-    return HjbLinearProblem(g, c, drift=t.d1, source=t.F + t.d2 * m, terminal=h)
+def _value_problem(t: _Template, m, g, c, h=0.0, prev=None) -> HjbLinearProblem:
+    """The template's value equation at the density m: source F + d2 m (prev's, if given)."""
+    source = t.F + t.d2 * m
+    if prev is not None:
+        return _with_source(prev, source=source)
+    return HjbLinearProblem(g, c, drift=t.d1, source=source, terminal=h)
 
 
-def _density_problem(t: _Template, u, g, c, m0=0.0) -> FpLinearProblem:
+def _density_problem(t: _Template, u, g, c, m0=0.0, prev=None) -> FpLinearProblem:
     """The template's density equation at the value u: source
-    c2 u_x + rho u_xx + G, or G when c2 is None."""
+    c2 u_x + rho u_xx + G, or G when c2 is None (prev's, if given)."""
     source = t.G
     if t.c2 is not None:
         source = t.c2 * _dx_array(u, g.h, "dirichlet") + t.rho * _dxx_array(u, g.h) + t.G
+    if prev is not None:
+        return _with_source(prev, source=source)
     return FpLinearProblem(g, c, convection=t.c1, zeroth=t.b, source=source, initial=m0)
 
 
@@ -207,43 +213,46 @@ def _blend(old: np.ndarray, cand: np.ndarray, step: float) -> np.ndarray:
 def _picard(coeffs: MfgCoefficients, cfg: IterConfig, frozen, m0, h, start):
     """Picard sweeps with backtracking, shared by both coupled solvers.
 
-    ``frozen(u)`` is the template at the value iterate u, called once per
-    sweep: the density equation at u and the next value equation at (u, m)
-    are both built from it.  The residual of a sweep is the value scheme
-    residual at the new pair, with the value equation rebuilt there: at a
-    fixed point that is the discrete system itself, and it is also the next
-    sweep's value equation.  A damped sweep (step below 1) logs the larger of
-    that and the density scheme residual of its blended m; a full step's m is
-    the density march's solution, whose residual would only measure the
-    march's rounding, so it is not evaluated.  The iteration starts from
-    ``start`` (only read), and from zeros when it is None.  Only arrays
-    outlive a sweep: the value problem is dropped once it is marched, and a
-    rejected sweep rebuilds it from the best pair.
+    ``frozen`` is the template, or a function giving the template at the
+    value iterate u, called once per sweep: the density equation at u and
+    the next value equation at (u, m) are both built from it.  The residual
+    of a sweep is the value scheme residual at the new pair, with the value
+    equation rebuilt there: at a fixed point that is the discrete system
+    itself, and it is also the next sweep's value equation.  A damped sweep
+    (step below 1) logs the larger of that and the density scheme residual
+    of its blended m; a full step's m is the density march's solution, whose
+    residual would only measure the march's rounding, so it is not
+    evaluated.  The iteration starts from ``start`` (only read), and from
+    zeros when it is None.  A fixed template's two problems outlive the
+    sweeps, with new sources; else only arrays do: the value problem is
+    dropped once marched, and a rejected sweep rebuilds it from the best pair.
     """
     g, c = coeffs.grid, coeffs.diffusion
     m0, h = _slice(m0, g, "m0"), _slice(h, g, "h")
     start = _start_pair(start, g)
     u, m = (_zeros(g.shape), _zeros(g.shape)) if start is None else start
+    fixed = isinstance(frozen, _Template)
+    template_at = (lambda u: frozen) if fixed else frozen
     # a sweep that leaves the double range is reported, not warned about:
     # its march raises SolverError, or its residual is inf or NaN and the
     # solve does not converge
     with np.errstate(over="ignore", invalid="ignore"):
-        hjb = _value_problem(frozen(u), m, g, c, h)
+        hjb, fp = _value_problem(template_at(u), m, g, c, h), None
         best = (np.inf, u, m)
         damping = cfg.damping
         log: list = []
         for sweep in range(1, cfg.max_sweeps + 1):
             step = 1.0 if sweep == 1 else damping
             u_new = _blend(u, solve_hjb_linear(hjb).values, step)
-            del hjb  # free its step bands and source before the density solve
-            t = frozen(u_new)
-            fp = _density_problem(t, u_new, g, c, m0)
+            hjb = hjb if fixed else None  # free its step bands and source before fp
+            t = template_at(u_new)
+            fp = _density_problem(t, u_new, g, c, m0, fp)
             m_new = _blend(m, solve_fp_linear(fp).values, step)
             # a full step's m_new is the march's own solution of fp: its defect
             # is the tridiagonal solves' rounding, so only a blend is measured
             res_fp = fp_scheme_residual(m_new, fp) if step < 1.0 else 0.0
-            del fp  # free its step bands before the value problem builds its own
-            hjb = _value_problem(t, m_new, g, c, h)
+            fp = fp if fixed else None  # free its step bands before hjb builds its own
+            hjb = _value_problem(t, m_new, g, c, h, hjb)
             del t
             res = max(hjb_scheme_residual(u_new, hjb), res_fp)
             log.append(res)
@@ -255,7 +264,7 @@ def _picard(coeffs: MfgCoefficients, cfg: IterConfig, frozen, m0, h, start):
                 if damping < DAMPING_FLOOR:
                     break
                 _, u, m = best
-                hjb = _value_problem(frozen(u), m, g, c, h)
+                hjb = _value_problem(template_at(u), m, g, c, h, hjb if fixed else None)
                 continue
             u, m = u_new, m_new
             if res < best[0]:
@@ -300,14 +309,14 @@ def solve_linearized_mfg(
     damped step.  When the damping floor or the sweep budget is reached, the
     best iterate is returned with converged=False.  ``start`` is the (u, m)
     pair the iteration starts from, as for solve_nonlinear_mfg (zeros when
-    None).  Only the sources change from sweep to sweep: with coefficients
-    constant in time, every sweep's problems find the value and the density
-    step operator, factored, in the solvers' operator memo.
+    None).  Only the sources change from sweep to sweep: the solve builds
+    the value and the density step operator once each (factored when
+    constant in time) and every sweep reuses them.
     """
     g = coeffs.grid
     linear = {k: getattr(coeffs, k) for k in _LINEAR_KEYS}
     t = _Template(F=_traj(F, g, "F"), G=_traj(G, g, "G"), **linear)
-    return _picard(coeffs, cfg, lambda u: t, m0, h, start)
+    return _picard(coeffs, cfg, t, m0, h, start)
 
 
 def solve_nonlinear_mfg(

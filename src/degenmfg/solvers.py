@@ -10,18 +10,18 @@ Bands constant in time (scalar and profile coefficients) are one column; when
 that step matrix S is similar, through a positive diagonal D, to a symmetric
 positive definite T (every pair of adjacent off-diagonals of one sign, so cell
 Peclet below 1: the discrete form of the operator's self-adjointness in its
-Sturm-Liouville weight), T is factored once per distinct operator (pttrf,
-LDL^T) and each level is one pttrs in the unknown D^-1 f.  A memo of the last
-two such operators, keyed on their content (see _static_operator), lets the
-sweeps of a linearized coupled solve, which rebuild their problems around the
-same value and density operators, factor each once.  Every other sweep,
-time-varying or not symmetrizable, solves each level with one gtsv call on
-its rows of a level-major per-sweep copy of the bands, off-diagonals cut to
-length.  The solvers return that buffer, a fresh time-major array, wrapped
-without a copy.  The spatial operator L = a d_xx + d d_x + q uses central
-stencils at interior cells and a ghost-cell closure at the two boundary
-cells: the unknown is extended by a quadratic that vanishes at the endpoint,
-the discrete form of the homogeneous Dirichlet condition carried by u and by
+Sturm-Liouville weight), T is factored once per operator (pttrf, LDL^T) and
+each level is one pttrs in the unknown D^-1 f.  A problem builds its operator
+on first use; a copy with a new source (_with_source) shares it, so the
+sweeps of a linearized coupled solve, whose value and density operators stay
+fixed, build and factor each once.  A sweep whose bands vary in time or
+are not symmetrizable solves each level with one gtsv call on its rows of a
+level-major per-sweep copy of the bands, off-diagonals cut to length.  The
+solvers return that buffer, a fresh time-major array, wrapped without a
+copy.  The spatial operator L = a d_xx + d d_x + q uses central stencils at
+interior cells and a ghost-cell closure at the two boundary cells: the
+unknown is extended by a quadratic that vanishes at the endpoint, the
+discrete form of the homogeneous Dirichlet condition carried by u and by
 a*m.
 
 The density equation is not discretized in m directly.  Its divergence-form
@@ -52,8 +52,8 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -257,36 +257,18 @@ def _step_operator(kind, coeff, grid, *fields) -> _StepOperator:
     """The step operator of a problem: ``kind`` (_value_bands or
     _density_bands) builds the bands of L from the coefficient, the grid and
     the problem's coefficient fields (the drift; the convection and the
-    zeroth term).
-
-    Fields that vary in time give one band column per level, built for this
-    problem alone.  Fields constant in time (stride 0, see _traj) give one
-    band column, which _static_operator memoizes: the sweeps of a linearized
-    coupled solve rebuild their problems with new sources around the same
-    two operators, and find them factored.
+    zeroth term), one band column when none of them varies in time (see
+    _time_columns), else one per level.
     """
-    if all(f.strides[1] == 0 for f in fields):
-        return _static_operator(kind, coeff, grid, *(f[:, 0].tobytes() for f in fields))
-    return _StepOperator(_to_step_bands(*kind(coeff, grid, *fields), grid.dt))
+    return _StepOperator(_to_step_bands(*kind(coeff, grid, *_time_columns(*fields)), grid.dt))
 
 
-# two entries: the value and the density operator of the solve in progress
-@lru_cache(maxsize=2)
-def _static_operator(kind, coeff, grid, *columns: bytes) -> _StepOperator:
-    """The time-invariant step operator with these field columns, memoized.
-
-    The key is the operator's content: its kind, the coefficient and the
-    grid (frozen records, compared by value) and the bytes of each field
-    column.  Keyed on content, a field edited in place between two solves
-    gives the new operator, where an identity key would return the stale
-    one (_traj hands problems views of the caller's arrays).  The bands and
-    the kernel's arrays are read-only: every caller shares them.
-    """
-    cols = (np.frombuffer(c).reshape(grid.n_x, 1) for c in columns)
-    op = _StepOperator(_to_step_bands(*kind(coeff, grid, *cols), grid.dt))
-    for arr in (*op, *(op.sym or ())):
-        arr.setflags(write=False)
-    return op
+def _with_source(prob, source):
+    """A copy of the problem prob with this source, sharing prob's step
+    operator: the operator does not depend on the source."""
+    new = replace(prob, source=source)
+    new.__dict__["_step_bands"] = prob._step_bands
+    return new
 
 
 def _time_columns(*fields):

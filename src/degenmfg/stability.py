@@ -15,8 +15,8 @@ time derivatives up to second order.  M is computed from the solutions
 themselves, so the hypothesis of the estimate holds by construction.
 
 Both experiments check t0, n_t, every amplitude (a finite number >= 0, not
-a bool) and the ladder's shape in one place, raising ValueError before any
-solve.
+a bool) and the ladder's shape in one place, and the pair builders every
+amplitude by the same rule, each raising ValueError before any solve.
 """
 
 from __future__ import annotations
@@ -206,6 +206,13 @@ def default_backward_spec() -> BackwardExperimentSpec:
     )
 
 
+def _amplitude(name: str, eps) -> float:
+    """eps as a float; ValueError naming it unless a finite number >= 0, not a bool."""
+    if fault := _AMPLITUDE.fault(eps):
+        raise ValueError(f"{name} {fault}, got {eps}")
+    return float(eps)
+
+
 def _experiment_grid(problem: NonlinearProblemSpec, grid: Optional[SpaceTimeGrid]):
     if grid is not None:
         return grid
@@ -232,8 +239,9 @@ def generate_pair(
     solve_nonlinear_mfg (a wrong shape raises ValueError), and from the base
     solution when it is None: the two solutions are O(eps) apart, so that
     saves sweeps without moving the converged answer beyond the residual
-    tolerance.  Raises SolverError when either solve fails to converge.
+    tolerance.  A bad eps raises ValueError first; a solve that fails to converge, SolverError.
     """
+    eps = _amplitude("eps", eps)
     g = _experiment_grid(spec, grid)
     m0 = _slice(base_data[0], g, "m0")
     h = _slice(base_data[1], g, "h")
@@ -278,14 +286,15 @@ def build_ladder_pairs(
     two from the Lagrange quadratic through (0, base), (e1, sol2(e1)) and
     (e2, sol2(e2)); distinct nonzero nodes never divide by zero.  Every
     solve still stops on the residual tolerance, so the pairs agree with
-    cold-started ones to the accuracy that tolerance sets, in fewer sweeps.
+    cold-started ones to the accuracy that tolerance sets, in fewer sweeps;
+    every eps is checked as in generate_pair before the first solve.
     """
     g = _experiment_grid(spec.problem, grid)
+    eps_ladder = [_amplitude(f"eps_ladder[{i}]", e) for i, e in enumerate(eps_ladder)]
     base = None
     nodes: list = []  # (eps, sol2) of the last two distinct nonzero rungs
     out = []
     for eps in eps_ladder:
-        eps = float(eps)
         sol1, sol2 = generate_pair(
             (spec.m0, spec.h),
             (spec.delta_m0, spec.delta_h),
@@ -369,18 +378,11 @@ def _setup(spec, t0, eps_ladder, grid, cfg, pairs, n_t_min=2, min_rungs=1, decad
                          "refine n_t or move t0 inward")
     if g.n_t < n_t_min:
         raise ValueError(f"n_t={g.n_t} is too coarse: the ladder needs n_t >= {n_t_min}")
-    warnings: list = []
     if pairs is not None:
-        return g, k0, pairs, warnings
-    eps = set()
-    for i, e in enumerate(eps_ladder):
-        if fault := _AMPLITUDE.fault(e):
-            raise ValueError(f"eps_ladder[{i}] {fault}, got {e}")
-        if e == 0.0:
-            warnings.append("eps=0 rung dropped: identical pair, log of zero")
-        else:
-            eps.add(float(e))
-    eps = sorted(eps, reverse=True)
+        return g, k0, pairs, []
+    eps = [_amplitude(f"eps_ladder[{i}]", e) for i, e in enumerate(eps_ladder)]
+    warnings = ["eps=0 rung dropped: identical pair, log of zero"] * eps.count(0.0)
+    eps = sorted(set(eps) - {0.0}, reverse=True)
     if not eps:
         raise ValueError("perturbation ladder is empty after dropping eps=0")
     if len(eps) < min_rungs or eps[0] / eps[-1] < 10.0**decades:

@@ -1,6 +1,8 @@
 """Weighted energy functionals: weights, homogeneity, additivity, sweeps."""
 
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -330,6 +332,26 @@ def test_sweep_values_follow_the_params_rule(name, bad):
     values[name].append(bad)
     with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {bad}$"):
         sweep_parameters(_case_bundle("drifted-well", 16, 16), values["s"], values["lam"])
+
+
+@pytest.mark.parametrize("s", [5e-324, 1e-310, math.nextafter(sys.float_info.min, 0.0)])
+def test_subnormal_s_is_refused_naming_the_bound(s):
+    # a subnormal s used to give an inf ratio with no overflow flag and an
+    # overflow warning, and on a zero field a NaN where the ratio is 0
+    floor, got = (re.escape(repr(v)) for v in (sys.float_info.min, s))
+    want = rf"^s must be >= {floor} \(the smallest normal double\), got {got}$"
+    with pytest.raises(ValueError, match=want):
+        CarlemanParams(s, 1.0)
+    with pytest.raises(ValueError, match=want):
+        sweep_parameters(_case_bundle("coupled-mild", 16, 8), [1.0, s], [1.0])
+    assert CarlemanParams(1.0, s).lam == s  # lam keeps the positive rule
+
+
+@pytest.mark.parametrize("name", ["coupled-mild", "zero"])
+def test_smallest_normal_s_gives_finite_ratios(name):
+    sw = sweep_parameters(_case_bundle(name, 16, 8), [sys.float_info.min, 1.0], [1.0])
+    assert sw.overflow_cells == 0 and np.all(np.isfinite(sw.ratios))
+    assert np.all(sw.ratios == 0.0) == (name == "zero")
 
 
 def test_sweep_log_weight_past_the_double_range_is_overflow_cell():

@@ -184,6 +184,10 @@ case("verify-carleman", "values-elements",
      {"s_values": [1.0, 0.0, -2, "x", True], "lam_values": [1.0, None]},
      [f"s_values[{i}]: must be a positive number" for i in (1, 2, 3, 4)]
      + ["lam_values[1]: must be a positive number"])
+case("verify-carleman", "values-subnormal",
+     {"s_values": [1.0, 5e-324, 1e-310], "lam_values": [1.0, 5e-324]},
+     [f"s_values[{i}]: must be >= 2.2250738585072014e-308 (the smallest normal double)"
+      for i in (1, 2)])
 case("verify-carleman", "values-missing", {"s_values": DROP, "lam_values": DROP},
      ["missing required field: s_values", "missing required field: lam_values",
       "s_values: must be a non-empty list of positive numbers",

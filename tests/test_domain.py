@@ -1,6 +1,7 @@
 """Grid, coefficient, stencil, and weighted-norm behavior."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from scipy.integrate import quad
 from degenmfg.domain import (
     DegenerateCoefficient,
     NormKind,
+    SpaceTimeField,
     SpaceTimeGrid,
     _dt_array,
     _dx_array,
     _dxx_array,
     weighted_norm,
 )
+
+WF = DegenerateCoefficient.wright_fischer()
 
 
 def test_grid_is_cell_centered():
@@ -213,6 +217,25 @@ def test_norm_hierarchy():
     assert weighted_norm(f, NormKind.H1A_DIV, c, g) >= weighted_norm(
         f, NormKind.L2_A, c, g
     )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: DegenerateCoefficient("cubic"), "unknown coefficient family 'cubic'"),
+        (lambda g: SpaceTimeField(np.zeros((16, 4)), g),
+         "field shape (16, 4) does not match grid shape (16, 5)"),
+        (lambda g: _dx_array(np.zeros(g.shape), g.h, "periodic"), "unknown closure 'periodic'"),
+        (lambda g: _dt_array(np.zeros(g.shape), g.dt, 3), "order must be 1 or 2, got 3"),
+        (lambda g: weighted_norm(np.zeros(17), NormKind.L2_A, WF, g),
+         "expected spatial slice of shape (16,), got (17,)"),
+        (lambda g: weighted_norm(np.zeros(16), "L2_a", WF, g), "unknown norm kind 'L2_a'"),
+    ],
+    ids=["family", "field-shape", "closure", "time-order", "slice-shape", "norm-kind"],
+)
+def test_domain_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(SpaceTimeGrid(16, 4, 1.0))
 
 
 def test_weighted_norm_rejects_nan():

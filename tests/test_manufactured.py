@@ -242,6 +242,29 @@ def test_prolongation_is_exact_on_bilinear_fields():
     assert np.array_equal(_prolong((v,), old, old)[0], v)
 
 
+def test_smooth_power_of_zero_exponents_is_the_constant_one():
+    # every derivative term has a zero coefficient and is skipped
+    f = smooth_power(0.0, 0.0)
+    x = np.linspace(0.1, 0.9, 5)
+    assert np.array_equal(f.f(x), np.ones(5))
+    for deriv in (f.f1, f.f2):
+        assert np.array_equal(deriv(x), np.zeros(5)) and deriv(0.5) == 0.0
+
+
+def test_case_and_study_refuse_a_bad_tag_or_mode(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr("degenmfg.manufactured._solve_case", no_solve)
+    case = make_case("drifted-well")
+    with pytest.raises(
+        ValueError, match=r"^tag must be one of \('hjb', 'fp', 'mfg_linear', 'mfg_nonlinear'\)$"
+    ):
+        replace(case, tag="game")
+    with pytest.raises(ValueError, match=r"^mode must be 'space' or 'time'$"):
+        convergence_study(case, "sideways")
+
+
 @pytest.mark.parametrize("ladder", [((16, 8),), ()])
 def test_study_rejects_fewer_than_two_levels_before_any_solve(ladder, monkeypatch):
     # one level used to fit an order through a single point, none to fail in max()

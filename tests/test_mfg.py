@@ -233,6 +233,12 @@ def test_bound_report_all_zero():
         assert report.value(name) == 0.0
 
 
+def test_bound_report_value_of_an_unknown_name_raises_key_error():
+    report = check_coefficient_bounds(MfgCoefficients(WF, _grid()))
+    with pytest.raises(KeyError, match=r"^'p_over_a'$"):
+        report.value("p_over_a")
+
+
 def test_bound_report_rows_in_order_with_the_slope_at_t0():
     g = _grid()
     rows = check_coefficient_bounds(MfgCoefficients(WF, g)).as_rows()
@@ -410,6 +416,46 @@ def test_no_value_problem_outlives_its_march(monkeypatch, p_scale, d_scale):
         sol = _stiff_solve(p_scale, d_scale)
     assert sol.converged and len(solved) == sol.sweeps > 1
     assert alive == [0] * sol.sweeps
+
+
+@pytest.mark.parametrize(
+    "k, max_sweeps", [(1.0, 200), (40.0, 12)], ids=["converging", "rejected-sweep"]
+)
+def test_linearized_solve_assembles_each_operator_once(monkeypatch, k, max_sweeps):
+    # time-varying d1 and c1 give one band column per level: the first value
+    # and density problems build them, every later sweep (a rejected one
+    # included) shares them, and the outputs are those of a solve that
+    # builds its problems anew each sweep
+    from dataclasses import replace
+
+    from degenmfg import mfg, solvers
+
+    g = _grid(32, 24)
+    x, t = g.x[:, None], g.t[None, :]
+    coeffs = MfgCoefficients(
+        P22, g, d1=0.3 * x * (1 - x) * (1 + t), d2=-k * P22.a(g.x), c1=0.2 * x * (1 - x) * (1 - t),
+        b=0.4, c2=0.1 * k, rho=0.05 * g.x * (1 - g.x),
+    )
+    data = dict(F=np.sin(np.pi * g.x), m0=16.0 * P22.a(g.x), cfg=IterConfig(max_sweeps=max_sweeps))
+    calls = []
+    band_fields = solvers._band_fields
+
+    def counting_bands(*args):
+        calls.append(1)
+        return band_fields(*args)
+
+    monkeypatch.setattr(solvers, "_band_fields", counting_bands)
+    kept = solve_linearized_mfg(coeffs, **data)
+    assert kept.sweeps > 1 and len(calls) == 2
+    assert bool(_rejected_sweeps(kept)) == (k > 1.0)
+    calls.clear()
+    monkeypatch.setattr(mfg, "_with_source", replace)
+    fresh = solve_linearized_mfg(coeffs, **data)
+    # the first value problem, two per sweep and one per rejected sweep's restart
+    assert len(calls) == 1 + 2 * fresh.sweeps + len(_rejected_sweeps(fresh))
+    for got, want in ((kept.u, fresh.u), (kept.m, fresh.m)):
+        assert np.array_equal(got.values, want.values)
+    assert kept.residual_log == fresh.residual_log
 
 
 def test_iter_config_rejects_a_non_integer_max_sweeps():

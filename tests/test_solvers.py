@@ -463,7 +463,6 @@ def dpttrf_calls(monkeypatch):
         return dpttrf(*args, **kwargs)
 
     monkeypatch.setattr(solvers.lapack, "dpttrf", counting_dpttrf)
-    solvers._static_operator.cache_clear()  # operators factored by earlier tests
     return calls
 
 
@@ -508,41 +507,11 @@ def test_profile_edited_in_place_gives_the_new_operator(dpttrf_calls):
     c1 *= -0.5
     after = solve_linearized_mfg(coeffs, **data)
     assert len(dpttrf_calls) == 4
-    solvers._static_operator.cache_clear()
     fresh = solve_linearized_mfg(coeffs, **data)
     assert not np.array_equal(after.u.values, before.u.values)
     for got, want in ((after.u, fresh.u), (after.m, fresh.m)):
         assert np.array_equal(got.values, want.values)
     assert after.residual_log == fresh.residual_log
-
-
-def test_nonlinear_solve_stores_no_operator(dpttrf_calls):
-    g = SpaceTimeGrid(32, 24, 1.0)
-    x = g.x
-    coeffs = MfgCoefficients(P22, g, p=0.5 * P22.sqrt_a(x), d=0.2 * P22.a(x))
-    sol = solve_nonlinear_mfg(coeffs, F=np.sin(np.pi * x), m0=16.0 * P22.a(x))
-    assert sol.converged and sol.sweeps > 1
-    info = solvers._static_operator.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-    assert dpttrf_calls == []
-
-
-def test_memo_holds_at_most_two_read_only_operators(dpttrf_calls):
-    g = SpaceTimeGrid(32, 24, 1.0)
-    hjb, fp = _static_problems(g, np.random.default_rng(0))
-    memo = solvers._static_operator
-    ops = []
-    for prob in (hjb, fp, replace(hjb, drift=0.1)):
-        ops.append(prob._step_bands)
-        assert memo.cache_info().currsize <= 2
-    assert memo.cache_info().currsize == 2 and len(dpttrf_calls) == 3
-    # the third operator evicted the oldest, hjb's: a new problem with the
-    # third's fields finds it, one with hjb's fields builds and factors anew
-    assert replace(prob)._step_bands is ops[2]
-    assert replace(hjb)._step_bands is not ops[0]
-    assert memo.cache_info().currsize == 2 and len(dpttrf_calls) == 4
-    for op in ops:
-        assert not any(arr.flags.writeable for arr in (*op, *op.sym))
 
 
 def test_static_scheme_residual_at_rounding_level():

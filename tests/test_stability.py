@@ -10,6 +10,7 @@ from mpmath import exp, expm1, log, mp, mpf
 
 from degenmfg.domain import SpaceTimeGrid
 from degenmfg.stability import (
+    DEFAULT_EXPERIMENT_SHAPE,
     DEFAULT_HOLDER_LADDER,
     DEFAULT_LOG_LADDER,
     _end_norms,
@@ -184,6 +185,52 @@ def test_zero_discrepancy_rung_is_rejected():
     assert res == replace(run_holder_experiment(bspec, 0.5, pairs=pairs), rungs=res.rungs)
     with pytest.raises(ValueError, match=r"^no rung accepted: eps=0\.001 \(zero discrepancy\)$"):
         run_log_experiment(bspec, pairs=zero)
+
+
+def test_ladder_of_vanishing_discrepancies_is_degenerate():
+    # hand-built pairs 1e-20 apart: every rung is accepted, and no fit is
+    # made through discrepancies at the rounding level of the solves
+    from degenmfg.domain import SpaceTimeField
+    from degenmfg.mfg import MfgSolution
+
+    bspec = default_backward_spec()
+    g = SpaceTimeGrid(16, 8, 1.0)
+    shape = np.outer(bspec.delta_h(g.x), 1.0 + g.t)
+    zero = MfgSolution(SpaceTimeField(0.0 * shape, g), SpaceTimeField(0.0 * shape, g), (), True)
+    pairs = tuple(
+        (eps, (zero, MfgSolution(SpaceTimeField(eps * shape, g), SpaceTimeField(eps * shape, g),
+                                 (), True)))
+        for eps in (4e-20, 2e-20, 1e-20)
+    )
+    with pytest.raises(ValueError, match=r"^degenerate ladder: every discrepancy is below 1e-14$"):
+        run_holder_experiment(bspec, 0.5, pairs=pairs)
+
+
+def test_pair_builders_default_to_the_experiment_grid(monkeypatch):
+    # grid=None is DEFAULT_EXPERIMENT_SHAPE on the problem's horizon; the
+    # spy stops at the first solve, which would run on that grid
+    from degenmfg import stability
+
+    class Stop(Exception):
+        pass
+
+    grids = []
+
+    def first_solve(coeffs, **kw):
+        grids.append(coeffs.grid)
+        raise Stop
+
+    monkeypatch.setattr(stability, "solve_nonlinear_mfg", first_solve)
+    bspec = default_backward_spec()
+    for build in (
+        lambda: generate_pair((bspec.m0, bspec.h), (bspec.delta_m0, bspec.delta_h), 1e-3,
+                              bspec.problem),
+        lambda: build_ladder_pairs(bspec, [1e-3]),
+        lambda: run_holder_experiment(bspec, 0.5),
+    ):
+        with pytest.raises(Stop):
+            build()
+    assert grids == [SpaceTimeGrid(*DEFAULT_EXPERIMENT_SHAPE, bspec.problem.T)] * 3
 
 
 def test_initial_time_ladder_with_every_rung_rejected_names_the_notes():
@@ -362,6 +409,34 @@ def test_generate_pair_rejects_a_wrong_start_before_any_solve(monkeypatch):
             (bspec.m0, bspec.h), (bspec.delta_m0, bspec.delta_h), 1e-3,
             bspec.problem, grid=GRID, start=(0.0, bad),
         )
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "ladder, fault",
+    [
+        ([math.nan], "must be a finite number, got nan"),
+        ([math.inf], "must be a finite number, got inf"),
+        ([-0.01], "must be >= 0.0, got -0.01"),
+        ([True], "must be a finite number, got True"),
+        ([1e-3, math.nan], "must be a finite number, got nan"),
+    ],
+    ids=["nan", "inf", "negative", "bool", "nan-second"],
+)
+def test_pair_builders_refuse_a_bad_amplitude_before_any_solve(monkeypatch, ladder, fault):
+    # the last amplitude is the bad one; a nan or inf used to fail only after
+    # the base solve, and -0.01 and True were solved
+    from degenmfg import stability
+
+    calls = []
+    monkeypatch.setattr(stability, "solve_nonlinear_mfg", lambda *a, **k: calls.append(1))
+    bspec = default_backward_spec()
+    g = SpaceTimeGrid(16, 8, 1.0)
+    with pytest.raises(ValueError, match=rf"^eps_ladder\[{len(ladder) - 1}\] {fault}$"):
+        build_ladder_pairs(bspec, ladder, grid=g)
+    with pytest.raises(ValueError, match=rf"^eps {fault}$"):
+        generate_pair((bspec.m0, bspec.h), (bspec.delta_m0, bspec.delta_h), ladder[-1],
+                      bspec.problem, grid=g)
     assert calls == []
 
 

@@ -25,7 +25,8 @@ last to first, so
     diff forward.txt reverse.txt
 
 checks that no command's outputs depend on the commands run before it in
-the process (state a cache carries from one command into the next, say).
+the process: on any state a command leaves in the process (a module-level
+cache, a changed global setting) for the next one to find.
 A command that raises prints
 ``raised:<exception type>`` in place of its exit code, and its traceback on
 stderr; the script then exits 1 after the last command.
