@@ -10,9 +10,18 @@ closures of the schemes.
 
 Each field of a case (u, m and the sources F, G) is one list of separable
 terms, (time profile) x (space profile), grouped by time profile: a source
-has at most four.  Point evaluation sums the products term by term; grid
-sampling evaluates each profile once on the nodes or levels and sums the
-outer products into one time-major array, bitwise the same numbers.
+has at most four.  A profile reads the case's factors by name from a table
+of their values at one node array (the grid's nodes or its time levels, or
+the points asked for), which computes each factor's f, f1 and f2 there at
+most once.  Point evaluation sums the products term by term; grid sampling
+evaluates each profile once on the nodes or levels and sums the outer
+products into one time-major array, bitwise the same numbers.
+
+A convergence study evaluates every factor once per level: the level's two
+tables give its sources, its terminal and initial slices, its coefficient
+profiles and the exact fields its error is measured against, and go with
+the level.  A coupled level after the first starts from the previous
+level's solution, interpolated only along the axes whose nodes change.
 """
 
 from __future__ import annotations
@@ -81,15 +90,29 @@ class Smooth:
         s = self
         if isinstance(other, Smooth):
             o = other
-            return Smooth(
-                lambda x: s.f(x) * o.f(x),
-                lambda x: s.f1(x) * o.f(x) + s.f(x) * o.f1(x),
-                lambda x: s.f2(x) * o.f(x) + 2.0 * s.f1(x) * o.f1(x) + s.f(x) * o.f2(x),
-            )
+
+            def part(k):
+                return lambda x: _product_rule(k, lambda j: s._d(j)(x), lambda j: o._d(j)(x))
+            return Smooth(part(0), part(1), part(2))
         c = float(other)
         return Smooth(lambda x: c * s.f(x), lambda x: c * s.f1(x), lambda x: c * s.f2(x))
 
     __rmul__ = __mul__
+
+    def _d(self, k: int) -> Callable:
+        """The k-th derivative, k = 0, 1 or 2."""
+        return (self.f, self.f1, self.f2)[k]
+
+
+def _product_rule(k: int, s: Callable, o: Callable):
+    """The k-th derivative (k = 0, 1 or 2) of a product, from s(j) and o(j),
+    its factors' j-th derivatives: the one expression of Smooth's * and of
+    the factor tables' W = A V."""
+    if k == 0:
+        return s(0) * o(0)
+    if k == 1:
+        return s(1) * o(0) + s(0) * o(1)
+    return s(2) * o(0) + 2.0 * s(1) * o(1) + s(0) * o(2)
 
 
 def smooth_const(c: float) -> Smooth:
@@ -180,28 +203,120 @@ def coeff_smooth(coeff: DegenerateCoefficient) -> Smooth:
 _TAGS = ("hjb", "fp", "mfg_linear", "mfg_nonlinear")
 
 
-def _evaluate_terms(terms, x, t):
-    """The sum of time(t) * space(x) over separable terms, left to right;
-    x and t may be scalars or broadcastable arrays."""
+class _Factors:
+    """The factors of one case at one node array.
+
+    Entry (name, k) is the k-th derivative of the case's Smooth ``name``
+    (Tu, U, Tm, V, A, W or a coefficient profile) at the nodes, computed on
+    first use and kept: each is evaluated at most once.  W's entries are
+    formed from A's and V's by _product_rule, the doubles W itself gives.
+    A table serves one evaluation or one grid level and goes with it.
+    """
+
+    def __init__(self, case, nodes):
+        self._case, self._nodes, self._values = case, nodes, {}
+
+    def __call__(self, name: str, k: int = 0):
+        key = (name, k)
+        if key not in self._values:
+            if name == "W":
+                value = _product_rule(k, lambda j: self("A", j), lambda j: self("V", j))
+            else:
+                value = getattr(self._case, name)._d(k)(self._nodes)
+            self._values[key] = value
+        return self._values[key]
+
+
+def _factor(name: str, k: int = 0) -> Callable:
+    """The profile that is one factor's k-th derivative."""
+    return lambda e: e(name, k)
+
+
+def _F_terms(tag: str) -> list:
+    """F = u_t + a u_xx + d1 u_x - d2 m (the d2 term for mfg_linear only),
+    or u_t + a u_xx - (p/2) u_x^2 + d m for mfg_nonlinear."""
+    terms = [(_factor("Tu", 1), _factor("U"))]
+    if tag == "mfg_nonlinear":
+        return terms + [
+            (_factor("Tu"), lambda e: e("A") * e("U", 2)),
+            (lambda e: e("Tu") ** 2, lambda e: -0.5 * e("p") * e("U", 1) ** 2),
+            (_factor("Tm"), lambda e: e("d") * e("V")),
+        ]
+    terms.append((_factor("Tu"), lambda e: e("A") * e("U", 2) + e("d1") * e("U", 1)))
+    if tag == "mfg_linear":
+        terms.append((_factor("Tm"), lambda e: -e("d2") * e("V")))
+    return terms
+
+
+def _G_terms(tag: str) -> list:
+    """G = m_t - (am)_xx + c1 m_x - b m - c2 u_x - rho u_xx (the u terms
+    for mfg_linear only), or m_t - (am)_xx - (p m u_x)_x for
+    mfg_nonlinear; (am)_xx is Tm W''."""
+    terms = [(_factor("Tm", 1), _factor("V"))]
+    if tag == "mfg_nonlinear":
+        return terms + [
+            (_factor("Tm"), lambda e: -e("W", 2)),
+            (lambda e: e("Tm") * e("Tu"),
+             lambda e: -(e("p", 1) * e("V") * e("U", 1) + e("p") * e("V", 1) * e("U", 1)
+                         + e("p") * e("V") * e("U", 2))),
+        ]
+    terms.append((_factor("Tm"), lambda e: e("c1") * e("V", 1) - e("b") * e("V") - e("W", 2)))
+    if tag == "mfg_linear":
+        terms.append((_factor("Tu"), lambda e: -(e("c2") * e("U", 1) + e("rho") * e("U", 2))))
+    return terms
+
+
+# each tag's formulas: u, m, F and G as lists of separable terms
+_TERMS = {
+    tag: {"u": [(_factor("Tu"), _factor("U"))], "m": [(_factor("Tm"), _factor("V"))],
+          "F": _F_terms(tag), "G": _G_terms(tag)}
+    for tag in _TAGS
+}
+
+
+def _evaluate_terms(terms, xs, ts):
+    """The sum of time * space over separable terms, left to right, each
+    profile read from xs (the factors at the x points) or ts (at the t
+    points); the points may be scalars or broadcastable arrays."""
     (time, space), *rest = terms
-    out = time(t) * space(x)
+    out = time(ts) * space(xs)
     for time, space in rest:
-        out = out + time(t) * space(x)
+        out = out + time(ts) * space(xs)
     return out
 
 
-def _sample_terms(terms, grid: SpaceTimeGrid) -> np.ndarray:
-    """The sum of separable terms on the grid, each term the outer product of
-    its space profile at the nodes and its time profile at the levels,
-    written straight into a time-major array.  Bitwise _evaluate_terms at
-    (x[:, None], t[None, :]): the same products, summed in the same order."""
-    (time, space), *rest = terms
-    out = np.multiply.outer(space(grid.x), time(grid.t), out=_empty(grid.shape))
-    if rest:
-        term = _empty(grid.shape)
-        for time, space in rest:
-            out += np.multiply.outer(space(grid.x), time(grid.t), out=term)
-    return out
+class _Level:
+    """A case on one grid: the fields a solve and its error need, all built
+    from one table of the case's factors at the nodes and one at the time
+    levels."""
+
+    def __init__(self, case, grid: SpaceTimeGrid):
+        self.case, self.grid = case, grid
+        self.x, self.t = _Factors(case, grid.x), _Factors(case, grid.t)
+
+    def sample(self, key: str) -> np.ndarray:
+        """Field ``key`` (u, m, F or G) on the grid: each term the outer
+        product of its space profile at the nodes and its time profile at
+        the levels, written straight into a time-major array.  Bitwise the
+        point evaluator at (x[:, None], t[None, :]): the same products,
+        summed in the same order."""
+        (time, space), *rest = self.case.terms[key]
+        out = np.multiply.outer(space(self.x), time(self.t), out=_empty(self.grid.shape))
+        if rest:
+            term = _empty(self.grid.shape)
+            for time, space in rest:
+                out += np.multiply.outer(space(self.x), time(self.t), out=term)
+        return out
+
+    def slice(self, key: str, k: int) -> np.ndarray:
+        """Field ``key`` at time level k: bitwise column k of sample(key)."""
+        at_k = lambda name, j=0: self.t(name, j)[k]  # the time table at level k
+        return _evaluate_terms(self.case.terms[key], self.x, at_k)
+
+    def coefficients(self) -> MfgCoefficients:
+        """The case's coefficient profiles on the grid, read from the node table."""
+        layers = {k: self.x(k) for k in _NONLINEAR_KEYS + _LINEAR_KEYS}
+        return MfgCoefficients(self.case.coeff, self.grid, **layers)
 
 
 @dataclass(frozen=True)
@@ -214,11 +329,12 @@ class ManufacturedCase:
     exactly.
 
     ``terms`` holds, for each of u, m, F and G, its one formula: a list of
-    separable terms (time profile, space profile), each a function of one
-    variable, whose products sum to the field.  A source has at most four
-    terms, one per distinct time profile.  The point evaluators and the grid
-    samplers both read these lists.  The record is frozen, so ``terms``
-    stays that of its factors; dataclasses.replace builds a changed case.
+    separable terms (time profile, space profile), each profile a function
+    of a table of the case's factors at one node array (see _Factors).  A
+    source has at most four terms, one per distinct time profile.  The
+    formulas depend on the tag alone and read the factors by name, so a
+    case changed by dataclasses.replace reads its new factors.  The point
+    evaluators and the grid samplers both read these lists.
     """
 
     name: str
@@ -239,7 +355,6 @@ class ManufacturedCase:
     T: float = 1.0
     A: Smooth = field(init=False)
     W: Smooth = field(init=False)
-    terms: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.tag not in _TAGS:
@@ -247,9 +362,10 @@ class ManufacturedCase:
         object.__setattr__(self, "A", coeff_smooth(self.coeff))
         # product field a(x) V(x); its second derivative is exactly (am)_xx / Tm
         object.__setattr__(self, "W", self.A * self.V)
-        terms = {"u": [(self.Tu.f, self.U.f)], "m": [(self.Tm.f, self.V.f)],
-                 "F": self._F_terms(), "G": self._G_terms()}
-        object.__setattr__(self, "terms", terms)
+
+    @property
+    def terms(self) -> dict:
+        return _TERMS[self.tag]
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -259,48 +375,12 @@ class ManufacturedCase:
         fails it."""
         return self.coeff.family != "wright_fischer"
 
-    def _F_terms(self):
-        """F = u_t + a u_xx + d1 u_x - d2 m (the d2 term for mfg_linear only),
-        or u_t + a u_xx - (p/2) u_x^2 + d m for mfg_nonlinear."""
-        Tu, U, Tm, V, A = self.Tu, self.U, self.Tm, self.V, self.A
-        terms = [(Tu.f1, U.f)]
-        if self.tag == "mfg_nonlinear":
-            p, d = self.p, self.d
-            return terms + [
-                (Tu.f, lambda x: A.f(x) * U.f2(x)),
-                (lambda t: Tu.f(t) ** 2, lambda x: -0.5 * p.f(x) * U.f1(x) ** 2),
-                (Tm.f, lambda x: d.f(x) * V.f(x)),
-            ]
-        d1, d2 = self.d1, self.d2
-        terms.append((Tu.f, lambda x: A.f(x) * U.f2(x) + d1.f(x) * U.f1(x)))
-        if self.tag == "mfg_linear":
-            terms.append((Tm.f, lambda x: -d2.f(x) * V.f(x)))
-        return terms
-
-    def _G_terms(self):
-        """G = m_t - (am)_xx + c1 m_x - b m - c2 u_x - rho u_xx (the u terms
-        for mfg_linear only), or m_t - (am)_xx - (p m u_x)_x for
-        mfg_nonlinear."""
-        Tu, U, Tm, V, W = self.Tu, self.U, self.Tm, self.V, self.W
-        terms = [(Tm.f1, V.f)]
-        if self.tag == "mfg_nonlinear":
-            p = self.p
-            return terms + [
-                (Tm.f, lambda x: -W.f2(x)),
-                (lambda t: Tm.f(t) * Tu.f(t),
-                 lambda x: -(p.f1(x) * V.f(x) * U.f1(x) + p.f(x) * V.f1(x) * U.f1(x)
-                             + p.f(x) * V.f(x) * U.f2(x))),
-            ]
-        c1, b = self.c1, self.b
-        terms.append((Tm.f, lambda x: c1.f(x) * V.f1(x) - b.f(x) * V.f(x) - W.f2(x)))
-        if self.tag == "mfg_linear":
-            c2, rho = self.c2, self.rho
-            terms.append((Tu.f, lambda x: -(c2.f(x) * U.f1(x) + rho.f(x) * U.f2(x))))
-        return terms
+    def _evaluate(self, key, x, t):
+        return _evaluate_terms(self.terms[key], _Factors(self, x), _Factors(self, t))
 
     # point evaluators; x and t may be scalars or broadcastable arrays
     def u(self, x, t):
-        return _evaluate_terms(self.terms["u"], x, t)
+        return self._evaluate("u", x, t)
 
     def u_x(self, x, t):
         return self.Tu.f(t) * self.U.f1(x)
@@ -312,7 +392,7 @@ class ManufacturedCase:
         return self.Tu.f1(t) * self.U.f(x)
 
     def m(self, x, t):
-        return _evaluate_terms(self.terms["m"], x, t)
+        return self._evaluate("m", x, t)
 
     def m_x(self, x, t):
         return self.Tm.f(t) * self.V.f1(x)
@@ -325,34 +405,34 @@ class ManufacturedCase:
 
     def F(self, x, t):
         """Value-equation source making the exact fields solve the system."""
-        return _evaluate_terms(self.terms["F"], x, t)
+        return self._evaluate("F", x, t)
 
     def G(self, x, t):
         """Density-equation source for the exact fields."""
-        return _evaluate_terms(self.terms["G"], x, t)
+        return self._evaluate("G", x, t)
 
     # grid samplers
     def exact_u(self, grid: SpaceTimeGrid) -> SpaceTimeField:
-        return SpaceTimeField(_sample_terms(self.terms["u"], grid), grid)
+        return SpaceTimeField(_Level(self, grid).sample("u"), grid)
 
     def exact_m(self, grid: SpaceTimeGrid) -> SpaceTimeField:
-        return SpaceTimeField(_sample_terms(self.terms["m"], grid), grid)
+        return SpaceTimeField(_Level(self, grid).sample("m"), grid)
 
     def source_F(self, grid: SpaceTimeGrid) -> SpaceTimeField:
-        return SpaceTimeField(_sample_terms(self.terms["F"], grid), grid)
+        return SpaceTimeField(_Level(self, grid).sample("F"), grid)
 
     def source_G(self, grid: SpaceTimeGrid) -> SpaceTimeField:
-        return SpaceTimeField(_sample_terms(self.terms["G"], grid), grid)
+        return SpaceTimeField(_Level(self, grid).sample("G"), grid)
 
     def terminal(self, grid: SpaceTimeGrid) -> np.ndarray:
-        return np.asarray(self.u(grid.x, self.T), dtype=float)
+        """u at the grid's horizon, the last column of exact_u(grid)."""
+        return _Level(self, grid).slice("u", -1)
 
     def initial(self, grid: SpaceTimeGrid) -> np.ndarray:
-        return np.asarray(self.m(grid.x, 0.0), dtype=float)
+        return _Level(self, grid).slice("m", 0)
 
     def coefficients_on(self, grid: SpaceTimeGrid) -> MfgCoefficients:
-        layers = {k: getattr(self, k).f for k in _NONLINEAR_KEYS + _LINEAR_KEYS}
-        return MfgCoefficients(self.coeff, grid, **layers)
+        return _Level(self, grid).coefficients()
 
 
 def _power22():
@@ -548,40 +628,43 @@ def solve_case(case: ManufacturedCase, grid: SpaceTimeGrid, cfg: IterConfig = It
 
 
 def _solve_case(
-    case: ManufacturedCase, grid: SpaceTimeGrid, cfg: IterConfig, start=None
+    case: ManufacturedCase, grid: SpaceTimeGrid, cfg: IterConfig, start=None, level=None
 ):
     """solve_case, plus the sources it sampled and the Picard sweeps:
     (u, m, F, G, sweeps), None where unused and 0 sweeps for scalar cases.
-    A coupled solve starts from ``start`` (zeros when None)."""
-    F = case.source_F(grid) if case.tag != "fp" else None
-    G = case.source_G(grid) if case.tag != "hjb" else None
+    A coupled solve starts from ``start`` (zeros when None).  Every input is
+    built from ``level``, the case's _Level on grid (a new one when None),
+    which the level's _max_error may share."""
+    if level is None:
+        level = _Level(case, grid)
+    F = SpaceTimeField(level.sample("F"), grid) if case.tag != "fp" else None
+    G = SpaceTimeField(level.sample("G"), grid) if case.tag != "hjb" else None
     if case.tag == "hjb":
         prob = HjbLinearProblem(
             grid,
             case.coeff,
-            drift=case.d1.f,
+            drift=level.x("d1"),
             source=F,
-            terminal=case.terminal(grid),
+            terminal=level.slice("u", -1),
         )
         return solve_hjb_linear(prob), None, F, G, 0
     if case.tag == "fp":
         prob = FpLinearProblem(
             grid,
             case.coeff,
-            convection=case.c1.f,
-            zeroth=case.b.f,
+            convection=level.x("c1"),
+            zeroth=level.x("b"),
             source=G,
-            initial=case.initial(grid),
+            initial=level.slice("m", 0),
         )
         return None, solve_fp_linear(prob), F, G, 0
-    coeffs = case.coefficients_on(grid)
     solver = solve_linearized_mfg if case.tag == "mfg_linear" else solve_nonlinear_mfg
     sol = solver(
-        coeffs,
+        level.coefficients(),
         F=F,
         G=G,
-        m0=case.initial(grid),
-        h=case.terminal(grid),
+        m0=level.slice("m", 0),
+        h=level.slice("u", -1),
         cfg=cfg,
         start=start,
     )
@@ -593,12 +676,15 @@ def _solve_case(
     return sol.u, sol.m, F, G, sol.sweeps
 
 
-def _max_error(case: ManufacturedCase, grid: SpaceTimeGrid, u, m) -> float:
+def _max_error(case: ManufacturedCase, grid: SpaceTimeGrid, u, m, level=None) -> float:
+    """The largest deviation of u and m (each None when unsolved) from the
+    exact fields, sampled from ``level`` (a new _Level when None)."""
+    if level is None:
+        level = _Level(case, grid)
     err = 0.0
     for got, key in ((u, "u"), (m, "m")):
         if got is not None:
-            exact = _sample_terms(case.terms[key], grid)
-            err = max(err, float(np.max(np.abs(got.values - exact))))
+            err = max(err, float(np.max(np.abs(got.values - level.sample(key)))))
     return err
 
 
@@ -607,24 +693,38 @@ def _prolong(fields, old: SpaceTimeGrid, new: SpaceTimeGrid) -> tuple:
     interpolation: in x over the cell centres (the end intervals extended
     linearly past the outer centres), then in t.
 
+    An axis whose nodes do not change is not interpolated: its weights would
+    be 0 and 1, which return each value (up to the sign of a zero).  So a
+    time ladder, which keeps n_x, interpolates in t only, and a trajectory
+    on an unchanged grid is returned as it is.
+
     Rows and columns are gathered by index; two interpolation matrices
     (P_x @ v @ P_t.T) would touch BLAS work buffers, which cost more resident
     memory than the gathered copies.
     """
-    nodes = []
-    for src, dst in ((old.x, new.x), (old.t, new.t)):
+
+    def weights(src, dst):
+        """Each dst node's left neighbour in src and its weight, or None
+        where the nodes are the same."""
+        if np.array_equal(src, dst):
+            return None
         j = np.clip(np.searchsorted(src, dst) - 1, 0, src.size - 2)
-        nodes.append((j, (dst - src[j]) / (src[j + 1] - src[j])))
-    (jx, wx), (jt, wt) = nodes
-    wx = wx[:, None]
+        return j, (dst - src[j]) / (src[j + 1] - src[j])
 
     def rows(v, j):  # a row gather keeps the time-major layout
         return np.take(v, j, axis=0, out=_empty((j.size, v.shape[1])))
 
+    along_x, along_t = weights(old.x, new.x), weights(old.t, new.t)
     out = []
     for v in fields:
-        v = rows(v, jx) * (1.0 - wx) + rows(v, jx + 1) * wx
-        out.append(v[:, jt] * (1.0 - wt) + v[:, jt + 1] * wt)
+        if along_x is not None:
+            jx, wx = along_x
+            wx = wx[:, None]
+            v = rows(v, jx) * (1.0 - wx) + rows(v, jx + 1) * wx
+        if along_t is not None:
+            jt, wt = along_t
+            v = v[:, jt] * (1.0 - wt) + v[:, jt + 1] * wt
+        out.append(v)
     return tuple(out)
 
 
@@ -647,7 +747,9 @@ def convergence_study(
     The levels are solved in ladder order.  A coupled level after the first
     starts from the previous level's (u, m), linearly interpolated to its
     grid (nested iteration): it still stops on the same residual tolerance,
-    in fewer sweeps.  Scalar cases solve each level directly.
+    in fewer sweeps.  Scalar cases solve each level directly.  Each level
+    evaluates every factor of the case once, for its solve and its error
+    alike (see _Level).
     """
     if mode not in ("space", "time"):
         raise ValueError("mode must be 'space' or 'time'")
@@ -664,8 +766,9 @@ def convergence_study(
     errors, sweeps = [], []
     start = None
     for i, g in enumerate(grids):
-        u, m, _, _, n = _solve_case(case, g, cfg, start)
-        errors.append(_max_error(case, g, u, m))
+        level = _Level(case, g)  # the level's factor values, for its solve and its error
+        u, m, _, _, n = _solve_case(case, g, cfg, start, level)
+        errors.append(_max_error(case, g, u, m, level))
         sweeps.append(n)
         start = None
         if n and i + 1 < len(grids):

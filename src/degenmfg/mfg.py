@@ -195,10 +195,17 @@ def _value_problem(t: _Template, m, g, c, h=0.0, prev=None) -> HjbLinearProblem:
 
 def _density_problem(t: _Template, u, g, c, m0=0.0, prev=None) -> FpLinearProblem:
     """The template's density equation at the value u: source
-    c2 u_x + rho u_xx + G, or G when c2 is None (prev's, if given)."""
+    c2 u_x + rho u_xx + G, or G when c2 is None (prev's, if given).  The
+    sum is accumulated in u_x's buffer, in that order: the same doubles as
+    the written-out expression, with two full arrays where it makes six."""
     source = t.G
     if t.c2 is not None:
-        source = t.c2 * _dx_array(u, g.h, "dirichlet") + t.rho * _dxx_array(u, g.h) + t.G
+        source = _dx_array(u, g.h, "dirichlet")
+        source *= t.c2
+        uxx = _dxx_array(u, g.h)
+        uxx *= t.rho
+        source += uxx
+        source += t.G
     if prev is not None:
         return _with_source(prev, source=source)
     return FpLinearProblem(g, c, convection=t.c1, zeroth=t.b, source=source, initial=m0)

@@ -1,5 +1,6 @@
 """Closed-form case catalog: source algebra and refinement behavior."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,12 @@ import pytest
 
 from degenmfg.domain import SpaceTimeGrid
 from degenmfg.manufactured import (
+    _Factors,
+    _Level,
     _max_error,
     _prolong,
     _solve_case,
+    Smooth,
     catalog,
     convergence_study,
     make_case,
@@ -18,7 +22,7 @@ from degenmfg.manufactured import (
     smooth_power,
     solve_case,
 )
-from degenmfg.mfg import IterConfig
+from degenmfg.mfg import _LINEAR_KEYS, _NONLINEAR_KEYS, IterConfig
 
 TAGS = ("hjb", "fp", "mfg_linear", "mfg_nonlinear")
 
@@ -308,4 +312,102 @@ def test_replaced_case_rebuilds_its_terms():
     assert np.array_equal(moved.exact_u(g).values, want)
     u_t = np.multiply.outer(case.U.f(g.x), -3.0 * np.exp(-3.0 * g.t))
     assert np.array_equal(moved.u_t(g.x[:, None], g.t), u_t)
-    assert moved.terms["F"][0][0] is moved.Tu.f1
+    assert np.array_equal(moved.terms["F"][0][0](_Factors(moved, g.t)), -3.0 * np.exp(-3.0 * g.t))
+
+
+def _counted(calls, name, s):
+    """s with each derivative counting its calls per node array in ``calls``."""
+    def wrap(k):
+        fn = (s.f, s.f1, s.f2)[k]
+
+        def counted(x):
+            calls[name, k, np.asarray(x, dtype=float).tobytes()] += 1
+            return fn(x)
+        return counted
+    return Smooth(*(wrap(k) for k in range(3)))
+
+
+def test_study_evaluates_each_factor_once_per_level_and_node_array(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr("degenmfg.manufactured.coeff_smooth",
+                        lambda c: _counted(calls, "A", Smooth(c.a, c.a_x, c.a_xx)))
+    case = make_case("coupled-mild")
+    named = ("Tu", "U", "Tm", "V", "d1", "d2", "c1", "b", "c2", "rho", "p", "d")
+    case = replace(case, **{n: _counted(calls, n, getattr(case, n)) for n in named})
+    calls.clear()
+    res = convergence_study(case, "space", ((16, 4), (32, 16), (64, 64)))
+    assert res.sweeps[0] > 0 and not res.exact
+    # W = A V is formed from A's and V's values, so V runs once per level
+    # and node array, as every factor does
+    repeated = {key[:2]: n for key, n in calls.items() if n > 1}
+    assert repeated == {}
+    assert {name for name, _, _ in calls} == set(named) | {"A"}
+    # three levels, each at its own x nodes or t levels: f, f1 and f2 of U and
+    # A, f and f1 of Tu and Tm, f, f1 and f2 of V, f of the eight profiles
+    assert len(calls) == 3 * (3 + 3 + 2 + 2 + 3 + 8)
+
+
+_LEVEL_SHAPES = [(64, 32), (192, 64)]  # a space-mode and a time-mode level of the benchmark
+
+
+@pytest.mark.parametrize("shape", _LEVEL_SHAPES)
+@pytest.mark.parametrize("name", catalog())
+def test_level_fields_equal_the_public_samplers_bitwise(name, shape):
+    c = make_case(name)
+    g = SpaceTimeGrid(*shape, c.T)
+    level = _Level(c, g)
+    x, t = g.x[:, None], g.t[None, :]
+    samples = {}
+    for key, sampler, point in (("u", c.exact_u, c.u), ("m", c.exact_m, c.m),
+                                ("F", c.source_F, c.F), ("G", c.source_G, c.G)):
+        samples[key] = level.sample(key)
+        assert samples[key].tobytes() == sampler(g).values.tobytes() == point(x, t).tobytes()
+    assert level.slice("u", -1).tobytes() == c.terminal(g).tobytes() \
+        == samples["u"][:, -1].tobytes()
+    assert level.slice("m", 0).tobytes() == c.initial(g).tobytes() \
+        == samples["m"][:, 0].tobytes()
+    shared, public = level.coefficients(), c.coefficients_on(g)
+    for key in _NONLINEAR_KEYS + _LINEAR_KEYS:
+        own = np.broadcast_to(getattr(c, key).f(g.x)[:, None], g.shape)
+        assert getattr(shared, key).tobytes() == getattr(public, key).tobytes() == own.tobytes()
+    # every entry of the tables, W's included, is the factor's own value
+    for table, nodes, names in ((level.x, g.x, ("U", "V", "A", "W")),
+                                (level.t, g.t, ("Tu", "Tm"))):
+        for factor in names:
+            for k in range(3):
+                own = getattr(c, factor)._d(k)(nodes)
+                assert table(factor, k).tobytes() == own.tobytes(), (factor, k)
+
+
+def test_terminal_slice_is_taken_at_the_grid_horizon():
+    # the sources and exact fields live on the grid's [0, T]: so does u(., T)
+    c = make_case("drifted-well")
+    g = SpaceTimeGrid(64, 64, 2.0)
+    assert c.T == 1.0
+    assert c.terminal(g).tobytes() == c.exact_u(g).values[:, -1].tobytes()
+    u, _ = solve_case(c, g)
+    assert _max_error(c, g, u, None) < 1e-3
+
+
+def _two_pass_prolong(v, old, new):
+    """Reference: both interpolation passes, whatever the grids."""
+    out = v
+    for axis, (src, dst) in enumerate(((old.x, new.x), (old.t, new.t))):
+        j = np.clip(np.searchsorted(src, dst) - 1, 0, src.size - 2)
+        w = (dst - src[j]) / (src[j + 1] - src[j])
+        lo, hi = np.take(out, j, axis=axis), np.take(out, j + 1, axis=axis)
+        w = w[:, None] if axis == 0 else w
+        out = lo * (1.0 - w) + hi * w
+    return out
+
+
+@pytest.mark.parametrize("old, new", [
+    (SpaceTimeGrid(96, 16, 1.0), SpaceTimeGrid(96, 32, 1.0)),  # a time ladder keeps n_x
+    (SpaceTimeGrid(16, 16, 1.0), SpaceTimeGrid(32, 16, 1.0)),  # n_t repeated in space mode
+    (SpaceTimeGrid(16, 8, 1.0), SpaceTimeGrid(32, 32, 1.0)),
+])
+def test_prolongation_skips_unchanged_axes_bitwise(old, new):
+    v = np.asfortranarray(np.random.default_rng(5).standard_normal(old.shape))
+    (got,) = _prolong((v,), old, new)
+    assert got.tobytes() == _two_pass_prolong(v, old, new).tobytes()
+    assert _prolong((v,), old, old)[0] is v

@@ -609,3 +609,22 @@ def test_a_converged_full_step_meets_its_density_equations(case_name):
     sol, prob = _density_problem_at(case_name, g)
     assert sol.converged and sol.residual_log[-1] <= IterConfig().tolerance
     assert fp_scheme_residual(sol.m, prob) <= 1e-11
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_density_source_accumulates_to_the_written_out_sum_bitwise(varying):
+    # c2 u_x + rho u_xx + G summed in u_x's buffer: the doubles of the
+    # expression, for time-constant and time-varying coefficients alike
+    from degenmfg.domain import _dx_array, _dxx_array
+    from degenmfg.mfg import _density_problem, _Template
+
+    g = _grid(24, 12)
+    rng = np.random.default_rng(11)
+    u, G = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    shape = g.shape if varying else (g.n_x, 1)
+    c2, rho = (np.broadcast_to(rng.standard_normal(shape), g.shape) for _ in range(2))
+    zero = np.zeros(g.shape)
+    t = _Template(zero, zero, 0.0, zero, zero, c2, rho, G)
+    want = c2 * _dx_array(u, g.h, "dirichlet") + rho * _dxx_array(u, g.h) + G
+    got = _density_problem(t, u, g, P22).source
+    assert got.tobytes() == want.tobytes()
