@@ -56,6 +56,7 @@ from degenmfg.domain import (
 )
 from degenmfg.manufactured import (
     IterConfig,
+    _Level,
     _solve_case,
     catalog,
     convergence_study,
@@ -481,7 +482,7 @@ def _run_solve(cfg):
 def _run_verify_carleman(cfg):
     case = make_case(cfg["case"])
     grid = _build_grid(cfg, case.T)
-    u, m, F, G, _ = _solve_case(case, grid, _build_iter(cfg))
+    u, m, F, G, _ = _solve_case(_Level(case, grid), _build_iter(cfg))
     bundle = CarlemanBundle(case.coeff, grid, u=u, m=m, F=F, G=G)
     sweep = sweep_parameters(bundle, cfg["s_values"], cfg["lam_values"])
     s0 = s0_estimate(sweep)

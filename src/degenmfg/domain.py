@@ -226,8 +226,9 @@ class SpaceTimeField:
 
     The array is copied into time-major layout and frozen at construction,
     and so is the record; fields are values, not buffers, everywhere in the
-    package.  The one exception is a solver's fresh output, which no one
-    else holds: it is frozen without a copy.
+    package.  The exceptions are fresh arrays that no one else holds, a
+    solver's output or a manufactured case's grid sample: they are frozen
+    without a copy.
     """
 
     values: np.ndarray

@@ -8,14 +8,15 @@ function.  Space factors always carry the diffusion coefficient (or vanish at
 an end where the diffusion does not), so the fields respect the boundary
 closures of the schemes.
 
-Each field of a case (u, m and the sources F, G) is one list of separable
-terms, (time profile) x (space profile), grouped by time profile: a source
-has at most four.  A profile reads the case's factors by name from a table
-of their values at one node array (the grid's nodes or its time levels, or
-the points asked for), which computes each factor's f, f1 and f2 there at
-most once.  Point evaluation sums the products term by term; grid sampling
-evaluates each profile once on the nodes or levels and sums the outer
-products into one time-major array, bitwise the same numbers.
+Every field of a case (u, m, the derivatives u_x, u_xx, u_t, m_x, m_t and
+(am)_xx, and the sources F, G) is one list of separable terms, (time
+profile) x (space profile): a source has at most four, one per time profile.
+A profile reads the case's factors by name (W = a V among them, which lives
+only there) from a table of their values at one node array, which computes
+each factor's f, f1 and f2 there at most once.  Point evaluation sums the
+products term by term; grid sampling evaluates each profile once on the
+nodes or levels and sums the outer products into one time-major array,
+bitwise the same numbers.
 
 A convergence study evaluates every factor once per level: the level's two
 tables give its sources, its terminal and initial slices, its coefficient
@@ -207,9 +208,9 @@ class _Factors:
     """The factors of one case at one node array.
 
     Entry (name, k) is the k-th derivative of the case's Smooth ``name``
-    (Tu, U, Tm, V, A, W or a coefficient profile) at the nodes, computed on
-    first use and kept: each is evaluated at most once.  W's entries are
-    formed from A's and V's by _product_rule, the doubles W itself gives.
+    (Tu, U, Tm, V, A or a coefficient profile) at the nodes, computed on
+    first use and kept: each is evaluated at most once.  W = A V lives only
+    here, formed from A's and V's entries by _product_rule.
     A table serves one evaluation or one grid level and goes with it.
     """
 
@@ -266,9 +267,16 @@ def _G_terms(tag: str) -> list:
     return terms
 
 
-# each tag's formulas: u, m, F and G as lists of separable terms
+# the one-term fields: (time factor, derivative, space factor, derivative)
+_PRODUCTS = {
+    "u": ("Tu", 0, "U", 0), "u_x": ("Tu", 0, "U", 1), "u_xx": ("Tu", 0, "U", 2),
+    "u_t": ("Tu", 1, "U", 0), "m": ("Tm", 0, "V", 0), "m_x": ("Tm", 0, "V", 1),
+    "m_t": ("Tm", 1, "V", 0), "am_xx": ("Tm", 0, "W", 2),
+}
+
+# each tag's formulas: every field as a list of separable terms
 _TERMS = {
-    tag: {"u": [(_factor("Tu"), _factor("U"))], "m": [(_factor("Tm"), _factor("V"))],
+    tag: {**{key: [(_factor(t, i), _factor(s, j))] for key, (t, i, s, j) in _PRODUCTS.items()},
           "F": _F_terms(tag), "G": _G_terms(tag)}
     for tag in _TAGS
 }
@@ -319,6 +327,21 @@ class _Level:
         return MfgCoefficients(self.case.coeff, self.grid, **layers)
 
 
+def _point(key: str) -> Callable:
+    """Field ``key``'s point evaluator; x and t may be scalars or broadcastable arrays."""
+    def evaluate(self, x, t):
+        return _evaluate_terms(self.terms[key], _Factors(self, x), _Factors(self, t))
+    evaluate.__name__ = key
+    return evaluate
+
+
+def _sampler(key: str) -> Callable:
+    """Field ``key``'s grid sampler: _Level.sample, frozen without a copy."""
+    def sample(self, grid: SpaceTimeGrid) -> SpaceTimeField:
+        return SpaceTimeField._adopt(_Level(self, grid).sample(key), grid)
+    return sample
+
+
 @dataclass(frozen=True)
 class ManufacturedCase:
     """One exact-solution scenario: fields, coefficients, and sources.
@@ -328,13 +351,12 @@ class ManufacturedCase:
     sources F and G are derived so the pair solves the system named by ``tag``
     exactly.
 
-    ``terms`` holds, for each of u, m, F and G, its one formula: a list of
-    separable terms (time profile, space profile), each profile a function
-    of a table of the case's factors at one node array (see _Factors).  A
-    source has at most four terms, one per distinct time profile.  The
-    formulas depend on the tag alone and read the factors by name, so a
-    case changed by dataclasses.replace reads its new factors.  The point
-    evaluators and the grid samplers both read these lists.
+    ``terms`` holds each field's one formula (see the module docstring): a
+    list of separable terms (time profile, space profile), each profile a
+    function of a table of the case's factors at one node array (see
+    _Factors).  The formulas depend on the tag alone and read the factors by
+    name, so a case changed by dataclasses.replace reads its new factors.
+    One point evaluator serves every field, one grid sampler u, m, F and G.
     """
 
     name: str
@@ -354,14 +376,11 @@ class ManufacturedCase:
     d: Smooth = _ZERO
     T: float = 1.0
     A: Smooth = field(init=False)
-    W: Smooth = field(init=False)
 
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"tag must be one of {_TAGS}")
         object.__setattr__(self, "A", coeff_smooth(self.coeff))
-        # product field a(x) V(x); its second derivative is exactly (am)_xx / Tm
-        object.__setattr__(self, "W", self.A * self.V)
 
     @property
     def terms(self) -> dict:
@@ -375,54 +394,12 @@ class ManufacturedCase:
         fails it."""
         return self.coeff.family != "wright_fischer"
 
-    def _evaluate(self, key, x, t):
-        return _evaluate_terms(self.terms[key], _Factors(self, x), _Factors(self, t))
+    u, u_x, u_xx, u_t = _point("u"), _point("u_x"), _point("u_xx"), _point("u_t")
+    m, m_x, m_t, am_xx = _point("m"), _point("m_x"), _point("m_t"), _point("am_xx")
+    F, G = _point("F"), _point("G")  # the value- and density-equation sources
 
-    # point evaluators; x and t may be scalars or broadcastable arrays
-    def u(self, x, t):
-        return self._evaluate("u", x, t)
-
-    def u_x(self, x, t):
-        return self.Tu.f(t) * self.U.f1(x)
-
-    def u_xx(self, x, t):
-        return self.Tu.f(t) * self.U.f2(x)
-
-    def u_t(self, x, t):
-        return self.Tu.f1(t) * self.U.f(x)
-
-    def m(self, x, t):
-        return self._evaluate("m", x, t)
-
-    def m_x(self, x, t):
-        return self.Tm.f(t) * self.V.f1(x)
-
-    def m_t(self, x, t):
-        return self.Tm.f1(t) * self.V.f(x)
-
-    def am_xx(self, x, t):
-        return self.Tm.f(t) * self.W.f2(x)
-
-    def F(self, x, t):
-        """Value-equation source making the exact fields solve the system."""
-        return self._evaluate("F", x, t)
-
-    def G(self, x, t):
-        """Density-equation source for the exact fields."""
-        return self._evaluate("G", x, t)
-
-    # grid samplers
-    def exact_u(self, grid: SpaceTimeGrid) -> SpaceTimeField:
-        return SpaceTimeField(_Level(self, grid).sample("u"), grid)
-
-    def exact_m(self, grid: SpaceTimeGrid) -> SpaceTimeField:
-        return SpaceTimeField(_Level(self, grid).sample("m"), grid)
-
-    def source_F(self, grid: SpaceTimeGrid) -> SpaceTimeField:
-        return SpaceTimeField(_Level(self, grid).sample("F"), grid)
-
-    def source_G(self, grid: SpaceTimeGrid) -> SpaceTimeField:
-        return SpaceTimeField(_Level(self, grid).sample("G"), grid)
+    exact_u, exact_m = _sampler("u"), _sampler("m")
+    source_F, source_G = _sampler("F"), _sampler("G")
 
     def terminal(self, grid: SpaceTimeGrid) -> np.ndarray:
         """u at the grid's horizon, the last column of exact_u(grid)."""
@@ -624,50 +601,28 @@ class ConvergenceResult:
 
 def solve_case(case: ManufacturedCase, grid: SpaceTimeGrid, cfg: IterConfig = IterConfig()):
     """Run the solver matching the case tag; returns (u or None, m or None)."""
-    return _solve_case(case, grid, cfg)[:2]
+    return _solve_case(_Level(case, grid), cfg)[:2]
 
 
-def _solve_case(
-    case: ManufacturedCase, grid: SpaceTimeGrid, cfg: IterConfig, start=None, level=None
-):
-    """solve_case, plus the sources it sampled and the Picard sweeps:
-    (u, m, F, G, sweeps), None where unused and 0 sweeps for scalar cases.
-    A coupled solve starts from ``start`` (zeros when None).  Every input is
-    built from ``level``, the case's _Level on grid (a new one when None),
-    which the level's _max_error may share."""
-    if level is None:
-        level = _Level(case, grid)
+def _solve_case(level: _Level, cfg: IterConfig, start=None):
+    """solve_case on ``level``, plus the sources it sampled and the Picard
+    sweeps: (u, m, F, G, sweeps), None where unused and 0 sweeps for scalar
+    cases.  A coupled solve starts from ``start`` (zeros when None).  Every
+    input is built from the level, which the level's _max_error may share."""
+    case, grid = level.case, level.grid
     F = SpaceTimeField(level.sample("F"), grid) if case.tag != "fp" else None
     G = SpaceTimeField(level.sample("G"), grid) if case.tag != "hjb" else None
     if case.tag == "hjb":
-        prob = HjbLinearProblem(
-            grid,
-            case.coeff,
-            drift=level.x("d1"),
-            source=F,
-            terminal=level.slice("u", -1),
-        )
+        prob = HjbLinearProblem(grid, case.coeff, drift=level.x("d1"), source=F,
+                                terminal=level.slice("u", -1))
         return solve_hjb_linear(prob), None, F, G, 0
     if case.tag == "fp":
-        prob = FpLinearProblem(
-            grid,
-            case.coeff,
-            convection=level.x("c1"),
-            zeroth=level.x("b"),
-            source=G,
-            initial=level.slice("m", 0),
-        )
+        prob = FpLinearProblem(grid, case.coeff, convection=level.x("c1"), zeroth=level.x("b"),
+                               source=G, initial=level.slice("m", 0))
         return None, solve_fp_linear(prob), F, G, 0
     solver = solve_linearized_mfg if case.tag == "mfg_linear" else solve_nonlinear_mfg
-    sol = solver(
-        level.coefficients(),
-        F=F,
-        G=G,
-        m0=level.slice("m", 0),
-        h=level.slice("u", -1),
-        cfg=cfg,
-        start=start,
-    )
+    sol = solver(level.coefficients(), F=F, G=G, m0=level.slice("m", 0), h=level.slice("u", -1),
+                 cfg=cfg, start=start)
     if not sol.converged:
         raise SolverError(
             f"case {case.name}: coupled sweep did not converge on grid "
@@ -676,11 +631,9 @@ def _solve_case(
     return sol.u, sol.m, F, G, sol.sweeps
 
 
-def _max_error(case: ManufacturedCase, grid: SpaceTimeGrid, u, m, level=None) -> float:
+def _max_error(level: _Level, u, m) -> float:
     """The largest deviation of u and m (each None when unsolved) from the
-    exact fields, sampled from ``level`` (a new _Level when None)."""
-    if level is None:
-        level = _Level(case, grid)
+    exact fields, sampled from ``level``."""
     err = 0.0
     for got, key in ((u, "u"), (m, "m")):
         if got is not None:
@@ -767,8 +720,8 @@ def convergence_study(
     start = None
     for i, g in enumerate(grids):
         level = _Level(case, g)  # the level's factor values, for its solve and its error
-        u, m, _, _, n = _solve_case(case, g, cfg, start, level)
-        errors.append(_max_error(case, g, u, m, level))
+        u, m, _, _, n = _solve_case(level, cfg, start)
+        errors.append(_max_error(level, u, m))
         sweeps.append(n)
         start = None
         if n and i + 1 < len(grids):

@@ -42,7 +42,7 @@ from degenmfg.mfg import (
     _start_pair,
     solve_nonlinear_mfg,
 )
-from degenmfg.solvers import FieldLike, SolverError, _slice
+from degenmfg.solvers import FieldLike, SolverError, _slice, _traj
 
 __all__ = [
     "theoretical_theta",
@@ -239,10 +239,14 @@ def generate_pair(
     solve_nonlinear_mfg (a wrong shape raises ValueError), and from the base
     solution when it is None: the two solutions are O(eps) apart, so that
     saves sweeps without moving the converged answer beyond the residual
-    tolerance.  A bad eps raises ValueError first; a solve that fails to converge, SolverError.
+    tolerance.  A bad eps raises ValueError first, then a base_solution off
+    the grid; a solve that fails to converge, SolverError.
     """
     eps = _amplitude("eps", eps)
     g = _experiment_grid(spec, grid)
+    if base_solution is not None:  # a field off the grid raises ValueError
+        for f in ("u", "m"):
+            _traj(getattr(base_solution, f), g, f"base_solution.{f}")
     m0 = _slice(base_data[0], g, "m0")
     h = _slice(base_data[1], g, "h")
     dm0 = _slice(perturbation[0], g, "delta_m0")
@@ -366,12 +370,19 @@ def _end_norms(u, m, coeff: DegenerateCoefficient, g: SpaceTimeGrid, order: int,
 def _setup(spec, t0, eps_ladder, grid, cfg, pairs, n_t_min=2, min_rungs=1, decades=0):
     """Every input check of a ladder, all before its first solve.  Returns the
     grid, the index k0 of its time nearest t0 (interior unless t0 = 0), the
-    pairs (given ones are used as they are, on their own grid) and the
-    warnings.  eps = 0 rungs are dropped with a warning each; the rest must
-    be min_rungs or more distinct amplitudes spanning ``decades`` decades."""
+    pairs (given ones are used as they are, on their own grid, which every
+    solution and a given grid must share) and the warnings.  eps = 0 rungs
+    are dropped with a warning each; the rest must be min_rungs or more
+    distinct amplitudes spanning ``decades`` decades."""
     if pairs is not None and not pairs:
         raise ValueError("pairs is empty: a ladder needs at least one solution pair")
     g = pairs[0][1][0].u.grid if pairs else _experiment_grid(spec.problem, grid)
+    if pairs and grid not in (None, g):
+        raise ValueError(f"grid: {grid} != the pairs' grid {g}")
+    for i, (_, sols) in enumerate(pairs or ()):  # a field off g raises ValueError
+        for j, sol in enumerate(sols):
+            for f in ("u", "m"):
+                _traj(getattr(sol, f), g, f"pairs[{i}] sol{j + 1}.{f}")
     k0 = round(t0 / g.dt)  # the grid time the ladder measures at
     if t0 > 0.0 and not 0 < k0 < g.n_t:
         raise ValueError(f"t0={t0:g} is nearest the grid end t={g.t[k0]:g} at n_t={g.n_t}; "
@@ -500,7 +511,7 @@ def run_holder_experiment(
     together with the spread of the per-rung constants (envelope_stable means
     every rung's constant stays within 50 percent of C_fit).  Precomputed
     ``pairs`` from build_ladder_pairs are reused as-is, since pairs are
-    independent of t0.
+    independent of t0; they must all be on one grid, ``grid`` when given.
     """
     T, lam = spec.problem.T, spec.problem.lam
     if not (0.0 < t0 < T):

@@ -1,6 +1,8 @@
-"""The verdict rule of tools/ab.py on synthetic paired samples."""
+"""The verdict rule of tools/ab.py on synthetic paired samples, and its per-side report."""
 
 import importlib.util
+import json
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,28 @@ def test_unpaired_samples_are_rejected():
         ab.verdict([1.0, 2.0], [1.0], "lower", 0.25)
     with pytest.raises(ValueError):
         ab.verdict([], [], "lower", 0.25)
+
+
+def test_each_side_line_prints_its_source_bytes(tmp_path, monkeypatch, capsys):
+    # peak_rss_mb moves with the source a benchmark process compiles, so
+    # each side's total src/degenmfg/*.py bytes go on its line
+    for side, sizes in (("base", (10, 5)), ("head", (7,))):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("", encoding="utf-8")
+        pkg = tmp_path / side / "src" / "degenmfg"
+        pkg.mkdir(parents=True)
+        for i, n in enumerate(sizes):
+            (pkg / f"m{i}.py").write_bytes(b"#" * n)
+        (pkg / "notes.txt").write_bytes(b"#" * 100)  # not Python source
+    assert ab.source_bytes(tmp_path / "base") == 15
+    every_metric = defaultdict(lambda: {"value": 1.0})
+    monkeypatch.setattr(ab, "run_once", lambda tree, args: {"correct": True,
+                                                            "metrics": every_metric})
+    record = tmp_path / "ab.json"
+    argv = [str(tmp_path / "base"), str(tmp_path / "head"), "--workload", "stability",
+            "--pairs", "1", "--json", str(record)]
+    assert ab.main(argv) == 0
+    out = capsys.readouterr().out
+    assert f"  base: {(tmp_path / 'base').resolve()}: src 15 bytes, correct 1/1" in out
+    assert f"  head: {(tmp_path / 'head').resolve()}: src 7 bytes, correct 1/1" in out
+    assert json.loads(record.read_text(encoding="utf-8"))["source_bytes"] == {"base": 15, "head": 7}

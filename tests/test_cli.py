@@ -711,7 +711,7 @@ def test_solve_without_mallopt_gives_the_same_result(tmp_path, monkeypatch, libc
 
 def test_coupled_convergence_writes_fewer_sweeps_than_cold_levels(tmp_path):
     from degenmfg.domain import SpaceTimeGrid
-    from degenmfg.manufactured import _solve_case, make_case
+    from degenmfg.manufactured import _Level, _solve_case, make_case
     from degenmfg.mfg import IterConfig
 
     ladder = [[32, 8], [64, 32], [128, 128]]
@@ -723,7 +723,7 @@ def test_coupled_convergence_writes_fewer_sweeps_than_cold_levels(tmp_path):
     assert rows[0][5] == "sweeps" and rows[1][5] == "count"
     sweeps = [int(r[5]) for r in rows[2:]]
     case = make_case("coupled-oil")
-    cold = [_solve_case(case, SpaceTimeGrid(n_x, n_t, case.T), IterConfig())[4]
+    cold = [_solve_case(_Level(case, SpaceTimeGrid(n_x, n_t, case.T)), IterConfig())[4]
             for n_x, n_t in ladder]
     assert sweeps[0] == cold[0]
     assert all(w < c for w, c in zip(sweeps[1:], cold[1:]))
@@ -853,13 +853,13 @@ _SWEEP_EDGES = [
 def test_library_and_cli_agree_at_each_sweep_bound(tmp_path, params, ok):
     from degenmfg.carleman import CarlemanBundle, sweep_parameters
     from degenmfg.domain import SpaceTimeGrid
-    from degenmfg.manufactured import IterConfig, _solve_case, make_case
+    from degenmfg.manufactured import IterConfig, _Level, _solve_case, make_case
 
     cfg = {"command": "verify-carleman", "case": "coupled-mild",
            "grid": {"n_x": 16, "n_t": 8}, "s_values": [2.0], "lam_values": [1.0], **params}
     case = make_case(cfg["case"])
     g = SpaceTimeGrid(16, 8, case.T)
-    u, m, F, G, _ = _solve_case(case, g, IterConfig())
+    u, m, F, G, _ = _solve_case(_Level(case, g), IterConfig())
     bundle = CarlemanBundle(case.coeff, g, u=u, m=m, F=F, G=G)
     assert _library_admits(sweep_parameters, bundle=bundle, s_values=cfg["s_values"],
                            lam_values=cfg["lam_values"]) is ok

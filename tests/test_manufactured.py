@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from degenmfg.domain import SpaceTimeGrid
+from degenmfg.domain import SpaceTimeField, SpaceTimeGrid
 from degenmfg.manufactured import (
     _Factors,
     _Level,
@@ -201,6 +201,49 @@ def test_grid_samplers_equal_point_evaluators_bitwise(name):
         assert got.tobytes() == point(x, t).tobytes()
 
 
+def _bits(v):
+    return np.asarray(v).tobytes()
+
+
+@pytest.mark.parametrize("name", catalog())
+def test_derivative_evaluators_equal_the_direct_products_bitwise(name):
+    # each derivative is one formula on the factor tables, as u, m, F and G
+    # are: the same doubles as the product of the Smooth factors it replaces
+    c = make_case(name)
+    g = SpaceTimeGrid(33, 17, c.T)
+    direct = {
+        "u_x": lambda x, t: c.Tu.f(t) * c.U.f1(x),
+        "u_xx": lambda x, t: c.Tu.f(t) * c.U.f2(x),
+        "u_t": lambda x, t: c.Tu.f1(t) * c.U.f(x),
+        "m_x": lambda x, t: c.Tm.f(t) * c.V.f1(x),
+        "m_t": lambda x, t: c.Tm.f1(t) * c.V.f(x),
+        "am_xx": lambda x, t: c.Tm.f(t) * (c.A * c.V).f2(x),
+    }
+    for x, t in [(g.x[:, None], g.t[None, :]), (0.3, 0.7), (g.x[5], 0.0), (g.x, 0.25)]:
+        for key, want in direct.items():
+            got = getattr(c, key)(x, t)
+            assert np.shape(got) == np.shape(want(x, t)), key
+            assert _bits(got) == _bits(want(x, t)), (key, x, t)
+
+
+@pytest.mark.parametrize("name", catalog())
+def test_grid_samplers_wrap_the_level_sample_without_a_field_copy(name, monkeypatch):
+    c = make_case(name)
+    g = SpaceTimeGrid(24, 12, c.T)
+    level = _Level(c, g)
+    want = {key: level.sample(key) for key in ("u", "m", "F", "G")}
+
+    def no_copy(self):
+        raise AssertionError("SpaceTimeField.__post_init__ ran")
+
+    monkeypatch.setattr(SpaceTimeField, "__post_init__", no_copy)
+    for key, sampler in (("u", c.exact_u), ("m", c.exact_m),
+                         ("F", c.source_F), ("G", c.source_G)):
+        got = sampler(g)
+        assert got.grid is g and not got.values.flags.writeable
+        assert got.values.tobytes() == want[key].tobytes(), key
+
+
 @pytest.mark.parametrize(
     "name, mode, ladder",
     [
@@ -213,8 +256,8 @@ def test_continued_study_matches_cold_levels_in_fewer_sweeps(name, mode, ladder)
     c = make_case(name)
     res = convergence_study(c, mode, ladder)
     grids = [SpaceTimeGrid(n_x, n_t, c.T) for n_x, n_t in ladder]
-    cold_errors = [_max_error(c, g, *solve_case(c, g)) for g in grids]
-    cold_sweeps = [_solve_case(c, g, IterConfig())[4] for g in grids]
+    cold_errors = [_max_error(_Level(c, g), *solve_case(c, g)) for g in grids]
+    cold_sweeps = [_solve_case(_Level(c, g), IterConfig())[4] for g in grids]
     steps = [g.h if mode == "space" else g.dt for g in grids]
     cold_order = float(np.polyfit(np.log(steps), np.log(cold_errors), 1)[0])
     assert res.errors == pytest.approx(cold_errors, rel=1e-6, abs=0.0)
@@ -371,11 +414,12 @@ def test_level_fields_equal_the_public_samplers_bitwise(name, shape):
         own = np.broadcast_to(getattr(c, key).f(g.x)[:, None], g.shape)
         assert getattr(shared, key).tobytes() == getattr(public, key).tobytes() == own.tobytes()
     # every entry of the tables, W's included, is the factor's own value
+    own_smooth = {"U": c.U, "V": c.V, "A": c.A, "W": c.A * c.V, "Tu": c.Tu, "Tm": c.Tm}
     for table, nodes, names in ((level.x, g.x, ("U", "V", "A", "W")),
                                 (level.t, g.t, ("Tu", "Tm"))):
         for factor in names:
             for k in range(3):
-                own = getattr(c, factor)._d(k)(nodes)
+                own = own_smooth[factor]._d(k)(nodes)
                 assert table(factor, k).tobytes() == own.tobytes(), (factor, k)
 
 
@@ -386,7 +430,7 @@ def test_terminal_slice_is_taken_at_the_grid_horizon():
     assert c.T == 1.0
     assert c.terminal(g).tobytes() == c.exact_u(g).values[:, -1].tobytes()
     u, _ = solve_case(c, g)
-    assert _max_error(c, g, u, None) < 1e-3
+    assert _max_error(_Level(c, g), u, None) < 1e-3
 
 
 def _two_pass_prolong(v, old, new):

@@ -1,6 +1,7 @@
 """Backward-recovery exponents, perturbation ladders, and envelope fits."""
 
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -499,3 +500,64 @@ def test_predictor_is_the_lagrange_polynomial_through_zero_and_its_nodes():
     b_u, s_u = base.u.values, nodes[1][1].u.values
     assert np.array_equal(u, b_u + (eps / e2) * (s_u - b_u))
     assert _predict(eps, base, []) is None
+
+
+_COARSE = SpaceTimeGrid(16, 16, 1.0)
+
+
+def _coarse_ladder(grid):
+    return build_ladder_pairs(default_backward_spec(), DEFAULT_HOLDER_LADDER, grid=grid)
+
+
+def _refuse_solves_and_measurements(monkeypatch):
+    from degenmfg import stability
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve or a measurement ran")
+
+    monkeypatch.setattr(stability, "solve_nonlinear_mfg", refuse)
+    monkeypatch.setattr(stability, "_end_norms", refuse)
+    monkeypatch.setattr(stability, "weighted_norm", refuse)
+
+
+@pytest.mark.parametrize("other", [SpaceTimeGrid(16, 32, 1.0), SpaceTimeGrid(16, 16, 2.0)],
+                         ids=["n_t", "T"])
+def test_ladders_refuse_pairs_from_another_grid(monkeypatch, other):
+    # a ladder used to measure every rung at the first pair's time column:
+    # the 16x32 rungs at t = 0.25, the T = 2 rungs at t = 1
+    bspec = default_backward_spec()
+    pairs = _coarse_ladder(_COARSE) + _coarse_ladder(other)
+    _refuse_solves_and_measurements(monkeypatch)
+    message = re.escape(f"pairs[4] sol1.u: field grid {other} != {_COARSE}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_holder_experiment(bspec, 0.5, pairs=pairs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_log_experiment(bspec, pairs=pairs)
+
+
+def test_ladders_refuse_a_grid_that_is_not_the_pairs_grid(monkeypatch):
+    bspec = default_backward_spec()
+    pairs = _coarse_ladder(_COARSE)
+    # the pairs' own grid is accepted, and gives the result without it
+    same = run_holder_experiment(bspec, 0.5, grid=SpaceTimeGrid(16, 16, 1.0), pairs=pairs)
+    assert same == run_holder_experiment(bspec, 0.5, pairs=pairs)
+    other = SpaceTimeGrid(16, 32, 1.0)
+    _refuse_solves_and_measurements(monkeypatch)
+    message = re.escape(f"grid: {other} != the pairs' grid {_COARSE}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_holder_experiment(bspec, 0.5, grid=other, pairs=pairs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_log_experiment(bspec, grid=other, pairs=pairs)
+
+
+def test_generate_pair_refuses_a_base_solution_off_its_grid(monkeypatch):
+    # the pair's two solutions used to come back on different grids
+    bspec = default_backward_spec()
+    base = _coarse_ladder(_COARSE)[0][1][0]
+    fine = SpaceTimeGrid(16, 32, 1.0)
+    start = (np.zeros(fine.shape), np.zeros(fine.shape))
+    _refuse_solves_and_measurements(monkeypatch)
+    message = re.escape(f"base_solution.u: field grid {_COARSE} != {fine}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_pair((bspec.m0, bspec.h), (bspec.delta_m0, bspec.delta_h), 1e-2, bspec.problem,
+                      grid=fine, base_solution=base, start=start)

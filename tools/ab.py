@@ -20,8 +20,10 @@ for neither) and a verdict:
   than the bound, and not every head run is better than every base run;
 - unchanged: otherwise.
 
-It also prints how many runs of each side were ``correct`` and how many
-commands failed.  The exit code is 0 when every run printed a result and
+It also prints how many runs of each side were ``correct``, how many
+commands failed, and the total bytes of the side's ``src/degenmfg/*.py``:
+every benchmark process compiles that source (it writes no bytecode), so
+``peak_rss_mb`` moves with its size as well as with the code paths run.  The exit code is 0 when every run printed a result and
 every result is correct, else 1.  ``--json`` writes every sample, summary and
 verdict to PATH.  Only the standard library is used; the runs write where
 bench/run.py writes, and this script writes nothing else but PATH.
@@ -88,6 +90,11 @@ def verdict(base, head, better: str, bound: float) -> dict:
     }
 
 
+def source_bytes(tree: Path) -> int:
+    """Total size in bytes of the tree's src/degenmfg/*.py."""
+    return sum(p.stat().st_size for p in (tree / "src" / "degenmfg").glob("*.py"))
+
+
 def run_once(tree: Path, args) -> dict:
     """One untraced benchmark run in ``tree``: its result object, or a failure record."""
     proc = subprocess.run(
@@ -142,7 +149,8 @@ def main(argv=None) -> int:
     for side in SIDES:
         correct = sum(r["correct"] is True for r in runs[side])
         failed = sum(r.get("failed", 0) for r in runs[side])
-        print(f"  {side}: {trees[side]}: correct {correct}/{args.pairs}, failed commands {failed}")
+        print(f"  {side}: {trees[side]}: src {source_bytes(trees[side])} bytes, "
+              f"correct {correct}/{args.pairs}, failed commands {failed}")
     for name, s in summary.items():
         b, h = s["base"], s["head"]
         print(f"  {name}: base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]"
@@ -151,6 +159,7 @@ def main(argv=None) -> int:
     if args.json:
         record = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
                   "seconds": args.seconds, "trees": {k: str(v) for k, v in trees.items()},
+                  "source_bytes": {k: source_bytes(v) for k, v in trees.items()},
                   "runs": runs, "metrics": summary}
         args.json.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0 if ok else 1
