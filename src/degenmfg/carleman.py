@@ -16,18 +16,23 @@ Time integration is a trapezoid between adjacent slices of the spatial
 integrals multiplied by the scaled weight at the midpoint, so the fast weight
 is sampled where it matters.  The slice integrals do not depend on the
 parameters and are computed once per estimate, and so are their trapezoids.
-For one lam, the scaled weight of every s is one table (a row per s, a column
-per midpoint), one product of -2 s with that lam's tau and one exp, and every
-time integral of the estimate is a product of that table with a vector.  A
-sweep builds the table of each lam in turn into one reused buffer and
-gathers the time sums of every cell; the per-cell rest of the estimate (the
-s and lam factors, the data terms, the ratio) then runs once over all cells,
-on per-cell s, lam, phi(T) and K, so that arithmetic of a cell does not
-depend on the other cells evaluated with it (the time sums can, at
-rounding: a matrix product rounds by its shape).  An estimate's totals are
-one array, a row per total and a column per cell.  sweep_parameters and
-evaluate_carleman (one cell) share one path: _estimates builds the estimates
-of a CarlemanBundle (mfg is hjb plus fp) and _scaled_cells evaluates them.
+Each time integral of the bundle (the terms of hjb and fp together, for mfg)
+is one column, trapezoid times phi^p, of one matrix per lam; the matrices are
+built for a chunk of lams at a time, with one exp over the chunk's lam by
+midpoint grid.  For one lam, the scaled weight of every s is one table (a row
+per s, a column per midpoint), one einsum outer product of -2 s with that
+lam's tau and one exp, and the time sums of every term are one product of
+that table with the lam's matrix.  A sweep builds the table of each lam in
+turn into one reused buffer and gathers the time sums of every cell into one
+array, a row per cell and a column per term; the per-cell rest of the
+estimate (the s and lam factors, the data terms, the ratio) then runs once
+over all cells, on per-cell s, lam, phi(T) and K, so that arithmetic of a
+cell does not depend on the other cells evaluated with it (the time sums
+can, at rounding: a matrix product rounds by its shape).  An estimate's
+totals are one array, a row per total and a column per cell.
+sweep_parameters and evaluate_carleman (one cell) share one path:
+_estimates builds the estimates of a CarlemanBundle (mfg is hjb plus fp) and
+_scaled_cells evaluates them.
 
 The slice integrals walk the trajectory in blocks of time columns, each about
 one weight table in size, and, trajectories being time-major, one contiguous
@@ -77,7 +82,8 @@ __all__ = [
 # log(DBL_MAX) = 709.78, past which exp() is not representable at all
 OVERFLOW_LOG_LIMIT = 700.0
 # largest weight table a sweep builds at once: 64 s values x 1024 midpoints;
-# also the size of a time-column block of the slice integrals
+# half of it caps a chunk of lams' term matrices; also the size of a
+# time-column block of the slice integrals
 _TABLE_DOUBLES = 64 * 1024
 _WEIGHT = _Bound(gt=0.0)  # each s and lam
 _S_FLOOR = _Bound(ge=sys.float_info.min)  # each s: below it, the estimate's 1/s overflows
@@ -187,13 +193,18 @@ def _scaled_cells(grid: SpaceTimeGrid, estimates, s, lam, phi_T, live) -> list:
     estimates holds (scaled, ingredients, terms) triples, terms being the
     (slice integral, p) pairs of the estimate's time integrals against phi^p
     times the scaled weight.  The trapezoids of the slice integrals are
-    computed once.  For each lam the scaled weight of its live s is built
-    into one buffer, a table of at most _TABLE_DOUBLES entries at a time (a
-    row per s, a column per midpoint): one product and one exp,
-    exp(-2 s tau) with tau = phi(T) - phi(t_mid) >= 0, so every entry lies
-    in (0, 1] without reading K.  Each estimate's time sums are one product
-    of a table with the matrix of its weighted trapezoids.  The per-cell
-    arithmetic of scaled then runs once over every cell.
+    computed once.  Every term of every estimate is one column of a lam's
+    matrix, its trapezoids times phi(t_mid)^p; the matrices of the live lams
+    are built a chunk at a time, at most _TABLE_DOUBLES // 2 doubles, with
+    one exp over the chunk's lam by midpoint grid and one stack.  For each
+    lam the scaled weight of its live s is built into one buffer, a table of
+    at most _TABLE_DOUBLES entries at a time (a row per s, a column per
+    midpoint): one einsum outer product and one exp, exp(-2 s tau) with
+    tau = phi(T) - phi(t_mid) >= 0, so every entry lies in (0, 1] without
+    reading K.  The time sums of a table's cells are one product of the
+    table with the lam's matrix, into the table's rows of one cell-major
+    array; each estimate reads its terms as a slice of its columns.  The
+    per-cell arithmetic of scaled then runs once over every cell.
     """
     n_mid = grid.n_t
     rows = max(1, _TABLE_DOUBLES // n_mid)
@@ -202,29 +213,30 @@ def _scaled_cells(grid: SpaceTimeGrid, estimates, s, lam, phi_T, live) -> list:
     j, i = np.nonzero(live.T)
     cells = _Cells(s[i], lam[j], phi_T[j], 2.0 * s[i] * phi_T[j])
     minus_two_s = -2.0 * cells.s
-    trapezoids = [
-        [(_trapezoids(getattr(ing, name), grid.dt), p) for name, p in terms]
-        for _, ing, terms in estimates
-    ]
-    sums = [np.empty((len(terms), i.size)) for _, _, terms in estimates]
+    columns = [(_trapezoids(getattr(ing, name), grid.dt), p)
+               for _, ing, terms in estimates for name, p in terms]
+    sums = np.empty((i.size, len(columns)))
     per_lam = np.count_nonzero(live, axis=0)
+    live_lams = np.flatnonzero(per_lam)
+    chunk = max(1, _TABLE_DOUBLES // 2 // (n_mid * len(columns)))
     buf = np.empty(min(rows, int(per_lam.max(initial=0))) * n_mid)
     lo = 0
-    for lam_j, phi_T_j, n in zip(lam, phi_T, per_lam):
-        if n == 0:
-            continue
-        phi_mid = np.exp(lam_j * t_mid)
-        tau = phi_T_j - phi_mid
-        cols = [np.stack([tz * phi_mid**p for tz, p in tzs], axis=1) for tzs in trapezoids]
-        for block in range(lo, lo + n, rows):
-            idx = slice(block, min(block + rows, lo + n))
-            table = buf[:(idx.stop - idx.start) * n_mid].reshape(-1, n_mid)
-            np.multiply(minus_two_s[idx, None], tau, out=table)
-            np.exp(table, out=table)
-            for out, c in zip(sums, cols):
-                out[:, idx] = (table @ c).T
-        lo += n
-    return [scaled(ing, out, cells) for (scaled, ing, _), out in zip(estimates, sums)]
+    for first in range(0, live_lams.size, chunk):
+        js = live_lams[first:first + chunk]
+        phi_mid = np.exp(np.einsum("i,j->ij", lam[js], t_mid))
+        taus = phi_T[js, None] - phi_mid
+        mats = np.stack([tz * phi_mid**p for tz, p in columns], axis=-1)
+        for tau, mat, n in zip(taus, mats, per_lam[js]):
+            for block in range(lo, lo + n, rows):
+                idx = slice(block, min(block + rows, lo + n))
+                table = buf[:(idx.stop - idx.start) * n_mid].reshape(-1, n_mid)
+                np.einsum("i,j->ij", minus_two_s[idx], tau, out=table)
+                np.exp(table, out=table)
+                np.matmul(table, mat, out=sums[idx])
+            lo += n
+    ends = np.cumsum([len(terms) for _, _, terms in estimates])[:-1]
+    parts = np.split(sums, ends, axis=1)
+    return [scaled(ing, part, cells) for (scaled, ing, _), part in zip(estimates, parts)]
 
 
 # parameter-independent slice integrals of the value-equation estimate
@@ -303,7 +315,7 @@ _HJB_TERMS = (("I_ut", 0), ("I_uxx", 0), ("I_ux", 1), ("I_u", 2), ("I_F", 1))
 
 def _hjb_scaled(ing: HjbIngredients, sums: np.ndarray, c: _Cells) -> np.ndarray:
     s, lam = c.s, c.lam
-    ut, uxx, ux, u, F = sums
+    ut, uxx, ux, u, F = sums.T
     lhs = ut + uxx + s * lam * ux + s * s * lam * lam * u
     rhs_T = s * (s * lam * c.phi_T * ing.BT_0 + ing.BT_1)
     rhs_0 = s * (s * lam * ing.B0_0 + ing.B0_1) * c.at_zero()
@@ -331,7 +343,7 @@ def fp_ingredients(m, G, coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> F
     h_a, h_inv_a, h_1 = _quadrature_weights(a, h)
     J_v2, J_vx, J_m, J_G = np.empty((4, grid.n_t + 1))
     for cols, ext, inner in _time_blocks(grid):
-        v_ext = a[:, None] * mv[:, ext]
+        v_ext = np.einsum("i,ij->ij", a, mv[:, ext])
         v = v_ext[:, inner]
         _sq_sums(_dxx_array(v, h), h_a, J_v2[cols])
         # int a m_t^2 = int v_t^2 / a, differentiating the product field in time
@@ -354,7 +366,7 @@ _FP_TERMS = (("J_v2", -1), ("J_vx", 0), ("J_m", 1), ("J_G", 0))
 
 def _fp_scaled(ing: FpIngredients, sums: np.ndarray, c: _Cells) -> np.ndarray:
     s, lam = c.s, c.lam
-    v2, vx, m, G = sums
+    v2, vx, m, G = sums.T
     lhs = (1.0 / s) * v2 + lam * vx + s * lam * lam * m
     rhs_T = s * lam * (c.phi_T * ing.BT_m + ing.BT_vx)
     rhs_0 = (s * lam * ing.B0_m + ing.B0_vx) * c.at_zero()
@@ -443,12 +455,15 @@ def sweep_parameters(bundle: CarlemanBundle, s_values, lam_values) -> SweepResul
     block.  Each lam builds one table of the scaled weight
     exp(-2 s (phi(T) - phi(t))) over the time midpoints, a row per s that
     does not overflow (in blocks of at most _TABLE_DOUBLES = 64 x 1024
-    entries), into one buffer that every lam reuses: one product and one
-    exp, every entry in (0, 1].  Each time integral of the estimate is a
-    product of that table with a vector.  The rest of the estimate runs once
-    per sweep over the time sums of every live cell.  Cells whose weight
-    cannot be represented on a linear scale are recorded as NaN and counted
-    in overflow_cells.  Every s and lam must meet CarlemanParams' rule.
+    entries), into one buffer that every lam reuses: one einsum outer
+    product and one exp, every entry in (0, 1].  Every time integral of the
+    bundle's estimates is one column of a matrix per lam, built for a chunk
+    of lams at a time (at most _TABLE_DOUBLES // 2 doubles), so one product
+    of a table with its lam's matrix gives all of its cells' time sums.
+    The rest of the estimate runs once per sweep over the time sums of every
+    live cell.  Cells whose weight cannot be represented on a linear scale
+    are recorded as NaN and counted in overflow_cells.  Every s and lam must
+    meet CarlemanParams' rule.
     """
     s_sorted = tuple(sorted(_weight("s", s) for s in s_values))
     lam_sorted = tuple(sorted(_weight("lam", x) for x in lam_values))

@@ -15,8 +15,10 @@ A profile reads the case's factors by name (W = a V among them, which lives
 only there) from a table of their values at one node array, which computes
 each factor's f, f1 and f2 there at most once.  Point evaluation sums the
 products term by term; grid sampling evaluates each profile once on the
-nodes or levels and sums the outer products into one time-major array,
-bitwise the same numbers.
+nodes or levels and sums their outer products, each an einsum written
+straight into a time-major array, bitwise the same numbers (einsum adds
+into a zeroed output, so a -0.0 product would read +0.0; no catalog case
+has one).
 
 A convergence study evaluates every factor once per level: the level's two
 tables give its sources, its terminal and initial slices, its coefficient
@@ -305,15 +307,16 @@ class _Level:
     def sample(self, key: str) -> np.ndarray:
         """Field ``key`` (u, m, F or G) on the grid: each term the outer
         product of its space profile at the nodes and its time profile at
-        the levels, written straight into a time-major array.  Bitwise the
-        point evaluator at (x[:, None], t[None, :]): the same products,
-        summed in the same order."""
+        the levels, an einsum written straight into a time-major array.
+        Bitwise the point evaluator at (x[:, None], t[None, :]): the same
+        products, summed in the same order, except that a -0.0 product
+        reads +0.0."""
         (time, space), *rest = self.case.terms[key]
-        out = np.multiply.outer(space(self.x), time(self.t), out=_empty(self.grid.shape))
+        out = np.einsum("i,j->ij", space(self.x), time(self.t), out=_empty(self.grid.shape))
         if rest:
             term = _empty(self.grid.shape)
             for time, space in rest:
-                out += np.multiply.outer(space(self.x), time(self.t), out=term)
+                out += np.einsum("i,j->ij", space(self.x), time(self.t), out=term)
         return out
 
     def slice(self, key: str, k: int) -> np.ndarray:

@@ -107,3 +107,77 @@ def test_each_side_line_prints_its_source_bytes(tmp_path, monkeypatch, capsys):
     assert f"  base: {(tmp_path / 'base').resolve()}: src 15 bytes, correct 1/1" in out
     assert f"  head: {(tmp_path / 'head').resolve()}: src 7 bytes, correct 1/1" in out
     assert json.loads(record.read_text(encoding="utf-8"))["source_bytes"] == {"base": 15, "head": 7}
+
+
+def _trees(tmp_path):
+    """Two minimal trees, base and head, that ab.main accepts."""
+    for side in ab.SIDES:
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("", encoding="utf-8")
+        (tmp_path / side / "src" / "degenmfg").mkdir(parents=True)
+    return [str(tmp_path / side) for side in ab.SIDES]
+
+
+@pytest.mark.parametrize("side", ab.SIDES)
+@pytest.mark.parametrize("where", ["src/degenmfg/__pycache__", "bench/__pycache__",
+                                   "bench/sub/__pycache__"])
+def test_a_tree_with_cached_bytecode_is_refused(tmp_path, monkeypatch, capsys, side, where):
+    # cached bytecode skips compiling from source: such a side reads faster
+    # on setup_s and lower on peak_rss_mb than one that compiles
+    trees = _trees(tmp_path)
+    cache = tmp_path / side / where
+    cache.mkdir(parents=True)
+    (cache / "run.cpython-311.pyc").write_bytes(b"")
+
+    def no_run(tree, args):
+        raise AssertionError("a refused tree must not run")
+
+    monkeypatch.setattr(ab, "run_once", no_run)
+    with pytest.raises(SystemExit) as exc:
+        ab.main(trees + ["--workload", "carleman", "--pairs", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{side} tree holds cached bytecode in {cache.resolve()}" in err
+    assert ab.bytecode_caches(tmp_path / side) == [cache.resolve()]
+
+
+def test_caches_elsewhere_in_a_tree_are_not_refused(tmp_path):
+    _trees(tmp_path)
+    (tmp_path / "base" / "tests" / "__pycache__").mkdir(parents=True)
+    (tmp_path / "base" / "tools" / "__pycache__").mkdir(parents=True)
+    assert ab.bytecode_caches(tmp_path / "base") == []
+
+
+def test_traced_pairs_give_a_verdict_per_layer_metric(tmp_path, monkeypatch, capsys):
+    spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    per_layer = [m["name"] for m in spec["per_layer"]]
+    seen, calls = [], iter(range(100))
+
+    def traced_run(tree, args):
+        # the head's carleman.self_s is 20% lower in every pair, its
+        # solvers.sweep_s 40% higher: a gain, and no regression verdict
+        # because per-layer metrics have no bound
+        seen.append(args.trace)
+        k, head = next(calls), tree.name == "head"
+        values = {name: 1.0 + 0.001 * (k % 3) for name in per_layer}
+        values["carleman.self_s"] *= 0.8 if head else 1.0
+        values["solvers.sweep_s"] *= 1.4 if head else 1.0
+        return {"correct": True, "metrics": {n: {"value": v} for n, v in values.items()}}
+
+    monkeypatch.setattr(ab, "run_once", traced_run)
+    record = tmp_path / "ab.json"
+    argv = _trees(tmp_path) + ["--workload", "carleman", "--pairs", "10", "--trace", "1",
+                               "--json", str(record)]
+    assert ab.main(argv) == 0
+    assert seen == [1] * 20
+    out = capsys.readouterr().out
+    assert "carleman seed 1, 10 traced pairs of" in out
+    doc = json.loads(record.read_text(encoding="utf-8"))
+    assert doc["trace"] == 1 and list(doc["metrics"]) == per_layer
+    verdicts = {name: s["verdict"] for name, s in doc["metrics"].items()}
+    assert verdicts.pop("carleman.self_s") == "gain"
+    assert set(verdicts.values()) == {"unchanged"}
+    assert doc["metrics"]["carleman.self_s"]["head_wins"] == 10
+    assert doc["metrics"]["solvers.sweep_s"]["change_frac"] == pytest.approx(0.4, rel=1e-2)
+    line = next(x for x in out.splitlines() if x.startswith("  carleman.self_s: base "))
+    assert line.endswith("head wins 10/10  gain")

@@ -302,6 +302,45 @@ def test_sweep_in_row_blocks_matches_reference(monkeypatch):
     _assert_matches_reference(bundle, ORACLE_S + [1.0, 7.0], ORACLE_LAM)
 
 
+# straddle the overflow limit at T = 1: the lams keep 7, 6, 6, 5, 5, 4, 1
+# and 0 live s
+CHUNK_S = [0.5, 1.0, 3.0, 7.0, 20.0, 60.0, 150.0, 400.0]
+CHUNK_LAM = [0.3, 1.0, 1.5, 2.0, 2.5, 3.0, 6.0, 7.0]
+
+
+@pytest.mark.parametrize("case", ["drifted-well", "wf-pulse", "coupled-mild"])
+@pytest.mark.parametrize("lams_per_chunk", [1, 2, 3])
+def test_lam_chunks_do_not_change_a_bit(monkeypatch, case, lams_per_chunk):
+    bundle = _case_bundle(case, 32, 32)
+    n_mid, n_terms = bundle.grid.n_t, {"hjb": 5, "fp": 4, "mfg": 9}[bundle.kind]
+    want = sweep_parameters(bundle, CHUNK_S, CHUNK_LAM)
+    live = np.isfinite(want.ratios)
+    assert [int(k) for k in live.sum(axis=0)] == [7, 6, 6, 5, 5, 4, 1, 0]
+    # chunks of lams_per_chunk lams, while a table still holds every live s
+    # of a lam: the products have the shapes of the default budget
+    monkeypatch.setattr(carleman, "_TABLE_DOUBLES", 2 * lams_per_chunk * n_mid * n_terms)
+    assert carleman._TABLE_DOUBLES // n_mid >= len(CHUNK_S)
+    got = sweep_parameters(bundle, CHUNK_S, CHUNK_LAM)
+    assert got.ratios.tobytes() == want.ratios.tobytes()
+
+
+@pytest.mark.parametrize("case", ["drifted-well", "wf-pulse", "coupled-mild"])
+def test_one_row_tables_are_the_one_cell_evaluations_bit_for_bit(monkeypatch, case):
+    # a one-cell evaluation is a one-row table of a one-lam chunk; a sweep
+    # whose budget holds one row per table and one lam per chunk evaluates
+    # every cell that way (a matrix product rounds by its shape, so its
+    # ratios need not match the default budget's bits)
+    bundle = _case_bundle(case, 32, 32)
+    cells = [(s, lam) for s in CHUNK_S for lam in CHUNK_LAM]
+    default = [evaluate_carleman(bundle, CarlemanParams(s, lam)) for s, lam in cells]
+    monkeypatch.setattr(carleman, "_TABLE_DOUBLES", bundle.grid.n_t - 1)
+    sw = sweep_parameters(bundle, CHUNK_S, CHUNK_LAM)
+    reports = [evaluate_carleman(bundle, CarlemanParams(s, lam)) for s, lam in cells]
+    assert [repr(r) for r in reports] == [repr(r) for r in default]
+    want = np.array([np.nan if r.overflow else r.ratio for r in reports])
+    assert sw.ratios.tobytes() == want.reshape(sw.ratios.shape).tobytes()
+
+
 def test_sweep_of_zero_bundle_is_exactly_zero():
     g = SpaceTimeGrid(32, 32, 1.0)
     z = np.zeros(g.shape)

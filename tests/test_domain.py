@@ -15,8 +15,10 @@ from degenmfg.domain import (
     _dt_array,
     _dx_array,
     _dxx_array,
+    _empty,
     weighted_norm,
 )
+from degenmfg.solvers import _traj
 
 WF = DegenerateCoefficient.wright_fischer()
 
@@ -336,3 +338,41 @@ def test_stencils_match_their_written_out_formulas_bitwise():
         for cols in (slice(0, 3), slice(1, 2), slice(3, 8), slice(7, None)):
             block = _dt1_columns(v, g.dt, cols)
             assert block.tobytes() == want[:, cols].tobytes(), (name, "dt", cols)
+
+
+def _with_zeros(rng, shape):
+    """Normal samples of both signs with some exact zeros of both signs."""
+    v = rng.standard_normal(shape)
+    flat = v.reshape(-1)
+    flat[::5] = 0.0
+    flat[2::10] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("layout", ["sampler", "table", "trajectory block", "profile block",
+                                    "scalar block"])
+def test_einsum_products_are_the_ufunc_products_they_replace(layout):
+    # the sweep's separable products are einsum outer products: each entry is
+    # one rounded product, as with the ufunc, added into a zeroed output, so
+    # a -0.0 product reads +0.0 (want + 0.0) and every other bit is the same;
+    # the layouts are those the package passes
+    g = SpaceTimeGrid(16, 20, 1.0)
+    rng = np.random.default_rng(7)
+    x, t = _with_zeros(rng, g.n_x), _with_zeros(rng, g.n_t + 1)
+    if layout == "sampler":  # manufactured._Level.sample: a time-major out
+        got = np.einsum("i,j->ij", x, t, out=_empty(g.shape))
+        want = np.multiply.outer(x, t, out=_empty(g.shape))
+    elif layout == "table":  # carleman._scaled_cells: C-order rows of a buffer
+        buf, buf2 = np.empty(3 * g.n_t), np.empty(3 * g.n_t)
+        got = np.einsum("i,j->ij", x[4:7], t[1:], out=buf.reshape(-1, g.n_t))
+        want = np.multiply(x[4:7, None], t[1:], out=buf2.reshape(-1, g.n_t))
+    else:  # carleman.fp_ingredients: a m on a column block of _traj(m)
+        data = {"trajectory block": np.asfortranarray(_with_zeros(rng, g.shape)),
+                "profile block": np.roll(_with_zeros(rng, g.n_x), 1),
+                "scalar block": -0.5}[layout]
+        block = _traj(data, g, "m")[:, 3:11]
+        got = np.einsum("i,ij->ij", x, block)
+        want = x[:, None] * block
+    assert (want == 0.0).any() and np.signbit(want[want == 0.0]).any()
+    assert got.strides == want.strides
+    assert got.tobytes() == (want + 0.0).tobytes()

@@ -1,7 +1,7 @@
 """Alternating A/B runs of the benchmark on two source trees, with a verdict per metric.
 
     python tools/ab.py BASE_DIR HEAD_DIR --workload W [--seed S] [--pairs N]
-                       [--seconds T] [--json PATH]
+                       [--seconds T] [--trace 0|1] [--json PATH]
 
 Each pair runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
 once in each tree, from that tree and with that tree's own benchmark code,
@@ -20,19 +20,33 @@ for neither) and a verdict:
   than the bound, and not every head run is better than every base run;
 - unchanged: otherwise.
 
+``--trace 1`` runs traced pairs (``bench/run.py --trace 1``) and does the
+same for every per-layer metric of BENCHMARK.json.  Per-layer metrics have
+no bound, so their verdict is gain or unchanged: one traced run cannot
+resolve a per-layer change, the median of several traced pairs can.
+
+A tree with a ``__pycache__`` directory under ``src/degenmfg/`` or
+``bench/`` is refused, naming the directory: a process that reads cached
+bytecode skips compiling from source, so it starts faster and peaks lower
+than one that compiles.  The runs are started with PYTHONDONTWRITEBYTECODE
+set, so they write no cache either.
+
 It also prints how many runs of each side were ``correct``, how many
 commands failed, and the total bytes of the side's ``src/degenmfg/*.py``:
-every benchmark process compiles that source (it writes no bytecode), so
-``peak_rss_mb`` moves with its size as well as with the code paths run.  The exit code is 0 when every run printed a result and
-every result is correct, else 1.  ``--json`` writes every sample, summary and
-verdict to PATH.  Only the standard library is used; the runs write where
-bench/run.py writes, and this script writes nothing else but PATH.
+every benchmark process compiles that source, so ``peak_rss_mb`` moves with
+its size as well as with the code paths run.  The exit code is 0 when every
+run printed a result and every result is correct, else 1.  ``--json`` writes
+every sample, summary and verdict to PATH.  Only the standard library is
+used; the runs write where bench/run.py writes, and this script writes
+nothing else but PATH.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import statistics
 import subprocess
 import sys
@@ -54,7 +68,8 @@ def verdict(base, head, better: str, bound: float) -> dict:
     """Summary and verdict of one metric over paired samples (base[i], head[i]).
 
     ``better`` is "lower" or "higher"; ``bound`` is the worsening, as a
-    fraction of the base median, that counts as a regression.
+    fraction of the base median, that counts as a regression (inf for a
+    metric without a bound: the verdict is then gain or unchanged).
     """
     if len(base) != len(head) or not base:
         raise ValueError("base and head need the same nonzero number of samples")
@@ -95,12 +110,19 @@ def source_bytes(tree: Path) -> int:
     return sum(p.stat().st_size for p in (tree / "src" / "degenmfg").glob("*.py"))
 
 
+def bytecode_caches(tree: Path) -> list:
+    """The __pycache__ directories under the tree's src/degenmfg/ and bench/."""
+    return sorted(p for top in ("src/degenmfg", "bench") for p in (tree / top).rglob("__pycache__"))
+
+
 def run_once(tree: Path, args) -> dict:
-    """One untraced benchmark run in ``tree``: its result object, or a failure record."""
+    """One benchmark run in ``tree``, traced as args.trace says: its result
+    object, or a failure record."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
-         "--seconds", str(args.seconds), "--trace", "0"],
+         "--seconds", str(args.seconds), "--trace", str(args.trace)],
         cwd=tree, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     lines = proc.stdout.strip().splitlines()
     try:
@@ -121,6 +143,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: traced pairs, a verdict per per-layer metric")
     parser.add_argument("--json", type=Path, help="write samples, summaries and verdicts here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -129,6 +153,10 @@ def main(argv=None) -> int:
     for side, tree in trees.items():
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"{side} tree {tree} has no bench/run.py")
+        caches = bytecode_caches(tree)
+        if caches:
+            parser.error(f"{side} tree holds cached bytecode in {caches[0]}: remove it, or "
+                         "its runs skip compiling from source")
 
     runs = {side: [] for side in SIDES}
     for i in range(args.pairs):
@@ -136,16 +164,18 @@ def main(argv=None) -> int:
             result = run_once(trees[side], args)
             runs[side].append(result)
             wall = result.get("metrics", {}).get("wall_s", {}).get("value")
-            print(f"pair {i + 1}/{args.pairs} {side}: wall_s {wall} correct {result['correct']}",
+            shown = "" if wall is None else f"wall_s {wall} "
+            print(f"pair {i + 1}/{args.pairs} {side}: {shown}correct {result['correct']}",
                   file=sys.stderr, flush=True)
 
     ok = all(r["correct"] is True for side in SIDES for r in runs[side])
     summary = {}
     if ok:
-        for m in spec["end_to_end"]:
+        for m in spec["per_layer" if args.trace else "end_to_end"]:
             base, head = ([r["metrics"][m["name"]]["value"] for r in runs[s]] for s in SIDES)
-            summary[m["name"]] = verdict(base, head, m["better"], m["bound"])
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
+            summary[m["name"]] = verdict(base, head, m["better"], m.get("bound", math.inf))
+    traced = " traced" if args.trace else ""
+    print(f"{args.workload} seed {args.seed}, {args.pairs}{traced} pairs of {args.seconds:g} s")
     for side in SIDES:
         correct = sum(r["correct"] is True for r in runs[side])
         failed = sum(r.get("failed", 0) for r in runs[side])
@@ -158,7 +188,8 @@ def main(argv=None) -> int:
               f"  head wins {s['head_wins']}/{s['pairs']}  {s['verdict']}")
     if args.json:
         record = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-                  "seconds": args.seconds, "trees": {k: str(v) for k, v in trees.items()},
+                  "seconds": args.seconds, "trace": args.trace,
+                  "trees": {k: str(v) for k, v in trees.items()},
                   "source_bytes": {k: source_bytes(v) for k, v in trees.items()},
                   "runs": runs, "metrics": summary}
         args.json.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
