@@ -5,7 +5,7 @@ time level: each problem builds the step bands of I - dt L once, shared by its
 sweep and its scheme residual.  A sweep marches through one time-major buffer
 (see domain: each time level a contiguous column) over views of its columns
 built once per sweep, so a level is one in-place add of its predecessor and
-one LAPACK call, with one of two kernels chosen from the bands themselves.
+one LAPACK call from the loop, with one of two kernels chosen from the bands.
 Bands constant in time (scalar and profile coefficients) are one column; when
 that step matrix S is similar, through a positive diagonal D, to a symmetric
 positive definite T (every pair of adjacent off-diagonals of one sign, so cell
@@ -36,7 +36,8 @@ Two residual notions coexist on purpose:
   equations with the diagnostic stencils (central in time and space); on a
   solver trajectory they report the actual discretization defect, O(dt + h^2).
 * ``hjb_scheme_residual`` / ``fp_scheme_residual`` evaluate exactly the
-  implicit-step equations the solvers enforce; on a direct solve they are at
+  implicit-step equations the solvers enforce, one _step_defect each with
+  the arguments its solve passes _march; on a direct solve they are at
   rounding level, so fixed-point iterations can drive them to tolerance.
 
 The LAPACK routines come from scipy's compiled extension
@@ -336,19 +337,9 @@ def _to_step_bands(sub, diag, sup, dt):
     return sub, diag, sup
 
 
-def _implicit_step(dl, d, du, rhs, k):
-    """Solve (I - dt L) f = rhs for time level k, from the step bands.
-
-    dl, d and du are the level's sub-, main and super-diagonals, n_x - 1,
-    n_x and n_x - 1 long (sub[1:] and sup[:-1] of a band column).  gtsv works
-    in place: it overwrites the three bands and, when rhs is a contiguous
-    float array, returns the solution in rhs's memory.  Callers pass bands
-    they own.
-    """
-    _, _, _, f, info = lapack.dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
-    if info != 0:
-        raise SolverError(f"singular tridiagonal system at time index {k}")
-    return f
+# The level solve of a gtsv march, with no Python frame of its own; a caller
+# counts levels by replacing it.
+_implicit_step = lapack.dgtsv
 
 
 def _symmetrizer(sub, diag, sup):
@@ -405,7 +396,7 @@ def _march(op, first, src, scale, what, weight=None):
       symmetrizable): each level is one gtsv (_implicit_step) on its rows of
       a level-major per-sweep copy of the bands, off-diagonals cut to
       length, so the operator's bands stay intact.  A singular step matrix
-      raises SolverError naming the first level it stops.
+      (nonzero info) raises SolverError naming the first level it stops.
 
     Returns the buffer itself: a fresh time-major array.
     """
@@ -438,11 +429,29 @@ def _march(op, first, src, scale, what, weight=None):
         dl, d, du = sub[:, 1:].copy(), diag.copy(), sup[:, :-1].copy()
         for k, b, dl_k, d_k, du_k in zip(times, cols[1:], dl, d, du):
             b += b_prev
-            step(dl_k, d_k, du_k, b, k)
+            if step(dl_k, d_k, du_k, b, 1, 1, 1, 1)[-1]:
+                raise SolverError(f"singular tridiagonal system at time index {k}")
             b_prev = b
     if not np.all(np.isfinite(f)):
         raise SolverError(f"{what} sweep produced non-finite entries")
     return f
+
+
+def _step_defect(op, f, src, scale, weight=None):
+    """Max |S_k f^k - f^j - scale (weight src^k)| / |scale| at the trajectory
+    f over the steps _march(op, first, src, scale, what, weight) solves.
+
+    Formed in place, (S_k f^k - f^j) / |scale| - sign(scale) weight src^k:
+    full temporaries cost page faults per Picard sweep.
+    """
+    ends = (slice(None, -1), slice(1, None))  # (solved, prev) backward, swapped forward
+    solved, prev = ends if scale < 0.0 else ends[::-1]
+    defect = _apply_bands(*(b if b.shape[1] == 1 else b[:, solved] for b in op), f[:, solved])
+    defect -= f[:, prev]
+    defect /= abs(scale)
+    term = src[:, solved] if weight is None else weight * src[:, solved]
+    (np.add if scale < 0.0 else np.subtract)(defect, term, out=defect)
+    return float(np.max(np.abs(defect, out=defect)))
 
 
 def solve_hjb_linear(prob: HjbLinearProblem) -> SpaceTimeField:
@@ -521,27 +530,14 @@ def hjb_scheme_residual(u: FieldLike, prob: HjbLinearProblem) -> float:
     Zero (to solver roundoff) exactly when u satisfies every implicit step,
     so this is the quantity fixed-point sweeps can drive to tolerance.
     """
-    g = prob.grid
-    uv = _traj(u, g, "u")
-    sub, diag, sup = (b if b.shape[1] == 1 else b[:, :-1] for b in prob._step_bands)
-    Su = _apply_bands(sub, diag, sup, uv[:, :-1])
-    Su -= uv[:, 1:]  # in place: full temporaries cost page faults per sweep
-    Su /= g.dt
-    Su += prob.source[:, :-1]
-    return float(np.max(np.abs(Su, out=Su)))
+    return _step_defect(prob._step_bands, _traj(u, prob.grid, "u"), prob.source, -prob.grid.dt)
 
 
 def fp_scheme_residual(m: FieldLike, prob: FpLinearProblem) -> float:
     """Max defect of the implicit forward-step equations, in v = a m."""
     g = prob.grid
     a = prob.coeff.a(g.x)[:, None]
-    v = a * _traj(m, g, "m")
-    sub, diag, sup = (b if b.shape[1] == 1 else b[:, 1:] for b in prob._step_bands)
-    Sv = _apply_bands(sub, diag, sup, v[:, 1:])
-    Sv -= v[:, :-1]  # in place, as in hjb_scheme_residual
-    Sv /= g.dt
-    Sv -= a * prob.source[:, 1:]
-    return float(np.max(np.abs(Sv, out=Sv)))
+    return _step_defect(prob._step_bands, a * _traj(m, g, "m"), prob.source, g.dt, a)
 
 
 def isomorphism_residual(coeff: DegenerateCoefficient, grid: SpaceTimeGrid) -> float:

@@ -235,17 +235,23 @@ def test_gtsv_step_matches_banded_reference(n):
     k = 2
     want = _reference_step(sub[:, k], diag[:, k], sup[:, k], rhs, dt)
     _to_step_bands(sub, diag, sup, dt)
-    got = _implicit_step(sub[1:, k], diag[:, k], sup[:-1, k], rhs, k)
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # _march's arguments: the level's rows of a level-major copy of the bands,
+    # off-diagonals cut to length, and every overwrite flag set
+    *_, got, info = _implicit_step(sub[1:, k].copy(), diag[:, k].copy(), sup[:-1, k].copy(), rhs,
+                                   1, 1, 1, 1)
+    assert info == 0 and np.shares_memory(got, rhs)
+    assert np.max(np.abs(rhs - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_singular_step_names_time_index():
-    n = 5
-    sub = np.zeros(n)
-    diag = np.zeros(n)  # zero first column: the first pivot is exactly zero
-    sup = np.ones(n)
-    with pytest.raises(SolverError, match="time index 7"):
-        _implicit_step(sub[1:], diag, sup[:-1], np.ones(n), 7)
+    n, n_t = 5, 7
+    # every level's first column is zero: its first pivot is exactly zero
+    bands = (np.zeros((n, n_t + 1)), np.zeros((n, n_t + 1)), np.ones((n, n_t + 1)))
+    op = solvers._StepOperator(bands)
+    assert op.sym is None
+    for scale, first_level in ((-0.1, n_t - 1), (0.1, 1)):
+        with pytest.raises(SolverError, match=f"time index {first_level}$"):
+            solvers._march(op, np.ones(n), np.ones((n, n_t + 1)), scale, "value")
 
 
 def test_repeated_solves_bit_identical_and_problem_untouched():
@@ -548,16 +554,25 @@ def test_singular_time_varying_level_names_time_index(scale):
 
 
 def _counted_steps(monkeypatch):
-    """The time index of every gtsv level solve (_implicit_step), in order."""
-    calls = []
+    """Counts the gtsv level solves (_implicit_step).  Returns a function of
+    the march's returned trajectory: the time column of each call, in call
+    order, found from the right-hand side buffer the call solved in place
+    (args[3])."""
+    rhs = []
     step = solvers._implicit_step
 
     def counting_step(*args):
-        calls.append(args[4])
+        rhs.append(args[3])
         return step(*args)
 
     monkeypatch.setattr(solvers, "_implicit_step", counting_step)
-    return calls
+
+    def levels(f):
+        column = {f[:, k].ctypes.data: k for k in range(f.shape[1])}
+        assert all(b.shape == f[:, 0].shape for b in rhs)
+        return [column[b.ctypes.data] for b in rhs]
+
+    return levels
 
 
 def test_upwind_dominated_static_operator_takes_gtsv(monkeypatch):
@@ -572,7 +587,7 @@ def test_upwind_dominated_static_operator_takes_gtsv(monkeypatch):
     assert np.any(products < 0.0) and np.any(products > 0.0)
     steps = _counted_steps(monkeypatch)
     got = solve_hjb_linear(prob).values
-    assert steps == list(range(g.n_t - 1, -1, -1))
+    assert steps(got) == list(range(g.n_t - 1, -1, -1))
     bands = _band_fields(WF.a(g.x)[:, None], prob.drift[:, :1], np.zeros((g.n_x, 1)), g.h)
     want = np.empty(g.shape)
     want[:, -1] = prob.terminal
@@ -594,7 +609,7 @@ def test_symmetrizable_indefinite_operator_takes_gtsv(monkeypatch, dpttrf_calls)
     assert len(dpttrf_calls) == 1
     steps = _counted_steps(monkeypatch)
     got = solvers._march(solvers._StepOperator(bands), first, src, 0.1, "density")
-    assert steps == list(range(1, n_t + 1))
+    assert steps(got) == list(range(1, n_t + 1))
     want = _banded_march(bands, first, 0.1 * src, 0.1)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -613,7 +628,7 @@ def test_log_delta_span_guard(monkeypatch, ratio, symmetrized):
     first, src = rng.standard_normal(n), rng.standard_normal((n, n_t + 1))
     steps = _counted_steps(monkeypatch)
     got = solvers._march(solvers._StepOperator(bands), first, src, -0.1, "value")
-    assert steps == ([] if symmetrized else list(range(n_t - 1, -1, -1)))
+    assert steps(got) == ([] if symmetrized else list(range(n_t - 1, -1, -1)))
     want = _banded_march(bands, first, -0.1 * src, -0.1)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -656,6 +671,37 @@ def _march_case(n_x, n_t, columns, seed):
     q = rng.standard_normal((n_x, width))
     bands = _to_step_bands(*_band_fields(a, d, q, g.h), g.dt)
     return bands, rng.standard_normal(n_x), rng.standard_normal(g.shape), g.dt
+
+
+@pytest.mark.parametrize("columns, kernel", [("one", "pttrs"), ("one-upwind", "gtsv"),
+                                             ("full", "gtsv")])
+@pytest.mark.parametrize("backward", [True, False])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_step_defect_is_the_defect_of_the_steps_march_solves(columns, kernel, backward,
+                                                            weighted):
+    bands, first, src, dt = _march_case(64, 20, columns, seed=5)
+    op = solvers._StepOperator(bands)
+    assert (op.sym is not None) == (kernel == "pttrs")
+    scale = -dt if backward else dt
+    weight = 0.5 + np.random.default_rng(6).random((64, 1)) if weighted else None
+    term = scale * (src if weight is None else weight * src)
+    # at _march's own output: rounding level, the march's backward-error bound
+    # over |scale| (the defect's own evaluation rounds within that bound too)
+    f = solvers._march(op, first, src, scale, "value", weight)
+    _, defect = _rounding_bound(bands, f, term, scale)
+    got = solvers._step_defect(op, f, src, scale, weight)
+    assert got <= np.max(defect) / dt
+    # at any trajectory: S_k f^k - f^j - term^k, S_k as a dense matrix, on
+    # exactly the levels the march solves, over |scale|
+    f = np.random.default_rng(7).standard_normal(src.shape)
+    levels, prev = _levels(src, scale)
+    defects = []
+    for k in levels:
+        sub, diag, sup = (b[:, 0 if b.shape[1] == 1 else k] for b in bands)
+        S = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+        defects.append(np.max(np.abs(S @ f[:, k] - f[:, k + prev] - term[:, k])))
+    want = max(defects) / dt
+    assert solvers._step_defect(op, f, src, scale, weight) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_x", [4, 64, 257])
@@ -839,6 +885,27 @@ def test_pttrs_solves_a_contiguous_column_in_place():
     assert np.allclose(T @ f[:, 2], kept[:, 2], rtol=0.0, atol=1e-14 * np.max(np.abs(kept)))
 
 
+def test_gtsv_solves_a_contiguous_column_in_place():
+    # as for pttrs: _march's gtsv loop leaves each level's solution in its
+    # column of the time-major buffer, and reads info as the last return value
+    n = 33
+    rng = np.random.default_rng(3)
+    dl, du = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+    d = 2.5 + rng.random(n)
+    A = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+    f = np.asfortranarray(rng.standard_normal((n, 4)))
+    kept = f.copy()
+    want = solvers.lapack.dgtsv(dl.copy(), d.copy(), du.copy(), f[:, 2].copy())[3]
+    out = solvers.lapack.dgtsv(dl.copy(), d.copy(), du.copy(), f[:, 2], 1, 1, 1, 1)
+    assert len(out) == 5 and out[-1] == 0 and np.shares_memory(out[3], f)
+    assert np.array_equal(f[:, 2], want)
+    assert np.array_equal(f[:, [0, 1, 3]], kept[:, [0, 1, 3]])
+    assert np.allclose(A @ f[:, 2], kept[:, 2], rtol=0.0, atol=1e-14 * np.max(np.abs(kept)))
+    d[:] = 0.0  # a zero first column: info names the zero pivot, 1-based
+    dl[0] = 0.0
+    assert solvers.lapack.dgtsv(dl, d, du, f[:, 1], 1, 1, 1, 1)[-1] == 1
+
+
 @pytest.mark.parametrize("missing", ["extension file", "scipy spec", "create error", "exec error"])
 def test_lapack_loader_falls_back_to_public_module(monkeypatch, missing):
     import importlib.machinery
@@ -866,6 +933,7 @@ def test_lapack_loader_falls_back_to_public_module(monkeypatch, missing):
     loaded = solvers._load_lapack()
     assert loaded is public
     monkeypatch.setattr(solvers, "lapack", loaded)
+    monkeypatch.setattr(solvers, "_implicit_step", loaded.dgtsv)
     for (bands, first, src, dt), want in zip(cases, direct):
         got = solvers._march(solvers._StepOperator(bands), first, src, -dt, "value")
         assert np.array_equal(got, want)
